@@ -19,9 +19,6 @@ periods with few instructions retired.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add as _fadd
-
 import numpy as np
 
 from ..config import MachineConfig
@@ -32,9 +29,9 @@ from .memory import MainMemory
 #: Upper bound on one address batch drawn from a pattern.
 _MAX_BATCH = 4096
 
-#: Smallest guaranteed-safe batch worth routing through the bulk
-#: kernel; below this the scalar tail loop finishes the budget.
-_KERNEL_MIN_BATCH = 8
+#: Smallest batch worth classifying for the vector kernel; a shorter
+#: phase remainder goes through the bulk kernel instead.
+_VECTOR_MIN_BATCH = 8
 
 #: Smallest per-budget access estimate for which the vector kernel's
 #: fixed per-batch dispatch cost amortises.  Miss-bound workloads that
@@ -54,6 +51,14 @@ _VECTOR_MIN_EST = 384
 #: vector tier.  Below the floor the scalar bulk kernel — still over
 #: the array-backed ownership store — remains the fastest path.
 _VECTOR_MIN_EST_BATCHED = 128
+
+#: Longest stretch of budgets a core skips the vector attempt for
+#: after repeated classify declines.  Declines are sticky: the batch
+#: shapes that cause them (within-batch revisits of Zipf and random
+#: phases, cyclic streams overflowing the L2) persist for many
+#: budgets, so each consecutive decline doubles the skip, 1, 2, 4, …
+#: budgets up to this cap, and a successful classify resets it.
+_DECLINE_BACKOFF_CAP = 32
 
 
 class Core:
@@ -76,6 +81,17 @@ class Core:
         self.instructions_retired = 0.0
         #: cumulative memory accesses issued
         self.accesses_issued = 0
+        #: accesses served per path, counted per batch (telemetry
+        #: only): vector commits, the bulk kernel, the per-access walk
+        #: and the walk's inline L1 MRU hits
+        self.served_vector = 0
+        self.served_bulk = 0
+        self.served_walk = 0
+        self.served_mru = 0
+        #: vector classify declines, and budgets the decline backoff
+        #: skipped the vector attempt for
+        self.classify_declines = 0
+        self.backoff_skips = 0
         lat = machine.latencies
         # Extra stall beyond an L1 hit, indexed by serving level (1..3);
         # level 4 is priced dynamically by the memory channel.
@@ -88,7 +104,7 @@ class Core:
         # accounting never exceeds the sum of granted budgets.
         self._stall_debt = 0.0
         # Running estimate of how many accesses one cycle budget
-        # executes, sizing the vector kernel's batches (see run()).
+        # executes, sizing the kernels' batches (see run()).
         self._vector_est = 512
         # Per-core stand-down floor: lower when the hierarchy's
         # batched private fill is available (tier-5 commit).
@@ -96,6 +112,21 @@ class Core:
             _VECTOR_MIN_EST_BATCHED
             if hierarchy._vector_fills else _VECTOR_MIN_EST
         )
+        # Decline backoff: budgets left to skip the vector attempt
+        # for, and the skip the next decline sets.
+        self._vector_skip = 0
+        self._vector_backoff = 1
+
+    def path_counts(self) -> dict[str, int]:
+        """Accesses served per path, vector declines and backoff skips."""
+        return {
+            "path.vector": self.served_vector,
+            "path.bulk": self.served_bulk,
+            "path.walk": self.served_walk,
+            "path.mru": self.served_mru,
+            "vector.classify_declines": self.classify_declines,
+            "vector.backoff_skips": self.backoff_skips,
+        }
 
     def run(self, process: "object", cycle_budget: float,
             start_cycle: float = 0.0) -> float:
@@ -118,6 +149,13 @@ class Core:
             self.cycles_executed += cycle_budget
             return cycle_budget
         self._stall_debt = 0.0
+        # A recent classify decline stands the vector attempt down for
+        # this whole budget (see _DECLINE_BACKOFF_CAP).
+        vector_ok = True
+        if self._vector_skip:
+            self._vector_skip -= 1
+            self.backoff_skips += 1
+            vector_ok = False
         total_accesses = 0
         total_instructions = 0.0
         hierarchy = self.hierarchy
@@ -155,22 +193,22 @@ class Core:
             done = 0
             mru_hits = 0
             if flat and hierarchy.bulk_kernel_ok(cid):
-                # Bulk kernel: whole batches through access_many, with
-                # cycle accounting from the returned serving levels.
+                # Kernel paths: whole batches, priced by serving level.
                 # The per-level costs are the exact expressions the
-                # scalar loop evaluates per access (the memory channel
-                # prices every access in a period identically), so the
-                # float accumulation into `used` is bit-identical.
-                # Batches are sized so even all-worst-case costs cannot
-                # cross the budget: the scalar loop would consume every
-                # address too, and no push-back can be needed.
+                # per-access walk evaluates (the memory channel prices
+                # every access in a period identically), and both
+                # kernels stop where the walk would — access i executes
+                # only while the total before it is under the budget,
+                # with the walk's left-to-right float adds — so the
+                # unexecuted suffix of a batch goes back to the stream
+                # untouched and the budget is served in one pass.
                 c2 = cpa + extra[2] * inv_overlap
                 c3 = cpa + extra[3] * inv_overlap
                 mem_unit = memory.latency + memory.current_queue_delay
                 c4 = cpa + (mem_unit - l1_lat) * inv_overlap
                 costs = (0.0, cpa, c2, c3, c4)
-                worst = max(cpa, c2, c3, c4)
-                vector = (hierarchy.vector_kernel_ok(cid)
+                vector = (vector_ok
+                          and hierarchy.vector_kernel_ok(cid)
                           and self._vector_est >= self._vector_min_est)
                 if vector:
                     take_array = phase.take_addresses_array
@@ -178,48 +216,41 @@ class Core:
                     vec_commit = hierarchy.vector_commit
                     costs_np = np.array(costs, dtype=np.float64)
                     # The running total seeds slot 0 so the accumulate
-                    # replays the scalar loop's exact left-to-right
-                    # IEEE-754 add sequence.
+                    # replays the walk's exact left-to-right IEEE-754
+                    # add sequence.
                     fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
-                while done < chunk:
-                    if vector:
-                        # The vector kernel prices a batch before
-                        # touching any state, so it needs no worst-case
-                        # sizing: take a large batch, find the exact
-                        # budget cutoff, commit the executable prefix
-                        # and push the rest back as a zero-copy view.
-                        if used >= cycle_budget:
-                            break
-                        batch = chunk - done
-                        if batch > _MAX_BATCH:
-                            batch = _MAX_BATCH
-                        # Adapt to the observed per-budget throughput
-                        # so miss-heavy phases don't classify ~4096
-                        # addresses to execute a few hundred; the 25%
-                        # overdraw absorbs estimate drift.
-                        cap = self._vector_est + (self._vector_est >> 2)
-                        if cap < 64:
-                            cap = 64
-                        if batch > cap:
-                            batch = cap
-                        if batch < _KERNEL_MIN_BATCH:
-                            break
+                # Size batches by what one budget buys, so miss-heavy
+                # phases don't draw ~4096 addresses to execute a few
+                # hundred; the 25% overdraw absorbs estimate drift.
+                cap = self._vector_est + (self._vector_est >> 2)
+                if cap < 64:
+                    cap = 64
+                elif cap > _MAX_BATCH:
+                    cap = _MAX_BATCH
+                while done < chunk and used < cycle_budget:
+                    batch = chunk - done
+                    if batch > cap:
+                        batch = cap
+                    if vector and batch >= _VECTOR_MIN_BATCH:
                         addr_arr = take_array(batch)
                         plan = vec_classify(cid, addr_arr)
                         if plan is None:
                             # Not provably uniform: return the batch
-                            # untouched and finish this chunk on the
-                            # worst-case-sized scalar kernel.
+                            # untouched, serve the rest of this budget
+                            # on the bulk kernel, and back off.
                             phase.push_back_array(addr_arr, 0)
-                            vector = False
+                            self.classify_declines += 1
+                            self._vector_skip = self._vector_backoff
+                            if self._vector_backoff < _DECLINE_BACKOFF_CAP:
+                                self._vector_backoff <<= 1
+                            vector = vector_ok = False
                             continue
+                        self._vector_backoff = 1
                         fold[0] = used
                         np.take(costs_np, plan.levels,
                                 out=fold[1:batch + 1])
                         np.add.accumulate(fold[:batch + 1],
                                           out=fold[:batch + 1])
-                        # Access i executes iff the total before it is
-                        # under budget — the scalar loops' exact rule.
                         n_exec = int(np.searchsorted(
                             fold[:batch], cycle_budget, side="left"
                         ))
@@ -228,7 +259,7 @@ class Core:
                             # invalidated hit prediction, an own-core
                             # back-invalidation): nothing was mutated
                             # and the pricing may be wrong, so hand
-                            # the whole batch to the scalar ladder.
+                            # the whole batch to the bulk kernel.
                             phase.push_back_array(addr_arr, 0)
                             vector = False
                             continue
@@ -246,32 +277,28 @@ class Core:
                         if n_mem:
                             memory.access_bulk(n_mem)
                         done += n_exec
+                        self.served_vector += n_exec
                         if n_exec < batch:
-                            # Budget truncation: push the unexecuted
-                            # suffix back untouched (the end-of-run
-                            # bookkeeping refreshes the batch-size
-                            # estimate from the whole run).
                             phase.push_back_array(addr_arr, n_exec)
                             break
                         continue
-                    safe = int((cycle_budget - used) / worst)
-                    if safe < _KERNEL_MIN_BATCH:
-                        break
-                    batch = chunk - done
-                    if batch > safe:
-                        batch = safe
-                    if batch > _MAX_BATCH:
-                        batch = _MAX_BATCH
-                    levels = access_many(cid, take_addresses(batch))
-                    # Same left-to-right IEEE-754 add sequence as the
-                    # scalar loop, folded at C level.
-                    used = reduce(_fadd,
-                                  map(costs.__getitem__, levels),
-                                  used)
+                    addrs = take_addresses(batch)
+                    levels = access_many(cid, addrs, costs, used,
+                                         cycle_budget)
+                    n_exec = len(levels)
+                    used = hierarchy.batch_cycles
                     n_mem = levels.count(4)
                     if n_mem:
                         memory.access_bulk(n_mem)
-                    done += batch
+                    done += n_exec
+                    self.served_bulk += n_exec
+                    if n_exec < batch:
+                        push_back(addrs, n_exec)
+                        break
+            # The per-access walk, for cores the kernels cannot serve
+            # (an L3 quota, non-LRU policies, writebacks, prefetch, or
+            # the kernels switched off); after a kernel loop its
+            # condition is already false.
             while done < chunk and used < cycle_budget:
                 # An L1 hit (cpa cycles) is the cheapest access, so at
                 # most this many accesses can start inside the budget.
@@ -335,17 +362,20 @@ class Core:
                         else:
                             used += cpa + extra[level] * inv_overlap
                 done += consumed
+                self.served_walk += consumed
             if mru_hits:
                 counters.l1_hits += mru_hits
                 l1_stats.hits += mru_hits
+                self.served_walk -= mru_hits
+                self.served_mru += mru_hits
             total_accesses += done
             total_instructions += done * ipa
             process.account(done)
 
         if used >= cycle_budget and total_accesses:
             # Budget-limited run: what it executed is what one budget
-            # buys — the estimate the vector kernel's batch sizing (and
-            # its stand-down threshold) needs, whichever tier ran.
+            # buys — the estimate the kernels' batch sizing (and the
+            # vector stand-down threshold) needs, whichever tier ran.
             self._vector_est = total_accesses
         if used > cycle_budget:
             # The final access overshot; carry the excess into the next

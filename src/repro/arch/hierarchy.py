@@ -19,7 +19,9 @@ exposes to CAER.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat as _repeat
+from operator import add as _fadd
 from typing import Sequence
 
 from time import perf_counter as _perf_counter
@@ -40,6 +42,11 @@ from .vector_kernel import commit as _vector_commit
 
 #: Access outcome levels returned by :meth:`CacheHierarchy.access`.
 L1_HIT, L2_HIT, L3_HIT, MEMORY = 1, 2, 3, 4
+
+#: :meth:`CacheHierarchy.access_many`'s defaults: every access is free
+#: and the budget never expires, so the whole batch executes.
+_NO_COSTS = (0.0, 0.0, 0.0, 0.0, 0.0)
+_INF = float("inf")
 
 
 class HierarchyCounters:
@@ -182,6 +189,9 @@ class CacheHierarchy:
         # LRU storage is a separate per-cache property; see
         # bulk_kernel_ok for the full predicate).
         self._bulk_enabled = bulk_kernel_enabled()
+        #: cycle total after the last access :meth:`access_many`
+        #: executed (its ``used`` plus the executed accesses' costs)
+        self.batch_cycles = 0.0
 
     # -- hot path ------------------------------------------------------
 
@@ -241,13 +251,31 @@ class CacheHierarchy:
             self._prefetch(core, addr)
         return MEMORY
 
-    def access_many(self, core: int, addrs: Sequence[int]) -> list[int]:
-        """Route a whole address batch; return the per-address levels.
+    def access_many(
+        self,
+        core: int,
+        addrs: Sequence[int],
+        costs: Sequence[float] = _NO_COSTS,
+        used: float = 0.0,
+        budget: float = _INF,
+    ) -> list[int]:
+        """Route an address batch under a cycle budget; return its levels.
 
-        Semantically identical to ``[self.access(core, a) for a in
-        addrs]`` — and that is literally what runs when
-        :meth:`bulk_kernel_ok` denies the kernel (non-LRU policies,
-        writebacks, prefetch, an L3 quota on this core, or
+        ``costs[level]`` is the cycle cost of an access served at
+        ``level`` (1..4).  Access ``i`` executes only while the running
+        total before it is under ``budget``: the total starts at
+        ``used`` and each executed access adds its cost, left to right,
+        exactly as the core's per-access walk adds them.  The result
+        holds the serving level of every executed access, so its length
+        is the executed count and ``addrs[len(result):]`` is the
+        unexecuted suffix the caller returns to its stream; the total
+        after the last executed access is left in :attr:`batch_cycles`.
+        With the defaults every access executes and the result equals
+        ``[self.access(core, a) for a in addrs]``.
+
+        That per-access loop, under the same budget rule, is what runs
+        when :meth:`bulk_kernel_ok` denies the kernel (non-LRU
+        policies, writebacks, prefetch, an L3 quota on this core, or
         ``REPRO_BULK_KERNEL=0``).  On the kernel path all hot state is
         hoisted into locals, the L1/L2/L3 probes and fills are inlined
         over the flat tag arrays, and per-access counter increments
@@ -256,27 +284,26 @@ class CacheHierarchy:
         the end.  Runs of identical consecutive addresses collapse into
         one walk plus guaranteed L1 hits: after any access the line is
         MRU in this core's L1, and nothing else can touch the hierarchy
-        mid-batch (cores interleave at slice granularity).
+        mid-batch (cores interleave at slice granularity).  One C-level
+        fold prices a run's hits; only the run the budget expires in is
+        walked member by member.
         """
         if not self.bulk_kernel_ok(core):
             access = self.access
-            levels = [access(core, a) for a in addrs]
+            levels: list[int] = []
+            for addr in addrs:
+                if used >= budget:
+                    break
+                level = access(core, addr)
+                levels.append(level)
+                used += costs[level]
+            self.batch_cycles = used
             if self._debug_invariants:
                 self.check_owner_invariants()
             return levels
         l1 = self.l1[core]
         l2 = self.l2[core]
         l3 = self.l3
-        if addrs:
-            # One conservative raise of the monotone fill bounds covers
-            # every inlined fill below (see SetAssociativeCache._max_tag).
-            mx = max(addrs)
-            if mx > l1._max_tag:
-                l1._max_tag = mx
-            if mx > l2._max_tag:
-                l2._max_tag = mx
-            if mx > l3._max_tag:
-                l3._max_tag = mx
         l1_tags = l1._tags
         l1_fill = l1._fill_counts
         l1_heads = l1._heads
@@ -318,15 +345,40 @@ class CacheHierarchy:
         l1_caches = self.l1
         l2_caches = self.l2
         counters_core = counters_all[core]
-        levels: list[int] = []
+        levels = []
         lv_append = levels.append
         lv_extend = levels.extend
+        c1 = costs[1]
+        c2 = costs[2]
+        c3 = costs[3]
+        c4 = costs[4]
         # Batch-local deltas: hierarchy counters and cache stats.
         nh1 = nm1 = nh2 = nm2 = nh3 = nm3 = 0
         fl1 = ev1 = fl2 = ev2 = fl3 = ev3 = 0
         i = 0
         n = len(addrs)
-        while i < n:
+        run = 0
+        while True:
+            if run:
+                # The previous access's trailing repeats: guaranteed L1
+                # MRU hits, priced by one C-level fold (the same
+                # left-to-right adds).  Only a run the budget expires
+                # in is walked member by member, to find its cutoff.
+                total = reduce(_fadd, _repeat(c1, run), used)
+                if total >= budget:
+                    k = 0
+                    total = used
+                    while total < budget:
+                        total += c1
+                        k += 1
+                    i -= run - k
+                    run = k
+                nh1 += run
+                lv_extend(_repeat(1, run))
+                used = total
+                run = 0
+            if i >= n or used >= budget:
+                break
             addr = addrs[i]
             j = i + 1
             # Trailing repeats are guaranteed L1 MRU hits; let the end
@@ -341,11 +393,9 @@ class CacheHierarchy:
             i = j
             si1 = addr & l1_mask
             if l1_mru[si1] == addr:
-                nh1 += run + 1
-                if run:
-                    lv_extend(_repeat(1, run + 1))
-                else:
-                    lv_append(1)
+                nh1 += 1
+                lv_append(1)
+                used += c1
                 continue
             if addr in l1_res:
                 # Non-MRU L1 hit: move to the logical tail (wrap-aware
@@ -371,11 +421,9 @@ class CacheHierarchy:
                         l1_tags[base1:tail] = l1_tags[base1 + 1:tail + 1]
                         l1_tags[tail] = addr
                 l1_mru[si1] = addr
-                nh1 += run + 1
-                if run:
-                    lv_extend(_repeat(1, run + 1))
-                else:
-                    lv_append(1)
+                nh1 += 1
+                lv_append(1)
+                used += c1
                 continue
             nm1 += 1
             # -- L2 probe (move-to-tail on hit) ------------------------
@@ -427,9 +475,7 @@ class CacheHierarchy:
                 l1_mru[si1] = addr
                 fl1 += 1
                 lv_append(2)
-                if run:
-                    nh1 += run
-                    lv_extend(_repeat(1, run))
+                used += c2
                 continue
             nm2 += 1
             # -- L3 probe ----------------------------------------------
@@ -497,6 +543,7 @@ class CacheHierarchy:
                         owners.add(core)
                         occupancy[core] += 1
                 level = 3
+                used += c3
             else:
                 nm3 += 1
                 # Fill L3 (absent: just probed and missed).  A full set
@@ -636,6 +683,7 @@ class CacheHierarchy:
                 l3_mru[si3] = addr
                 fl3 += 1
                 level = 4
+                used += c4
             # -- private fills (L2 then L1, both absent) ---------------
             # Fill counts are read here, after the L3-miss path: a
             # back-invalidation above may have removed our own lines.
@@ -670,9 +718,19 @@ class CacheHierarchy:
             l1_mru[si1] = addr
             fl1 += 1
             lv_append(level)
-            if run:
-                nh1 += run
-                lv_extend(_repeat(1, run))
+        if i:
+            # One conservative raise of the monotone fill bounds covers
+            # every fill of the executed prefix (see
+            # SetAssociativeCache._max_tag); the pushed-back suffix
+            # stays unfilled, so it must not raise them.
+            mx = max(addrs) if i == n else max(addrs[:i])
+            if mx > l1._max_tag:
+                l1._max_tag = mx
+            if mx > l2._max_tag:
+                l2._max_tag = mx
+            if mx > l3._max_tag:
+                l3._max_tag = mx
+        self.batch_cycles = used
         # -- flush batch-local deltas ----------------------------------
         counters_core.l1_hits += nh1
         counters_core.l1_misses += nm1

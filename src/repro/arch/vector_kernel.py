@@ -1,13 +1,12 @@
 """Tier-4 vectorized bulk-access kernel.
 
-The PR5 bulk kernel (:meth:`repro.arch.hierarchy.CacheHierarchy.
+The bulk kernel (:meth:`repro.arch.hierarchy.CacheHierarchy.
 access_many`) already batches whole address chunks through inlined
-flat-array LRU walks, but still pays interpreted Python per address —
-and, because it mutates as it walks, the core must size its batches so
-even all-worst-case costs cannot cross the cycle budget, which caps
-them at a few hundred addresses and leaves little to amortise.
+flat-array LRU walks and stops exactly where the cycle budget runs
+out, but it still pays interpreted Python per address and has to
+price each access as it mutates the hierarchy.
 
-This module removes both costs by splitting the walk in two:
+This module removes that cost by splitting the walk in two:
 
 :func:`classify`
     proves, without touching any state, that the batch belongs to the

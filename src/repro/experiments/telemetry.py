@@ -109,6 +109,23 @@ def render_trace_report(report: dict) -> str:
     return out.getvalue()
 
 
+def _path_totals(summaries: list) -> dict[str, int]:
+    """Summed path-coverage counters of cached sim runs.
+
+    The engine folds each core's ``sim.path.*`` (accesses served per
+    path) and ``sim.vector.*`` (classify declines, backoff skips)
+    counts into the run's metrics; statistical runs carry none.
+    """
+    totals: dict[str, int] = {}
+    for summary in summaries:
+        metrics = (summary.telemetry or {}).get("metrics", {})
+        for name, entry in metrics.items():
+            if name.startswith(("sim.path.", "sim.vector.")):
+                key = name[len("sim."):]
+                totals[key] = totals.get(key, 0) + int(entry["value"])
+    return dict(sorted(totals.items()))
+
+
 def campaign_stats_data(campaign: Campaign) -> dict:
     """Structured cached-telemetry summary for the campaign's settings.
 
@@ -151,6 +168,7 @@ def campaign_stats_data(campaign: Campaign) -> dict:
             "mean_periods": (
                 sum(s.total_periods for s in summaries) / len(summaries)
             ),
+            "paths": _path_totals(summaries),
         })
     return {
         "cache_tag": campaign.settings.cache_tag(),

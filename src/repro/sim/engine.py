@@ -334,6 +334,15 @@ class SimulationEngine:
         self._pending_quota.clear()
 
     def _finalise(self) -> None:
+        if self.metrics is not None:
+            # Which path served the run's accesses, counted per batch
+            # by the cores (the tier gauges above say only which flags
+            # were on).  Telemetry only, like the gauges.
+            cores = sorted({p.core_id for p in self.processes.values()})
+            for core_id in cores:
+                counts = self.chip.core(core_id).path_counts()
+                for key, count in counts.items():
+                    self.metrics.counter(f"sim.{key}").inc(count)
         for name, proc in self.processes.items():
             record = self.result.processes[name]
             record.completions = proc.completions

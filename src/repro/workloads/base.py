@@ -60,6 +60,16 @@ class AccessPattern(ABC):
         """
         return np.asarray(self.next_addresses(n), dtype=np.int64)
 
+    def addresses_before_draw(self) -> int | None:
+        """How many next addresses come without an RNG call.
+
+        ``None`` means the pattern never draws once instantiated.  The
+        parts of a mixture share its ``Generator``, so the mixture
+        batches a part's draws only up to this count; the conservative
+        default makes every address a potential draw.
+        """
+        return 0
+
     def footprint_lines(self) -> int:
         """Number of distinct lines the pattern can touch (if known)."""
         return 0

@@ -36,6 +36,15 @@ def _require_positive(name: str, value: float) -> None:
         raise WorkloadError(f"{name} must be positive, got {value}")
 
 
+class _DrawFree(AccessPattern):
+    """Base for patterns that never touch their RNG once instantiated."""
+
+    __slots__ = ()
+
+    def addresses_before_draw(self) -> int | None:
+        return None
+
+
 class _BufferedPattern(AccessPattern):
     """Base for patterns that serve addresses from pre-drawn batches."""
 
@@ -45,6 +54,9 @@ class _BufferedPattern(AccessPattern):
 
     def _refill(self) -> list[int]:
         raise NotImplementedError
+
+    def addresses_before_draw(self) -> int | None:
+        return len(self._buffer) - self._index
 
     def next_address(self) -> int:
         i = self._index
@@ -103,7 +115,7 @@ class SequentialStreamSpec(PatternSpec):
         return _SequentialStream(self.lines, self.line_repeats, base)
 
 
-class _SequentialStream(AccessPattern):
+class _SequentialStream(_DrawFree):
     __slots__ = ("_lines", "_repeats", "_base", "_line", "_count")
 
     def __init__(self, lines: int, repeats: int, base: int):
@@ -225,7 +237,7 @@ class PointerChaseSpec(PatternSpec):
         return _PointerChase(rng, self.lines, base)
 
 
-class _PointerChase(AccessPattern):
+class _PointerChase(_DrawFree):
     __slots__ = ("_cycle", "_cycle_arr", "_pos", "_n")
 
     def __init__(self, rng: np.random.Generator, lines: int, base: int):
@@ -431,7 +443,7 @@ class StridedScanSpec(PatternSpec):
         return _StridedScan(self.lines, self.stride, self.line_repeats, base)
 
 
-class _StridedScan(AccessPattern):
+class _StridedScan(_DrawFree):
     __slots__ = ("_lines", "_stride", "_repeats", "_base", "_pos", "_count")
 
     def __init__(self, lines: int, stride: int, repeats: int, base: int):
@@ -520,7 +532,8 @@ class MixtureSpec(PatternSpec):
 
 
 class _Mixture(AccessPattern):
-    __slots__ = ("_rng", "_parts", "_probs", "_choices", "_index")
+    __slots__ = ("_rng", "_parts", "_probs", "_choices", "_choices_arr",
+                 "_index")
 
     def __init__(
         self,
@@ -532,19 +545,71 @@ class _Mixture(AccessPattern):
         self._parts = parts
         total = sum(weights)
         self._probs = [w / total for w in weights]
+        # The drawn component choices, as an array for batched draws
+        # and as a list for the per-address walk.
+        self._choices_arr = np.empty(0, dtype=np.int64)
         self._choices: list[int] = []
+        self._index = 0
+
+    def _refill_choices(self) -> None:
+        arr = self._rng.choice(len(self._parts), size=_BATCH, p=self._probs)
+        self._choices_arr = arr
+        self._choices = arr.tolist()
         self._index = 0
 
     def next_address(self) -> int:
         i = self._index
         choices = self._choices
         if i >= len(choices):
-            choices = self._choices = self._rng.choice(
-                len(self._parts), size=_BATCH, p=self._probs
-            ).tolist()
+            self._refill_choices()
+            choices = self._choices
             i = 0
         self._index = i + 1
         return self._parts[choices[i]].next_address()
+
+    def next_addresses(self, n: int) -> list[int]:
+        return self.next_addresses_array(n).tolist()
+
+    def next_addresses_array(self, n: int) -> np.ndarray:
+        # Draw per part and scatter by the choice vector.  The parts
+        # share this mixture's Generator, so every RNG call — a choice
+        # refill or a part's buffer refill — must land at the stream
+        # position the per-address walk reaches it at: the batch is
+        # served in segments cut at each such position, and the
+        # address that triggers a part refill is served on its own.
+        out = np.empty(n, dtype=np.int64)
+        parts = self._parts
+        filled = 0
+        while filled < n:
+            i = self._index
+            if i >= len(self._choices):
+                self._refill_choices()
+                i = 0
+            seg = self._choices_arr[i:i + n - filled]
+            m = seg.shape[0]
+            cut = m
+            positions = []
+            for p, part in enumerate(parts):
+                pos = np.flatnonzero(seg == p)
+                free = part.addresses_before_draw()
+                if free is not None and pos.shape[0] > free \
+                        and pos[free] < cut:
+                    cut = int(pos[free])
+                positions.append(pos)
+            if cut == 0:
+                out[filled] = parts[seg[0]].next_address()
+                self._index = i + 1
+                filled += 1
+                continue
+            view = out[filled:filled + cut]
+            for p, pos in enumerate(positions):
+                if cut < m:
+                    pos = pos[:np.searchsorted(pos, cut)]
+                if pos.shape[0]:
+                    view[pos] = parts[p].next_addresses_array(pos.shape[0])
+            self._index = i + cut
+            filled += cut
+        return out
 
     def footprint_lines(self) -> int:
         return sum(p.footprint_lines() for p in self._parts)
@@ -580,7 +645,7 @@ class TraceSpec(PatternSpec):
         return _TraceReplay(self.trace, base)
 
 
-class _TraceReplay(AccessPattern):
+class _TraceReplay(_DrawFree):
     __slots__ = ("_addrs", "_index", "_footprint")
 
     def __init__(self, trace: tuple[int, ...], base: int):

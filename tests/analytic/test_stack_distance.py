@@ -60,6 +60,21 @@ class TestAgainstReference:
     def test_matches_naive_model(self, trace):
         assert reuse_distances(trace) == naive_reuse_distances(trace)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_long_trace_and_histogram_match_naive(self, seed):
+        # Thousands of accesses with large line addresses: many merge
+        # widths and a length that is not a power of two.
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        trace = (rng.integers(0, 300, size=3001) * 64 + 10**9).tolist()
+        expected = naive_reuse_distances(trace)
+        assert reuse_distances(trace) == expected
+        histogram, cold = reuse_distance_histogram(trace)
+        assert cold == expected.count(COLD)
+        warm = [d for d in expected if d != COLD]
+        assert histogram == {d: warm.count(d) for d in set(warm)}
+
 
 class TestSampling:
     def test_sample_trace_length(self):

@@ -405,6 +405,186 @@ class TestVectorDifferential:
             assert kern.vector_classify(0, addrs) is None
 
 
+def scalar_budget_walk(h, core, addrs, costs, used, budget):
+    """The per-access walk's budget rule, over scalar ``access`` calls."""
+    levels = []
+    for addr in addrs:
+        if used >= budget:
+            break
+        level = h.access(core, addr)
+        levels.append(level)
+        used += costs[level]
+    return levels, used
+
+
+#: Per-level costs with inexact float values, so any reordered add
+#: shows up in the running total.
+ODD_COSTS = (0.0, 2.0, 2.0 + 6.0 / 1.5, 2.0 + 34.0 / 1.5, 2.0 + 196.0 / 1.5)
+#: Integer costs, so running totals land exactly on integer budgets
+#: and the strict "total before it is under the budget" rule matters.
+INT_COSTS = (0.0, 1.0, 3.0, 10.0, 50.0)
+
+
+def budget_phases():
+    """Phases whose budgets expire at every kind of cutoff point.
+
+    A stream overflowing the tiny L3 (memory heads, each followed by a
+    run of L1 MRU hits), a stream cycling through more lines than the
+    L1 but fewer than the L2 (L2-hit run heads), a revisit-heavy random
+    phase (classify declines, so bulk-kernel batches) and short phases
+    (budgets crossing phase boundaries).
+    """
+    from repro.workloads.base import PhaseSpec
+    from repro.workloads.patterns import (
+        SequentialStreamSpec,
+        UniformRandomSpec,
+        ZipfSpec,
+    )
+
+    return (
+        PhaseSpec(SequentialStreamSpec(lines=400, line_repeats=4),
+                  duration_instructions=9000.0, mem_ratio=0.25,
+                  base_cpi=0.5, overlap=1.5),
+        PhaseSpec(SequentialStreamSpec(lines=8, line_repeats=3),
+                  duration_instructions=2600.0, mem_ratio=0.25,
+                  base_cpi=0.5, overlap=1.5),
+        PhaseSpec(UniformRandomSpec(lines=64, line_repeats=2),
+                  duration_instructions=1800.0, mem_ratio=0.4,
+                  base_cpi=0.6, overlap=2.0),
+        PhaseSpec(ZipfSpec(lines=48), duration_instructions=37.0,
+                  mem_ratio=0.25, base_cpi=0.5, overlap=1.5),
+        PhaseSpec(SequentialStreamSpec(lines=300, line_repeats=2),
+                  duration_instructions=53.0, mem_ratio=0.5,
+                  base_cpi=0.7, overlap=3.0),
+    )
+
+
+def peek(phase, n=64):
+    """The next ``n`` addresses of ``phase``'s stream, left in place."""
+    addrs = phase.take_addresses(n)
+    phase.push_back(addrs, 0)
+    return list(addrs)
+
+
+class TestBudgetCutoff:
+    """Budget-exact kernels stop exactly where the per-access walk does.
+
+    Each test covers both L3 ownership stores explicitly, whatever
+    ``REPRO_OWNER_ARRAYS`` the suite runs under.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=BATCHES,
+        costs=st.sampled_from([ODD_COSTS, INT_COSTS]),
+        budgets=st.lists(
+            st.one_of(st.floats(0.0, 400.0), st.integers(0, 400)),
+            min_size=20, max_size=20,
+        ),
+        used=st.sampled_from([0.0, 1.0, 7.0, 33.5]),
+        owner=st.sampled_from(["1", "0"]),
+    )
+    def test_access_many_budget_matches_scalar_walk(self, batches, costs,
+                                                    budgets, used, owner):
+        # Runs of repeats make the budget expire inside a collapsed
+        # run as well as on a walked access.
+        with tier_env(owner=owner):
+            kern, ref = hierarchy_pair(tiny_machine())
+            for (core, addrs), budget in zip(batches, budgets):
+                got = kern.access_many(core, addrs, costs, used, budget)
+                want, total = scalar_budget_walk(
+                    ref, core, addrs, costs, used, budget
+                )
+                assert got == want
+                assert kern.batch_cycles == total
+            assert snapshot(kern) == snapshot(ref)
+
+    @pytest.mark.parametrize("policy", ["fifo", "random", "plru"])
+    def test_fallback_honours_budget(self, policy):
+        # Non-LRU policies take access_many's per-access fallback; it
+        # must stop at the same access and total as the scalar walk.
+        rng = np.random.default_rng(5)
+        with tier_env():
+            kern, ref = hierarchy_pair(tiny_machine(replacement=policy))
+            assert not kern.bulk_kernel_ok(0)
+            cut = 0
+            for _ in range(40):
+                addrs = rng.integers(0, 96, size=60).tolist()
+                budget = float(rng.uniform(0.0, 1500.0))
+                used = float(rng.uniform(0.0, 40.0))
+                got = kern.access_many(0, addrs, ODD_COSTS, used, budget)
+                want, total = scalar_budget_walk(
+                    ref, 0, addrs, ODD_COSTS, used, budget
+                )
+                assert got == want
+                assert kern.batch_cycles == total
+                cut += len(got) < len(addrs)
+            assert snapshot(kern) == snapshot(ref)
+        assert cut  # some budgets expired mid-batch
+
+    @pytest.mark.parametrize("owner", ["1", "0"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_core_run_matches_generic_walk(self, seed, owner):
+        from repro.arch.chip import MulticoreChip
+        from repro.sim.process import AppClass, SimProcess
+        from repro.workloads.base import WorkloadSpec
+
+        spec = WorkloadSpec("budget-cutoffs", budget_phases(), 1e9)
+        sides = {}
+        for name, env in (("generic", ("0", "0", "0")),
+                          ("fast", ("1", "1", "1", owner))):
+            with tier_env(*env):
+                chip = MulticoreChip(tiny_machine(), seed=seed)
+                proc = SimProcess(spec, 0, AppClass.LATENCY_SENSITIVE,
+                                  seed=seed)
+                proc.launch()
+                sides[name] = (chip, proc)
+        rng = np.random.default_rng(seed)
+        budgets = np.exp(rng.uniform(0.0, np.log(6000.0), size=900))
+        seen = set()
+        with tier_env("1", "1", "1"):
+            for call, budget in enumerate(budgets.tolist()):
+                got = {}
+                for name, (chip, proc) in sides.items():
+                    core = chip.core(0)
+                    before = proc.workload._phase_index
+                    used = core.run(proc, budget)
+                    if proc.workload._phase_index != before:
+                        seen.add("phase boundary")
+                    got[name] = (
+                        used, core._stall_debt, core.accesses_issued,
+                        core.cycles_executed, core.instructions_retired,
+                        [peek(phase) for phase in proc.workload._phases],
+                    )
+                    if call % 37 == 36:
+                        # Vary the memory channel's queueing delay,
+                        # and so the price of a memory access.
+                        chip.memory.end_period(2000)
+                assert got["fast"] == got["generic"]
+                chip, proc = sides["fast"]
+                h = chip.hierarchy
+                nxt = got["fast"][5][proc.workload._phase_index][0]
+                l1 = h.l1[0]
+                if l1._mru[nxt & l1._set_mask] == nxt:
+                    seen.add("L1 MRU run")
+                elif nxt not in l1._resident and nxt in h.l2[0]._resident:
+                    seen.add("L2-hit head")
+                elif nxt not in h.l3._resident:
+                    seen.add("memory access")
+        (gen_chip, _), (fast_chip, _) = sides["generic"], sides["fast"]
+        assert snapshot(fast_chip.hierarchy) == snapshot(gen_chip.hierarchy)
+        assert fast_chip.memory.accesses == gen_chip.memory.accesses
+        assert fast_chip.memory.total_queue_cycles == \
+            gen_chip.memory.total_queue_cycles
+        assert seen == {"L1 MRU run", "L2-hit head", "memory access",
+                        "phase boundary"}
+        counts = fast_chip.core(0).path_counts()
+        # Both kernels served, and no kernel-eligible access was walked.
+        assert counts["path.vector"] and counts["path.bulk"]
+        assert counts["path.walk"] == counts["path.mru"] == 0
+        assert gen_chip.core(0).path_counts()["path.walk"] > 0
+
+
 class TestFallbackPredicate:
     """Configs the kernel cannot model must take the scalar path."""
 
@@ -651,6 +831,43 @@ class TestEndToEndTiers:
             bare = self._run()
             traced = self._run(metrics=MetricsRegistry())
         assert traced == bare
+
+    def test_path_counts_recorded_in_metrics(self):
+        # The gauges say which flags were on; the path counters say
+        # which path served the run's accesses.  Every tier serves the
+        # same accesses, split differently.
+        from repro.obs import MetricsRegistry
+
+        paths = {}
+        for tier, env in [
+            ("generic", ("0", "0", "0")),
+            ("fastlane", ("1", "0", "0")),
+            ("kernel", ("1", "1", "0")),
+            ("vector", ("1", "1", "1")),
+        ]:
+            with tier_env(*env):
+                metrics = MetricsRegistry()
+                self._run(metrics=metrics)
+            snap = metrics.snapshot()
+            paths[tier] = {
+                name[len("sim."):]: snap[name]["value"]
+                for name in snap
+                if name.startswith(("sim.path.", "sim.vector."))
+            }
+        served = {
+            tier: sum(v for k, v in counts.items() if k.startswith("path."))
+            for tier, counts in paths.items()
+        }
+        assert len(set(served.values())) == 1
+        assert paths["generic"]["path.walk"] == served["generic"]
+        assert paths["fastlane"]["path.mru"] > 0
+        assert paths["kernel"]["path.bulk"] == served["kernel"]
+        vector = paths["vector"]
+        assert vector["path.vector"] > 0 and vector["path.bulk"] > 0
+        assert vector["path.walk"] == vector["path.mru"] == 0
+        assert vector["vector.classify_declines"] > 0
+        assert vector["vector.backoff_skips"] > 0
+        assert paths["kernel"]["vector.classify_declines"] == 0
 
     def test_tier_recorded_in_metrics_gauges(self):
         from repro.obs import MetricsRegistry

@@ -262,6 +262,30 @@ class TestStatsFormats:
         with pytest.raises(SystemExit):
             cli.main(["stats", "--format", "yaml"])
 
+    def test_cached_sim_runs_show_path_coverage(self, capsys, tmp_path,
+                                                monkeypatch):
+        from repro.experiments.campaign import Campaign
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_LENGTH", "0.02")
+        Campaign().solo("462.libquantum")
+        assert cli.main(["stats", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        (solo,) = [row for row in data["configs"]
+                   if row["config"] == "solo"]
+        paths = solo["paths"]
+        assert set(paths) == {
+            "path.vector", "path.bulk", "path.walk", "path.mru",
+            "vector.classify_declines", "vector.backoff_skips",
+        }
+        # The streaming victim is served by the kernels, not the walk.
+        assert paths["path.vector"] > 0
+        assert paths["path.walk"] == paths["path.mru"] == 0
+        assert cli.main(["stats", "--format", "prometheus"]) == 0
+        out = capsys.readouterr().out
+        assert "# TYPE repro_sim_path_vector_total counter" in out
+        assert "repro_sim_vector_classify_declines_total" in out
+
 
 class TestWatchCommand:
     def test_once_without_beacons_exits_1(self, capsys, tmp_path,

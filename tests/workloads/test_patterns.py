@@ -333,6 +333,38 @@ class TestBatchGeneration:
             got.extend(mixed.next_addresses(9))
         assert got == expected[: len(got)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_mixture_part_refills_keep_stream_order(self, seed):
+        # The parts share the mixture's Generator, so a batched draw
+        # must make every RNG call (choice refills, part buffer
+        # refills) at the stream position the per-address walk does.
+        # Over 3 x 4096 draws every buffered part refills several
+        # times, often two parts inside one batch.
+        spec = MixtureSpec(
+            components=(
+                (0.35, UniformRandomSpec(lines=90, line_repeats=2)),
+                (0.25, ZipfSpec(lines=70, alpha=1.1)),
+                (0.25, HotColdSpec(hot_lines=6, cold_lines=80)),
+                (0.15, PointerChaseSpec(lines=50)),
+            )
+        )
+        scalar = spec.instantiate(np.random.default_rng(seed), 11)
+        mixed = spec.instantiate(np.random.default_rng(seed), 11)
+        total = 3 * 4096 + 2500
+        expected = [scalar.next_address() for _ in range(total)]
+        rng = np.random.default_rng(100 + seed)
+        got: list[int] = []
+        while len(got) < total:
+            n = min(int(rng.integers(1, 1800)), total - len(got))
+            way = int(rng.integers(0, 3))
+            if way == 0:
+                got.extend(mixed.next_address() for _ in range(n % 7 + 1))
+            elif way == 1:
+                got.extend(mixed.next_addresses(n))
+            else:
+                got.extend(mixed.next_addresses_array(n).tolist())
+        assert got[:total] == expected
+
     @given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)
     def test_arbitrary_batch_sizes(self, sizes):
