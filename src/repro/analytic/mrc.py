@@ -6,19 +6,38 @@ complementary CDF of the reuse-distance distribution (cold misses miss
 at every size).  Set-associative caches of practical associativity
 track the fully-associative curve closely enough for the occupancy
 modelling this package does.
+
+:func:`profile_patterns` is the one place pattern specs become curves.
+A profile is a pure function of (specs, seed, samples), so each
+distinct one is built once per process and shared; curves are
+immutable for that reason.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import WorkloadError
 from .stack_distance import (
+    _as_addresses,
     reuse_distance_histogram,
     sample_trace,
     singleton_count,
 )
+
+if TYPE_CHECKING:
+    from ..workloads.base import PatternSpec
+
+#: Distinct profiles :func:`profile_patterns` keeps.  At 40K samples
+#: per phase an entry retains ~170 KB on average and ~500 KB at most (a
+#: two-phase SPEC model), so the bound caps the cache near 32 MB; a
+#: 21-victim statistical campaign needs 22 entries (3.8 MB).
+PROFILE_CACHE_SIZE = 64
 
 
 class MissRateCurve:
@@ -47,19 +66,20 @@ class MissRateCurve:
             raise WorkloadError("empty reuse histogram")
         self._cold = cold
         self._singletons = singletons
-        # Sorted distances with cumulative counts for O(log n) queries.
-        self._distances = sorted(histogram)
+        # Sorted distances with cumulative counts for O(log n) queries,
+        # as tuples: a cached curve is shared by every run that uses it.
+        self._distances = tuple(sorted(histogram))
         cumulative = []
         running = 0
         for d in self._distances:
             running += histogram[d]
             cumulative.append(running)
-        self._cumulative = cumulative
+        self._cumulative = tuple(cumulative)
 
     @classmethod
     def from_trace(cls, trace: Iterable[int]) -> "MissRateCurve":
         """Profile a concrete address trace."""
-        trace = list(trace)
+        trace = _as_addresses(trace)
         histogram, cold = reuse_distance_histogram(trace)
         return cls(histogram, cold, singletons=singleton_count(trace))
 
@@ -115,3 +135,21 @@ class MissRateCurve:
             f"MissRateCurve(total={self._total}, "
             f"cold={self.cold_fraction:.3f})"
         )
+
+
+@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def profile_patterns(
+    patterns: tuple["PatternSpec", ...], seed: int, samples: int
+) -> tuple[MissRateCurve, ...]:
+    """Miss-rate curves of ``patterns``, sampled ``samples`` accesses each.
+
+    One ``np.random.default_rng(seed)`` instantiates each at base 0 in
+    order and samples it before the next is instantiated, so a process's
+    phases share one generator the way its run does.  The result is a
+    pure function of the arguments and is cached: callers share it.
+    """
+    rng = np.random.default_rng(seed)
+    return tuple(
+        MissRateCurve.from_pattern(spec.instantiate(rng, base=0), samples)
+        for spec in patterns
+    )

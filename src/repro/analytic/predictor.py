@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import MachineConfig
 from ..errors import ExperimentError
 from ..workloads.base import PhaseSpec, WorkloadSpec
-from .mrc import MissRateCurve
+from .mrc import MissRateCurve, profile_patterns
 from .sharing import SharedCacheModel, SharerProfile
 
 #: Accesses sampled per phase when profiling a pattern.  The window is
@@ -71,12 +69,13 @@ class ColocationPrediction:
 def profile_phase(
     phase: PhaseSpec, seed: int = 0, samples: int = PROFILE_SAMPLES
 ) -> PhaseProfile:
-    """Sample a phase's pattern and build its miss-rate curve."""
-    rng = np.random.default_rng(seed)
-    pattern = phase.pattern.instantiate(rng, base=0)
-    return PhaseProfile(
-        spec=phase, mrc=MissRateCurve.from_pattern(pattern, samples)
-    )
+    """A phase's miss-rate curve, from a fresh generator at ``seed``.
+
+    The curve is :func:`~repro.analytic.mrc.profile_patterns`'s cached
+    build, so repeated predictions profile each phase once per process.
+    """
+    (mrc,) = profile_patterns((phase.pattern,), seed, samples)
+    return PhaseProfile(spec=phase, mrc=mrc)
 
 
 def _dominant_phase(spec: WorkloadSpec) -> PhaseSpec:
@@ -125,6 +124,13 @@ def predict_solo(
     """Predicted cycles per access of the dominant phase, running alone."""
     machine = machine or MachineConfig.scaled_nehalem()
     profile = profile_phase(_dominant_phase(spec), seed=seed)
+    return _solo_cost(profile, machine, service_cycles)
+
+
+def _solo_cost(
+    profile: PhaseProfile, machine: MachineConfig, service_cycles: float
+) -> float:
+    """Fixed-point cycles per access of ``profile`` alone on the chip."""
     cost = _phase_cost(profile, machine, machine.l3.capacity_lines, 0.0)
     for _ in range(OUTER_ITERATIONS):
         miss_rate = profile.mrc.miss_rate(machine.l3.capacity_lines)
@@ -160,9 +166,7 @@ def predict_colocation(
         _dominant_phase(contender), seed=seed + 1
     )
     capacity = machine.l3.capacity_lines
-    solo_cost = predict_solo(
-        victim, machine, seed=seed, service_cycles=service_cycles
-    )
+    solo_cost = _solo_cost(victim_profile, machine, service_cycles)
 
     sharing = SharedCacheModel(capacity)
     costs = [solo_cost, _phase_cost(contender_profile, machine,
@@ -236,16 +240,15 @@ def predict_colocation_phased(
             phases=(phase,),
             total_instructions=phase.duration_instructions,
         )
-        solo_cost = predict_solo(
-            single, machine, seed=seed, service_cycles=service_cycles
-        )
         prediction = predict_colocation(
             single, contender, machine, seed=seed,
             service_cycles=service_cycles,
         )
         # Per-instruction costs weight each phase's instruction share.
         instructions = phase.duration_instructions
-        total_solo += instructions * solo_cost * phase.mem_ratio
+        total_solo += (
+            instructions * prediction.victim_solo_cost * phase.mem_ratio
+        )
         total_colo += (
             instructions * prediction.victim_colo_cost * phase.mem_ratio
         )

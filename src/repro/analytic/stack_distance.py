@@ -76,11 +76,18 @@ def _earlier_greater(keys: np.ndarray) -> np.ndarray:
     return counts[:n]
 
 
+def _as_addresses(trace: Iterable[int]) -> np.ndarray:
+    """The trace as an int64 array; an int64 array passes as is."""
+    if isinstance(trace, np.ndarray):
+        return trace.astype(np.int64, copy=False)
+    return np.fromiter(trace, dtype=np.int64)
+
+
 def _warm_distances(
     trace: Iterable[int],
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Trace length, re-access positions, and their reuse distances."""
-    addrs = np.fromiter(trace, dtype=np.int64)
+    addrs = _as_addresses(trace)
     n = addrs.shape[0]
     order = np.argsort(addrs, kind="stable")
     same = addrs[order[1:]] == addrs[order[:-1]]
@@ -133,18 +140,23 @@ def singleton_count(trace: Iterable[int]) -> int:
     (``cold - singletons``) counts genuinely transient first touches of
     lines the workload demonstrably revisits.
     """
-    counts: dict[int, int] = {}
-    for addr in trace:
-        counts[addr] = counts.get(addr, 0) + 1
-    return sum(1 for c in counts.values() if c == 1)
+    addrs = np.sort(_as_addresses(trace))
+    if addrs.shape[0] == 0:
+        return 0
+    # In sorted order a line touched once differs from both neighbours.
+    differs = addrs[1:] != addrs[:-1]
+    first = np.concatenate(([True], differs))
+    last = np.concatenate((differs, [True]))
+    return int(np.count_nonzero(first & last))
 
 
-def sample_trace(pattern: "object", length: int) -> list[int]:
+def sample_trace(pattern: "object", length: int) -> np.ndarray:
     """Materialise ``length`` accesses from a live pattern.
 
-    ``pattern`` is any :class:`repro.workloads.base.AccessPattern`.
+    ``pattern`` is any :class:`repro.workloads.base.AccessPattern`; the
+    accesses come as one ``next_addresses_array`` batch, an int64 array
+    equal to ``length`` consecutive ``next_address`` calls.
     """
     if length <= 0:
         raise WorkloadError(f"trace length must be positive: {length}")
-    next_address = pattern.next_address
-    return [next_address() for _ in range(length)]
+    return pattern.next_addresses_array(length)

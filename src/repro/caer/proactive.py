@@ -19,10 +19,10 @@ with a contender.  This detector wires that model into the runtime:
   predicted contended level, before it arrives — so the response
   triggers ahead of the spike the reactive heuristics wait for.
 
-The model evaluation (pattern profiling plus the occupancy/queue fixed
-point) runs once at construction and is memoised per (victim,
-contender, machine), so sweeps re-using the same coordinates pay it
-once per process.
+The model evaluation runs once at construction.  Its expensive part,
+pattern profiling, is cached per process by
+:func:`repro.analytic.mrc.profile_patterns`, so sweeps re-using the
+same coordinates pay only the cheap occupancy/queue fixed point again.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ from collections import deque
 from ..config import MachineConfig
 from ..errors import ConfigError
 from .detector import ContentionDetector, DetectorStep, Observation
-
-#: Memo of :func:`predicted_miss_fence` results keyed by
-#: (victim, contender, machine) — the model is deterministic, so the
-#: fence is a pure function of those coordinates.
-_FENCE_MEMO: dict[tuple[str, str, MachineConfig], float] = {}
 
 
 def predicted_miss_fence(
@@ -53,13 +48,8 @@ def predicted_miss_fence(
     victim is observably closer to its predicted *contended* behaviour
     than to its predicted solo behaviour.
     """
-    key = (victim, contender, machine)
-    cached = _FENCE_MEMO.get(key)
-    if cached is not None:
-        return cached
     from ..analytic.predictor import (
         predict_colocation,
-        predict_solo,
         profile_phase,
         _dominant_phase,
     )
@@ -69,7 +59,6 @@ def predicted_miss_fence(
     victim_spec = benchmark(victim, lines)
     contender_spec = benchmark(contender, lines)
     profile = profile_phase(_dominant_phase(victim_spec))
-    solo_cost = predict_solo(victim_spec, machine)
     prediction = predict_colocation(victim_spec, contender_spec, machine)
     # misses/period = (accesses/period) * miss rate; accesses/period is
     # the period's cycle budget over the per-access cost.
@@ -77,13 +66,13 @@ def predicted_miss_fence(
     colo_rate = profile.mrc.miss_rate(
         prediction.victim_occupancy_fraction * lines
     )
-    solo_misses = machine.period_cycles * solo_rate / solo_cost
+    solo_misses = (
+        machine.period_cycles * solo_rate / prediction.victim_solo_cost
+    )
     colo_misses = (
         machine.period_cycles * colo_rate / prediction.victim_colo_cost
     )
-    fence = (solo_misses + colo_misses) / 2.0
-    _FENCE_MEMO[key] = fence
-    return fence
+    return (solo_misses + colo_misses) / 2.0
 
 
 class AnalyticProactiveDetector(ContentionDetector):

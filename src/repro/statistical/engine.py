@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from ..analytic.mrc import MissRateCurve
+from ..analytic.mrc import MissRateCurve, profile_patterns
 from ..arch.memory import MAX_RHO
 from ..arch.pmu import PMUSample
 from ..config import MachineConfig
@@ -55,26 +55,27 @@ class _MachineView:
 
 
 class _ProcessModel:
-    """Analytic state of one process: phase profiles + L3 occupancy."""
+    """Analytic state of one process: phase profiles + L3 occupancy.
+
+    ``mrcs[i]`` is phase ``i``'s miss-rate curve.  The curves come from
+    :func:`~repro.analytic.mrc.profile_patterns`, keyed by the phases'
+    pattern specs and the process seed, so every run of the same
+    workload and seed in a process shares one build (the statistical
+    engine's only expensive step).
+    """
 
     def __init__(self, proc: SimProcess, machine: MachineConfig):
-        import numpy as np
-
         self.proc = proc
         self.machine = machine
         self.occupancy = 0.0
         #: first-touch (compulsory) misses still owed; unlike the MRC's
         #: constant cold fraction these happen once per footprint.
         self.cold_remaining = float(proc.spec.footprint_lines() or 0)
-        # Profile each phase's pattern once (the statistical engine's
-        # only expensive step).
-        self.mrcs: dict[int, MissRateCurve] = {}
-        rng = np.random.default_rng(proc.seed)
-        for index, phase in enumerate(proc.spec.phases):
-            pattern = phase.pattern.instantiate(rng, base=0)
-            self.mrcs[index] = MissRateCurve.from_pattern(
-                pattern, PROFILE_SAMPLES
-            )
+        self.mrcs = profile_patterns(
+            tuple(phase.pattern for phase in proc.spec.phases),
+            proc.seed,
+            PROFILE_SAMPLES,
+        )
 
     def current_mrc(self) -> MissRateCurve:
         index = self.proc.workload._phase_index

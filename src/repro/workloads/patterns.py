@@ -510,6 +510,12 @@ class MixtureSpec(PatternSpec):
     components: tuple[tuple[float, PatternSpec], ...]
 
     def __post_init__(self) -> None:
+        # Hashable like TraceSpec's trace, whatever sequence was given.
+        object.__setattr__(
+            self,
+            "components",
+            tuple((weight, spec) for weight, spec in self.components),
+        )
         if len(self.components) < 2:
             raise WorkloadError("a mixture needs at least two components")
         for weight, _spec in self.components:
@@ -631,6 +637,9 @@ class TraceSpec(PatternSpec):
     trace: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Specs key the profile cache, so a trace given as a list is
+        # stored as the tuple it is annotated as (the class is frozen).
+        object.__setattr__(self, "trace", tuple(self.trace))
         if not self.trace:
             raise WorkloadError("an empty trace cannot be replayed")
         if any(a < 0 for a in self.trace):

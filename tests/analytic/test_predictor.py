@@ -26,6 +26,10 @@ class TestDirectional:
         prediction = predict_colocation(victim, contender, scaled_machine)
         assert prediction.slowdown > 1.15
         assert prediction.victim_occupancy_fraction < 0.6
+        # The co-location's solo baseline is exactly the solo prediction.
+        assert prediction.victim_solo_cost == predict_solo(
+            victim, scaled_machine
+        )
 
     def test_compute_bound_victim_unharmed(self, scaled_machine):
         victim = synthetic.compute_bound()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,20 @@ from repro.analytic.stack_distance import (
     COLD,
     reuse_distance_histogram,
     reuse_distances,
+    sample_trace,
+    singleton_count,
 )
 from repro.errors import WorkloadError
+from repro.workloads.patterns import (
+    HotColdSpec,
+    MixtureSpec,
+    PointerChaseSpec,
+    SequentialStreamSpec,
+    StridedScanSpec,
+    TraceSpec,
+    UniformRandomSpec,
+    ZipfSpec,
+)
 
 
 def naive_reuse_distances(trace):
@@ -64,8 +77,6 @@ class TestAgainstReference:
     def test_long_trace_and_histogram_match_naive(self, seed):
         # Thousands of accesses with large line addresses: many merge
         # widths and a length that is not a power of two.
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         trace = (rng.integers(0, 300, size=3001) * 64 + 10**9).tolist()
         expected = naive_reuse_distances(trace)
@@ -76,20 +87,88 @@ class TestAgainstReference:
         assert histogram == {d: warm.count(d) for d in set(warm)}
 
 
+#: One spec per pattern family the profiler samples.  The mixture's
+#: 40K draws span ten choice batches, and its buffered parts refill
+#: several times each, often inside one choice batch.
+SAMPLED_SPECS = [
+    SequentialStreamSpec(lines=300, line_repeats=8),
+    StridedScanSpec(lines=900, stride=3, line_repeats=2),
+    PointerChaseSpec(lines=700),
+    UniformRandomSpec(lines=500, line_repeats=3),
+    ZipfSpec(lines=800, alpha=1.2),
+    HotColdSpec(hot_lines=16, cold_lines=2000, hot_fraction=0.8),
+    TraceSpec(trace=(5, 0, 9, 9, 2, 7, 5, 1, 3)),
+    MixtureSpec(
+        components=(
+            (0.4, UniformRandomSpec(lines=200, line_repeats=2)),
+            (0.3, ZipfSpec(lines=300, alpha=1.1)),
+            (0.2, HotColdSpec(hot_lines=8, cold_lines=400)),
+            (0.1, SequentialStreamSpec(lines=64, line_repeats=4)),
+        )
+    ),
+]
+
+
+def dict_singleton_count(trace):
+    """Reference: count per line in a dict, then the lines seen once."""
+    counts = {}
+    for addr in trace:
+        counts[addr] = counts.get(addr, 0) + 1
+    return sum(1 for c in counts.values() if c == 1)
+
+
 class TestSampling:
     def test_sample_trace_length(self):
-        import numpy as np
-
-        from repro.analytic.stack_distance import sample_trace
-        from repro.workloads.patterns import UniformRandomSpec
-
         pattern = UniformRandomSpec(lines=16).instantiate(
             np.random.default_rng(0), 0
         )
         assert len(sample_trace(pattern, 100)) == 100
 
     def test_sample_trace_validates_length(self):
-        from repro.analytic.stack_distance import sample_trace
-
         with pytest.raises(WorkloadError):
             sample_trace(None, 0)
+
+    @pytest.mark.parametrize(
+        "spec", SAMPLED_SPECS, ids=lambda s: type(s).__name__
+    )
+    def test_sample_equals_per_address_walk(self, spec):
+        """One array batch is the per-address stream, and leaves the
+        shared generator where the walk does (a process's next phase
+        is instantiated from it)."""
+        walk_rng = np.random.default_rng(5)
+        sample_rng = np.random.default_rng(5)
+        walker = spec.instantiate(walk_rng, 0)
+        expected = [walker.next_address() for _ in range(40_000)]
+        sample = sample_trace(spec.instantiate(sample_rng, 0), 40_000)
+        assert isinstance(sample, np.ndarray)
+        assert sample.dtype == np.int64
+        assert sample.tolist() == expected
+        assert (
+            sample_rng.bit_generator.state
+            == walk_rng.bit_generator.state
+        )
+
+    def test_array_and_list_profile_alike(self):
+        pattern = ZipfSpec(lines=400).instantiate(
+            np.random.default_rng(2), 0
+        )
+        sample = sample_trace(pattern, 5_000)
+        assert reuse_distance_histogram(sample) == (
+            reuse_distance_histogram(sample.tolist())
+        )
+
+
+class TestSingletonCount:
+    @pytest.mark.parametrize(
+        "trace", [[], [4], [7, 7, 7, 7], [1, 2, 1, 3], [9, 8, 7]]
+    )
+    def test_edge_traces(self, trace):
+        assert singleton_count(trace) == dict_singleton_count(trace)
+
+    @given(st.lists(st.integers(-3, 40), max_size=300))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_count(self, trace):
+        assert singleton_count(trace) == dict_singleton_count(trace)
+        assert singleton_count(np.array(trace, dtype=np.int64)) == (
+            dict_singleton_count(trace)
+        )

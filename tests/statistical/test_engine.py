@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analytic.mrc import profile_patterns
 from repro.caer.metrics import slowdown, utilization_gained
 from repro.caer.runtime import CaerConfig, caer_factory
 from repro.config import MachineConfig
 from repro.errors import SchedulingError
+from repro.runspec import execute_run, paper_run_spec
 from repro.sim.process import AppClass, ProcessState, SimProcess
 from repro.statistical import StatisticalEngine, fast_colocated, fast_solo
-from repro.workloads import benchmark, synthetic
+from repro.workloads import PhaseSpec, WorkloadSpec, benchmark, synthetic
+from repro.workloads.patterns import TraceSpec
 
 MACHINE = MachineConfig.scaled_nehalem()
 L3 = MACHINE.l3.capacity_lines
@@ -193,7 +196,49 @@ class TestCrossValidation:
         t0 = time.time()
         run_colocated(spec, lbm, MACHINE)
         trace_seconds = time.time() - t0
+        # Time a cold build: profiles an earlier test left cached would
+        # let the statistical run skip its only expensive step.
+        profile_patterns.cache_clear()
         t0 = time.time()
         fast_colocated(spec, lbm, MACHINE)
         fast_seconds = time.time() - t0
         assert fast_seconds < trace_seconds / 4
+
+
+class TestProfileCache:
+    """Runs share cached phase profiles without changing any result."""
+
+    @pytest.mark.parametrize(
+        "victim", ["429.mcf", "403.gcc", "462.libquantum"]
+    )
+    def test_outcomes_equal_cold_and_warm(self, victim):
+        specs = [
+            paper_run_spec(
+                victim, config, MACHINE, length=0.05, backend="statistical"
+            )
+            for config in ("solo", "raw", "rule")
+        ]
+        cold = []
+        for spec in specs:
+            profile_patterns.cache_clear()
+            cold.append(execute_run(spec))
+        warm = [execute_run(spec) for spec in specs]
+        assert warm == cold
+
+    def test_list_built_trace_spec_runs(self):
+        def workload(trace):
+            phase = PhaseSpec(
+                pattern=TraceSpec(trace=trace),
+                duration_instructions=20_000.0,
+            )
+            return WorkloadSpec(
+                name="replay", phases=(phase,), total_instructions=20_000.0
+            )
+
+        trace = [i % 37 for i in range(0, 400, 3)]
+        listed = fast_solo(workload(trace), MACHINE)
+        tupled = fast_solo(workload(tuple(trace)), MACHINE)
+        assert listed.latency_sensitive().completion_periods == (
+            tupled.latency_sensitive().completion_periods
+        )
+        assert listed.latency_sensitive().completion_periods > 0
