@@ -1,4 +1,4 @@
-"""Simulator throughput across the four execution tiers.
+"""Simulator throughput across the execution tiers.
 
 Measures raw access throughput (simulated memory accesses per wall
 second) of one core driving the scaled-Nehalem hierarchy for each
@@ -9,40 +9,23 @@ execution tier:
 * **fastlane** (``REPRO_FAST_LANE=1 REPRO_BULK_KERNEL=0``) — the
   first-generation fast lane: batched address generation, inlined
   list-based LRU verbs, scalar hierarchy walks;
-* **kernel** (``REPRO_FAST_LANE=1 REPRO_BULK_KERNEL=1
-  REPRO_VECTOR_KERNEL=0``) — the bulk kernel: flat-array set storage
-  plus batched ``access_many`` walks;
-* **vector** (``REPRO_VECTOR_KERNEL=1``) — the tier-4 numpy kernel:
-  classify-then-commit batches with vectorized tag probes and bulk
-  fills, counter and stat deltas flushed once per batch.
-
-Every tier additionally runs with the tier-5 ownership kernel on
-(``REPRO_OWNER_ARRAYS=1``: array-backed L3 owner bitmasks instead of
-the dict-of-sets walk) and the batched private fill
-(``REPRO_VECTOR_FILLS=1``) — both production defaults.  The
-**ownership gates** quantify that layer directly: the current vector
-tier against a rebuilt PR-6 "legacy" vector tier
-(``REPRO_OWNER_ARRAYS=0 REPRO_VECTOR_FILLS=0``), both at the standard
-40 K budget.
+* **kernel** (``REPRO_FAST_LANE=1 REPRO_BULK_KERNEL=1``, the default)
+  — every LRU set an ordered dict (owner masks as the L3's values),
+  whole batches served by the bulk kernel (``access_many``) or, for
+  cold ascending streams, by the stream path (``vector_classify`` /
+  ``vector_commit``).
 
 All tiers produce bit-identical results (the differential suites in
-``tests/arch/test_bulk_kernel.py`` and
-``tests/arch/test_owner_store.py`` prove it); only wall-clock differs.
+``tests/arch/test_bulk_kernel.py`` and ``tests/arch/test_owner_store.py``
+and the pinned outcomes in ``tests/golden`` prove it); only wall-clock
+differs.
 
-The vector gates compare vector against kernel per workload at that
-workload's amortisation budget: ``stream-llc`` at the default 40 K
-cycles (large consecutive batches exist there already), and
-``pointer-chase`` at a longer budget — a 40 K chase period holds only
-a ~200-access batch, which the PR-6 vector tier could not amortise
-(its engage threshold is 384 expected accesses, so it stands down to
-the bulk kernel there).  The tier-5 build moves the measured engage
-break-even down to ~128: batches arrive as array slices from the
-pattern layer and the owner bitmask column replaces the per-line
-dict walk, so the ~200-access chase batches of a standard budget now
-profit from the vector path.  The pointer-chase ownership gate at
-40 K measures exactly that regime — the engaged tier-5 vector kernel
-against the legacy tier's stand-down floor; the long-budget
-vector-vs-kernel chase gate is kept unchanged for continuity.
+The **vector gate** pits the kernel tier's two batched paths against
+each other on ``stream-llc`` (the 4-repeat stream shape of ``lbm``):
+fresh chips serve the same address batches through the stream path
+and through ``access_many``, at the batch size one default budget buys
+on that workload.  It is an ordering check — the stream path must beat
+the dict kernel it bypasses — in smoke and full runs alike.
 
 Run standalone for the acceptance check::
 
@@ -91,17 +74,6 @@ STREAMING_TARGET = 1.8
 KERNEL_OVER_FASTLANE_TARGET = 1.7
 KERNEL_OVER_GENERIC_TARGET = 3.0
 
-#: Vector (tier-4) gates: vector over kernel, per workload, at the
-#: workload's amortisation budget (see the module docstring).
-VECTOR_OVER_KERNEL_STREAM_TARGET = 3.0
-VECTOR_OVER_KERNEL_CHASE_TARGET = 1.5
-
-#: Ownership (tier-5) gates: the current vector tier over the rebuilt
-#: PR-6 legacy vector tier (dict ownership walks, scalar private
-#: fills), both at the standard 40 K budget.
-OWNER_OVER_LEGACY_STREAM_TARGET = 1.3
-OWNER_OVER_LEGACY_CHASE_TARGET = 1.2
-
 #: Maximum allowed slowdown of a fully traced engine run (ring-buffer
 #: sink) over an untraced one.
 TRACE_OVERHEAD_TARGET = 0.02
@@ -114,76 +86,58 @@ EXPORT_OVERHEAD_TARGET = 0.02
 #: Cycle budget of one ``core.run`` call in the main table.
 DEFAULT_BUDGET = 40_000.0
 
-#: Budget for the pointer-chase vector gate: long enough that one
-#: period batches a few thousand dependent-chain addresses, which is
-#: what the vectorized scatter fill needs to amortise its dispatch.
-CHASE_GATE_BUDGET = 360_000.0
-
 #: Environment variables a tier tuple maps onto, in order.
-_ENV_KEYS = (
-    "REPRO_FAST_LANE",
-    "REPRO_BULK_KERNEL",
-    "REPRO_VECTOR_KERNEL",
-    "REPRO_OWNER_ARRAYS",
-    "REPRO_VECTOR_FILLS",
-)
+_ENV_KEYS = ("REPRO_FAST_LANE", "REPRO_BULK_KERNEL")
 
-#: tier -> (REPRO_FAST_LANE, REPRO_BULK_KERNEL, REPRO_VECTOR_KERNEL,
-#: REPRO_OWNER_ARRAYS, REPRO_VECTOR_FILLS).  The tier-5 gates stay on
-#: everywhere (production defaults); tiers without a flat L3 simply
-#: ignore them.
+#: tier -> (REPRO_FAST_LANE, REPRO_BULK_KERNEL).
 TIERS = {
-    "generic": ("0", "0", "0", "1", "1"),
-    "fastlane": ("1", "0", "0", "1", "1"),
-    "kernel": ("1", "1", "0", "1", "1"),
-    "vector": ("1", "1", "1", "1", "1"),
+    "generic": ("0", "0"),
+    "fastlane": ("1", "0"),
+    "kernel": ("1", "1"),
 }
 
-#: The PR-6 vector tier, rebuilt: numpy classify/commit but dict
-#: ownership walks and scalar private fills.  Comparator for the
-#: ownership gates.
-LEGACY_VECTOR_ENV = ("1", "1", "1", "0", "0")
-
-#: name -> (factory, streaming gate applies, kernel gate applies,
-#: vector gate spec or None, ownership gate spec or None).
-#: ``stream-llc`` is *the* streaming benchmark of the acceptance
-#: criteria: a cyclic sweep well past the L3, every fourth access a
-#: fresh line.  ``stream-l2`` stresses the L3-hit walk (informational
-#: for the kernel and vector gates: the walk is a handful of C-level
-#: operations either way, so the batched win is structurally smaller
-#: there — and it barely touches L3 ownership, so it carries no
-#: ownership gate either).
+#: name -> (factory, streaming gate applies, kernel gates apply,
+#: vector gate applies).  ``stream-llc`` is *the* streaming benchmark
+#: of the acceptance criteria: a cyclic sweep well past the L3, every
+#: fourth access a fresh line.  ``stream-l2`` stresses the L3-hit walk
+#: (informational for the kernel gates: the walk is a handful of
+#: C-level operations either way, so the batched win is structurally
+#: smaller there).  ``pointer-chase`` is informational: its batches
+#: are never ascending, so the dict kernel serves them all.
 WORKLOADS = {
     "stream-llc": (
         lambda: synthetic.streamer(lines=70_000, instructions=1e9),
         True,
         True,
-        {"target": VECTOR_OVER_KERNEL_STREAM_TARGET,
-         "budget": DEFAULT_BUDGET},
-        {"target": OWNER_OVER_LEGACY_STREAM_TARGET,
-         "budget": DEFAULT_BUDGET},
+        True,
     ),
     "stream-l2": (
         lambda: synthetic.streamer(lines=512, instructions=1e9),
         True,
         False,
-        None,
-        None,
+        False,
     ),
     "pointer-chase": (
         lambda: synthetic.pointer_chaser(lines=70_000, instructions=1e9),
         False,
         False,
-        {"target": VECTOR_OVER_KERNEL_CHASE_TARGET,
-         "budget": CHASE_GATE_BUDGET},
-        {"target": OWNER_OVER_LEGACY_CHASE_TARGET,
-         "budget": DEFAULT_BUDGET},
+        False,
     ),
 }
 
 
+def _set_tier(tier: str) -> None:
+    for key, value in zip(_ENV_KEYS, TIERS[tier]):
+        os.environ[key] = value
+
+
+def _clear_tier() -> None:
+    for key in _ENV_KEYS:
+        os.environ.pop(key, None)
+
+
 def measure(
-    tier: str | tuple,
+    tier: str,
     factory,
     warm: int,
     timed: int,
@@ -192,27 +146,23 @@ def measure(
 ) -> float:
     """Best-of-``reps`` accesses/second for one execution tier.
 
-    ``tier`` is a name from :data:`TIERS` or a raw five-element env
-    tuple (e.g. :data:`LEGACY_VECTOR_ENV`).  The gates are read at
-    object construction, so the chip is built after setting the
-    environment; the workload restarts when it finishes so the
-    measured stream is steady-state.  Best-of-N is the standard
-    defence against interpreter and scheduler noise (only slowdowns
-    are spurious).
+    The gates are read at object construction, so the chip is built
+    after setting the environment; the workload restarts when it
+    finishes so the measured stream is steady-state.  Best-of-N is the
+    standard defence against interpreter and scheduler noise (only
+    slowdowns are spurious).
     """
-    env = TIERS[tier] if isinstance(tier, str) else tier
     best = 0.0
     for _ in range(max(1, reps)):
-        best = max(best, _measure_once(env, factory, warm, timed, budget))
+        best = max(best, _measure_once(tier, factory, warm, timed, budget))
     return best
 
 
 def _measure_once(
-    env: tuple, factory, warm: int, timed: int, budget: float
+    tier: str, factory, warm: int, timed: int, budget: float
 ) -> float:
     """One warm-up + timed measurement of one tier (accesses/second)."""
-    for key, value in zip(_ENV_KEYS, env):
-        os.environ[key] = value
+    _set_tier(tier)
     try:
         from repro.arch.chip import MulticoreChip
 
@@ -233,61 +183,98 @@ def _measure_once(
         elapsed = time.perf_counter() - start
         return (core.accesses_issued - accesses_before) / elapsed
     finally:
-        for key in _ENV_KEYS:
-            os.environ.pop(key, None)
+        _clear_tier()
 
 
-def measure_pair(
-    tier_a: str | tuple,
-    tier_b: str | tuple,
-    factory,
-    warm: int,
-    timed: int,
-    budget: float = DEFAULT_BUDGET,
-    reps: int = 3,
-) -> tuple[float, float]:
-    """Best-of-``reps`` for two tiers with their reps interleaved.
+def budget_batch(factory, budget: float = DEFAULT_BUDGET) -> int:
+    """Accesses one ``budget`` buys on a warm kernel-tier core."""
+    _set_tier("kernel")
+    try:
+        from repro.arch.chip import MulticoreChip
 
-    A gate that divides two throughputs is only as trustworthy as the
-    measurement *pair*: taking all of tier A's reps, then all of tier
-    B's, lets slow scheduler drift land entirely on one side of the
-    ratio.  Alternating A/B per rep exposes both tiers to the same
-    noise environment, so best-of-N cancels drift instead of baking
-    it into the comparison.
+        chip = MulticoreChip(MachineConfig.scaled_nehalem(), seed=7)
+        workload = factory().instantiate(seed=3, base=1 << 34)
+        core = chip.core(0)
+        for _ in range(3):
+            before = core.accesses_issued
+            core.run(workload, budget)
+        return core.accesses_issued - before
+    finally:
+        _clear_tier()
+
+
+def _serve_once(path: str, factory, warm: int, timed: int,
+                batch: int) -> float:
+    """Accesses/second of one batched path serving ``batch``-sized
+    batches of the workload's stream on a fresh kernel-tier chip.
+
+    ``"vector"`` classifies each batch for the stream path and commits
+    it, re-routing a declined batch (the stream's wrap-around) through
+    ``access_many``; ``"kernel"`` hands every batch to ``access_many``.
     """
-    env_a = TIERS[tier_a] if isinstance(tier_a, str) else tier_a
-    env_b = TIERS[tier_b] if isinstance(tier_b, str) else tier_b
-    best_a = best_b = 0.0
+    _set_tier("kernel")
+    try:
+        from repro.arch.chip import MulticoreChip
+
+        hierarchy = MulticoreChip(
+            MachineConfig.scaled_nehalem(), seed=7
+        ).hierarchy
+        phase = factory().instantiate(seed=3, base=1 << 34).current_phase()
+
+        def serve() -> None:
+            if path == "vector":
+                addrs = phase.take_addresses_array(batch)
+                plan = hierarchy.vector_classify(0, addrs)
+                if plan is not None and \
+                        hierarchy.vector_commit(0, plan, batch):
+                    return
+                addrs = addrs.tolist()
+            else:
+                addrs = phase.take_addresses(batch)
+            hierarchy.access_many(0, addrs)
+
+        for _ in range(warm):
+            serve()
+        start = time.perf_counter()
+        for _ in range(timed):
+            serve()
+        return timed * batch / (time.perf_counter() - start)
+    finally:
+        _clear_tier()
+
+
+def measure_vector_gate(factory, warm: int, timed: int,
+                        reps: int = 3) -> dict:
+    """The stream path against the dict kernel on the same batches.
+
+    Reps alternate between the two paths, so scheduler drift hits both
+    sides of the ratio alike; each side keeps its best rep.
+    """
+    batch = budget_batch(factory)
+    best = {"kernel": 0.0, "vector": 0.0}
     for _ in range(max(1, reps)):
-        best_a = max(
-            best_a, _measure_once(env_a, factory, warm, timed, budget)
-        )
-        best_b = max(
-            best_b, _measure_once(env_b, factory, warm, timed, budget)
-        )
-    return best_a, best_b
+        for path in best:
+            best[path] = max(
+                best[path], _serve_once(path, factory, warm, timed, batch)
+            )
+    return {
+        "batch": batch,
+        "kernel": best["kernel"],
+        "vector": best["vector"],
+        "vector_over_kernel": best["vector"] / best["kernel"],
+    }
 
 
-def run_suite(
-    warm: int, timed: int, reps: int = 3, vector_gates: bool = True
-) -> list[dict]:
-    """One row per workload: tier throughputs, ratios, gate data.
-
-    ``vector_gates=False`` (smoke runs) skips the separate
-    long-budget kernel-vs-vector measurements; the main table still
-    carries all four tiers at the default budget.  The ownership
-    gates run in both modes: they measure the new and the legacy
-    vector tiers as one interleaved pair at the standard budget,
-    which is cheap and keeps the ratio drift-free.
-    """
+def run_suite(warm: int, timed: int, reps: int = 3) -> list[dict]:
+    """One row per workload: tier throughputs, ratios, gate data."""
     rows = []
-    for name, (factory, is_streaming, kernel_gated, vgate,
-               ogate) in WORKLOADS.items():
+    for name, (factory, is_streaming, kernel_gated,
+               vector_gated) in WORKLOADS.items():
         tiers = {
             tier: measure(tier, factory, warm, timed, reps=reps)
             for tier in TIERS
         }
-        row = {
+        rows.append({
             "workload": name,
             "streaming": is_streaming,
             "kernel_gated": kernel_gated,
@@ -299,92 +286,36 @@ def run_suite(
                     tiers["kernel"] / tiers["fastlane"],
                 "kernel_over_generic":
                     tiers["kernel"] / tiers["generic"],
-                "vector_over_kernel":
-                    tiers["vector"] / tiers["kernel"],
-                "vector_over_generic":
-                    tiers["vector"] / tiers["generic"],
             },
-            "vector_gate": None,
-            "ownership_gate": None,
-        }
-        if ogate is not None:
-            # Fresh interleaved pair instead of reusing the main
-            # table's vector number: the gate is a ratio, and the two
-            # sides must share one noise environment (measure_pair).
-            vector, legacy = measure_pair(
-                "vector", LEGACY_VECTOR_ENV, factory, warm, timed,
-                budget=ogate["budget"], reps=reps,
-            )
-            row["ownership_gate"] = {
-                "budget": ogate["budget"],
-                "target": ogate["target"],
-                "legacy_vector": legacy,
-                "vector": vector,
-                "vector_over_legacy": vector / legacy,
-            }
-        if vgate is not None and vector_gates:
-            if vgate["budget"] == DEFAULT_BUDGET:
-                kernel, vector = tiers["kernel"], tiers["vector"]
-            else:
-                # A longer budget multiplies the work per run() call;
-                # scale the counts down to keep wall time in check.
-                scale = DEFAULT_BUDGET / vgate["budget"]
-                gw = max(2, round(warm * scale))
-                gt = max(4, round(timed * scale))
-                kernel = measure(
-                    "kernel", factory, gw, gt,
-                    budget=vgate["budget"], reps=reps,
-                )
-                vector = measure(
-                    "vector", factory, gw, gt,
-                    budget=vgate["budget"], reps=reps,
-                )
-            row["vector_gate"] = {
-                "budget": vgate["budget"],
-                "target": vgate["target"],
-                "kernel": kernel,
-                "vector": vector,
-                "vector_over_kernel": vector / kernel,
-            }
-        rows.append(row)
+            "vector_gate": (
+                measure_vector_gate(factory, warm, timed, reps)
+                if vector_gated else None
+            ),
+        })
     return rows
 
 
 def render(rows: list[dict]) -> str:
     lines = [
         f"{'workload':<14} {'generic/s':>10} {'fastlane/s':>10} "
-        f"{'kernel/s':>10} {'vector/s':>10} "
-        f"{'f/g':>6} {'k/f':>6} {'k/g':>6} {'v/k':>6}"
+        f"{'kernel/s':>10} {'f/g':>6} {'k/f':>6} {'k/g':>6}"
     ]
     for row in rows:
         t, r = row["tiers"], row["ratios"]
         lines.append(
             f"{row['workload']:<14} {t['generic']:>10.0f} "
             f"{t['fastlane']:>10.0f} {t['kernel']:>10.0f} "
-            f"{t['vector']:>10.0f} "
             f"{r['fastlane_over_generic']:>5.2f}x "
             f"{r['kernel_over_fastlane']:>5.2f}x "
-            f"{r['kernel_over_generic']:>5.2f}x "
-            f"{r['vector_over_kernel']:>5.2f}x"
+            f"{r['kernel_over_generic']:>5.2f}x"
         )
         gate = row.get("vector_gate")
-        if gate is not None and gate["budget"] != DEFAULT_BUDGET:
+        if gate is not None:
             lines.append(
-                f"{'':<14} vector gate @ {gate['budget']:.0f} cycles: "
-                f"kernel {gate['kernel']:.0f}/s, vector "
-                f"{gate['vector']:.0f}/s "
-                f"({gate['vector_over_kernel']:.2f}x, target "
-                f"{gate['target']}x)"
-            )
-        ogate = row.get("ownership_gate")
-        if ogate is not None:
-            lines.append(
-                f"{'':<14} ownership gate @ {ogate['budget']:.0f} "
-                f"cycles: legacy vector "
-                f"{ogate['legacy_vector']:.0f}/s, vector "
-                f"{ogate['vector']:.0f}/s "
-                f"({ogate['vector_over_legacy']:.2f}x, target "
-                f"{ogate['target']}x)"
+                f"{'':<14} vector gate @ {gate['batch']}-access "
+                f"batches: dict kernel {gate['kernel']:.0f}/s, stream "
+                f"path {gate['vector']:.0f}/s "
+                f"({gate['vector_over_kernel']:.2f}x)"
             )
     return "\n".join(lines)
 
@@ -394,6 +325,13 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
     failures = []
     for row in rows:
         name, r = row["workload"], row["ratios"]
+        gate = row.get("vector_gate")
+        if gate is not None and gate["vector_over_kernel"] <= 1.0:
+            failures.append(
+                f"{name}: vector slower than kernel "
+                f"({gate['vector_over_kernel']:.2f}x on "
+                f"{gate['batch']}-access batches)"
+            )
         if smoke:
             # CI machines are noisy: sanity ordering only, using the
             # ratios with structural (>= 2x) margin.
@@ -411,27 +349,6 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
                 failures.append(
                     f"{name}: kernel slower than fastlane "
                     f"({r['kernel_over_fastlane']:.2f}x)"
-                )
-            if r["vector_over_generic"] <= 1.0:
-                failures.append(
-                    f"{name}: vector slower than generic "
-                    f"({r['vector_over_generic']:.2f}x)"
-                )
-            # vector-vs-kernel ordering is only structural where the
-            # default budget amortises the batches (the kernel-gated
-            # streaming benchmark); pointer-chase stands down to
-            # parity at 40 K and parity-plus-noise may dip below 1.
-            if row["kernel_gated"] and r["vector_over_kernel"] <= 1.0:
-                failures.append(
-                    f"{name}: vector slower than kernel "
-                    f"({r['vector_over_kernel']:.2f}x)"
-                )
-            ogate = row.get("ownership_gate")
-            if ogate is not None and \
-                    ogate["vector_over_legacy"] <= 1.0:
-                failures.append(
-                    f"{name}: vector slower than legacy vector "
-                    f"({ogate['vector_over_legacy']:.2f}x)"
                 )
             continue
         if row["streaming"] and \
@@ -453,22 +370,6 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
                     f"below the {KERNEL_OVER_GENERIC_TARGET}x "
                     f"over-generic target"
                 )
-        gate = row.get("vector_gate")
-        if gate is not None and \
-                gate["vector_over_kernel"] < gate["target"]:
-            failures.append(
-                f"{name}: vector {gate['vector_over_kernel']:.2f}x "
-                f"below the {gate['target']}x over-kernel target "
-                f"(at {gate['budget']:.0f}-cycle budget)"
-            )
-        ogate = row.get("ownership_gate")
-        if ogate is not None and \
-                ogate["vector_over_legacy"] < ogate["target"]:
-            failures.append(
-                f"{name}: vector {ogate['vector_over_legacy']:.2f}x "
-                f"below the {ogate['target']}x over-legacy-vector "
-                f"target (at {ogate['budget']:.0f}-cycle budget)"
-            )
     return failures
 
 
@@ -494,29 +395,17 @@ def build_point(rows: list[dict], warm: int, timed: int,
             "streaming_fastlane_over_generic": STREAMING_TARGET,
             "kernel_over_fastlane": KERNEL_OVER_FASTLANE_TARGET,
             "kernel_over_generic": KERNEL_OVER_GENERIC_TARGET,
-            "vector_over_kernel_stream":
-                VECTOR_OVER_KERNEL_STREAM_TARGET,
-            "vector_over_kernel_chase":
-                VECTOR_OVER_KERNEL_CHASE_TARGET,
-            "owner_over_legacy_stream":
-                OWNER_OVER_LEGACY_STREAM_TARGET,
-            "owner_over_legacy_chase":
-                OWNER_OVER_LEGACY_CHASE_TARGET,
         },
-        # Which REPRO_* kernel gates each measured column ran under —
+        # Which REPRO_* tier flags each measured column ran under —
         # without this, trajectory points from different builds are
-        # not comparable (a "vector" column could mean dict or array
-        # ownership depending on the era).
+        # not comparable (a "kernel" column meant flat arrays without
+        # the numpy tier before the ordered-dict sets).
         "kernel_gates": {
             name: dict(zip(
-                ("fast_lane", "bulk_kernel", "vector_kernel",
-                 "owner_arrays", "vector_fills"),
+                ("fast_lane", "bulk_kernel"),
                 (value == "1" for value in env),
             ))
-            for name, env in (
-                list(TIERS.items())
-                + [("legacy_vector", LEGACY_VECTOR_ENV)]
-            )
+            for name, env in TIERS.items()
         },
         "workloads": {
             row["workload"]: {
@@ -525,7 +414,6 @@ def build_point(rows: list[dict], warm: int, timed: int,
                 "tiers": row["tiers"],
                 "ratios": row["ratios"],
                 "vector_gate": row.get("vector_gate"),
-                "ownership_gate": row.get("ownership_gate"),
             }
             for row in rows
         },
@@ -570,13 +458,12 @@ def write_report(path: Path, rows: list[dict], warm: int, timed: int,
 
 
 def profile_streaming_run(top: int = 20) -> None:
-    """cProfile one vector-tier streaming run; print top ``top`` by
+    """cProfile one kernel-tier streaming run; print top ``top`` by
     cumulative time — the shopping list for future hot-path work."""
     import cProfile
     import pstats
 
-    for key, value in zip(_ENV_KEYS, TIERS["vector"]):
-        os.environ[key] = value
+    _set_tier("kernel")
     try:
         from repro.arch.chip import MulticoreChip
 
@@ -595,8 +482,7 @@ def profile_streaming_run(top: int = 20) -> None:
         profiler.disable()
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(top)
     finally:
-        for key in _ENV_KEYS:
-            os.environ.pop(key, None)
+        _clear_tier()
 
 
 def _timed_engine_run(tracer=None, length: float = 0.05) -> float:
@@ -658,10 +544,10 @@ def measure_trace_overhead(
 def _timed_stream_run(
     registry=None, runs: int = 150, budget: float = DEFAULT_BUDGET
 ) -> float:
-    """Seconds for ``runs`` vector-tier stream-llc ``core.run`` calls.
+    """Seconds for ``runs`` kernel-tier stream-llc ``core.run`` calls.
 
     With ``registry`` the run executes inside ``activate_profiling``,
-    so the vector kernel's classify/commit spans are live — the
+    so the stream path's classify/commit spans are live — the
     per-batch cost the export gate must bound.
     """
     from contextlib import nullcontext
@@ -696,7 +582,7 @@ def measure_export_overhead(
     """(off_s, on_s, overhead_fraction) for the live-export stack.
 
     The "on" world is the whole subsystem at once: span profiling
-    armed over the vector tier (classify/commit spans firing every
+    armed over the kernel tier (classify/commit spans firing every
     batch), a ``/metrics`` endpoint serving the registry, and a
     background scraper polling it throughout — the worst realistic
     cost of watching a campaign live.  Noise defences as in
@@ -709,8 +595,7 @@ def measure_export_overhead(
 
     from repro.obs import MetricsExporter, MetricsRegistry
 
-    for key, value in zip(_ENV_KEYS, TIERS["vector"]):
-        os.environ[key] = value
+    _set_tier("kernel")
     try:
         _timed_stream_run(runs=runs)  # warm caches and imports
         registry = MetricsRegistry()
@@ -748,8 +633,7 @@ def measure_export_overhead(
         ) - 1.0
         return off, on, min(min_ratio, median_pair)
     finally:
-        for key in _ENV_KEYS:
-            os.environ.pop(key, None)
+        _clear_tier()
 
 
 def record_export_overhead(path: Path, payload: dict) -> bool:
@@ -772,7 +656,7 @@ def record_export_overhead(path: Path, payload: dict) -> bool:
 
 def bench_simspeed_smoke():
     """Pytest entry: tier ordering must hold (no absolute thresholds)."""
-    rows = run_suite(warm=3, timed=10, reps=1, vector_gates=False)
+    rows = run_suite(warm=3, timed=10, reps=1)
     print(render(rows))
     failures = check_gates(rows, smoke=True)
     assert not failures, "; ".join(failures)
@@ -803,7 +687,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="instead of the suite, cProfile one vector-tier streaming "
+        help="instead of the suite, cProfile one kernel-tier streaming "
              "run and print the top-20 cumulative functions",
     )
     parser.add_argument(
@@ -856,13 +740,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.export_overhead:
         off, on, overhead = measure_export_overhead()
         print(
-            f"stream-llc vector tier: bare {off * 1000:.1f} ms, "
+            f"stream-llc kernel tier: bare {off * 1000:.1f} ms, "
             f"live-export {on * 1000:.1f} ms, overhead {overhead:+.2%}"
         )
         if args.json:
             recorded = record_export_overhead(Path(args.json), {
                 "workload": "stream-llc",
-                "tier": "vector",
+                "tier": "kernel",
                 "bare_seconds": off,
                 "exported_seconds": on,
                 "overhead_fraction": overhead,
@@ -889,7 +773,7 @@ def main(argv: list[str] | None = None) -> int:
         args.timed if args.timed is not None else (10 if args.smoke else 40)
     )
     reps = args.reps if args.reps is not None else (1 if args.smoke else 3)
-    rows = run_suite(warm, timed, reps, vector_gates=not args.smoke)
+    rows = run_suite(warm, timed, reps)
     print(render(rows))
 
     if args.json:
@@ -908,12 +792,8 @@ def main(argv: list[str] | None = None) -> int:
         else (
             f"OK: streaming fastlane >= {STREAMING_TARGET}x, kernel >= "
             f"{KERNEL_OVER_FASTLANE_TARGET}x fastlane / "
-            f"{KERNEL_OVER_GENERIC_TARGET}x generic, vector >= "
-            f"{VECTOR_OVER_KERNEL_STREAM_TARGET}x kernel on streaming / "
-            f"{VECTOR_OVER_KERNEL_CHASE_TARGET}x on pointer-chase, "
-            f"ownership >= {OWNER_OVER_LEGACY_STREAM_TARGET}x legacy "
-            f"vector on streaming / {OWNER_OVER_LEGACY_CHASE_TARGET}x "
-            f"on pointer-chase"
+            f"{KERNEL_OVER_GENERIC_TARGET}x generic, stream path ahead "
+            f"of the dict kernel"
         )
     )
     return 0

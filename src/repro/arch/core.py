@@ -29,33 +29,14 @@ from .memory import MainMemory
 #: Upper bound on one address batch drawn from a pattern.
 _MAX_BATCH = 4096
 
-#: Smallest batch worth classifying for the vector kernel; a shorter
+#: Smallest batch worth classifying for the stream path; a shorter
 #: phase remainder goes through the bulk kernel instead.
 _VECTOR_MIN_BATCH = 8
 
-#: Smallest per-budget access estimate for which the vector kernel's
-#: fixed per-batch dispatch cost amortises.  Miss-bound workloads that
-#: execute only a couple hundred accesses per cycle budget run faster
-#: through the scalar bulk kernel, so the vector path stands down; the
-#: estimate is refreshed from every budget-limited run (whichever tier
-#: executed it), so a later phase change re-engages the vector path.
-_VECTOR_MIN_EST = 384
-
-#: The stand-down floor for the tier-5 build (``REPRO_VECTOR_FILLS``
-#: doubles as its construction-time marker): with batches served as
-#: array slices by the pattern layer and the owner bitmask column
-#: replacing the per-line dict walk, the commit's fixed dispatch cost
-#: amortises far sooner — the measured engage break-even on the
-#: pointer-chase shape sits between ~100 and ~150 accesses, so the
-#: ~200-access batches of a standard 40 K budget now profit from the
-#: vector tier.  Below the floor the scalar bulk kernel — still over
-#: the array-backed ownership store — remains the fastest path.
-_VECTOR_MIN_EST_BATCHED = 128
-
-#: Longest stretch of budgets a core skips the vector attempt for
+#: Longest stretch of budgets a core skips the stream-path attempt for
 #: after repeated classify declines.  Declines are sticky: the batch
 #: shapes that cause them (within-batch revisits of Zipf and random
-#: phases, cyclic streams overflowing the L2) persist for many
+#: phases, pointer chases, lines still resident) persist for many
 #: budgets, so each consecutive decline doubles the skip, 1, 2, 4, …
 #: budgets up to this cap, and a successful classify resets it.
 _DECLINE_BACKOFF_CAP = 32
@@ -82,14 +63,14 @@ class Core:
         #: cumulative memory accesses issued
         self.accesses_issued = 0
         #: accesses served per path, counted per batch (telemetry
-        #: only): vector commits, the bulk kernel, the per-access walk
-        #: and the walk's inline L1 MRU hits
+        #: only): stream-path commits, the bulk kernel, the per-access
+        #: walk and the walk's inline L1 hits
         self.served_vector = 0
         self.served_bulk = 0
         self.served_walk = 0
         self.served_mru = 0
-        #: vector classify declines, and budgets the decline backoff
-        #: skipped the vector attempt for
+        #: stream-path classify declines, and budgets the decline
+        #: backoff skipped the stream-path attempt for
         self.classify_declines = 0
         self.backoff_skips = 0
         lat = machine.latencies
@@ -104,15 +85,9 @@ class Core:
         # accounting never exceeds the sum of granted budgets.
         self._stall_debt = 0.0
         # Running estimate of how many accesses one cycle budget
-        # executes, sizing the kernels' batches (see run()).
+        # executes, sizing the batched paths' batches (see run()).
         self._vector_est = 512
-        # Per-core stand-down floor: lower when the hierarchy's
-        # batched private fill is available (tier-5 commit).
-        self._vector_min_est = (
-            _VECTOR_MIN_EST_BATCHED
-            if hierarchy._vector_fills else _VECTOR_MIN_EST
-        )
-        # Decline backoff: budgets left to skip the vector attempt
+        # Decline backoff: budgets left to skip the stream-path attempt
         # for, and the skip the next decline sets.
         self._vector_skip = 0
         self._vector_backoff = 1
@@ -149,7 +124,7 @@ class Core:
             self.cycles_executed += cycle_budget
             return cycle_budget
         self._stall_debt = 0.0
-        # A recent classify decline stands the vector attempt down for
+        # A recent classify decline stands the stream path down for
         # this whole budget (see _DECLINE_BACKOFF_CAP).
         vector_ok = True
         if self._vector_skip:
@@ -166,16 +141,14 @@ class Core:
         extra = self._extra_stall
         l1_lat = self._l1_latency
         cid = self.core_id
-        # Fast lane: inline the L1 MRU-hit check when it is provably
+        # Fast lane: inline the L1-hit check when it is provably
         # equivalent to the generic walk; hit counts are accumulated
-        # locally and flushed per chunk.  Flat LRU caches expose the
-        # MRU tag directly; FIFO/Random keep per-set lists.
+        # locally and flushed per chunk.  An ordered-dict LRU set
+        # answers any hit (move-to-end); list sets answer a re-touch
+        # of their MRU tail, which FIFO/Random/LRU all leave in place.
         l1 = hierarchy.l1[cid]
-        flat = l1._flat
-        if flat:
-            l1_mru = l1._mru
-        else:
-            l1_sets = l1._sets
+        dict_l1 = l1._dict_lru
+        l1_sets = l1._sets
         l1_mask = l1._set_mask
         l1_stats = l1.stats
         counters = hierarchy.counters[cid]
@@ -192,14 +165,14 @@ class Core:
             chunk = process.accesses_left_in_phase()
             done = 0
             mru_hits = 0
-            if flat and hierarchy.bulk_kernel_ok(cid):
-                # Kernel paths: whole batches, priced by serving level.
+            if hierarchy.bulk_kernel_ok(cid):
+                # Batched paths: whole batches, priced by serving level.
                 # The per-level costs are the exact expressions the
                 # per-access walk evaluates (the memory channel prices
-                # every access in a period identically), and both
-                # kernels stop where the walk would — access i executes
-                # only while the total before it is under the budget,
-                # with the walk's left-to-right float adds — so the
+                # every access in a period identically), and both paths
+                # stop where the walk would — access i executes only
+                # while the total before it is under the budget, with
+                # the walk's left-to-right float adds — so the
                 # unexecuted suffix of a batch goes back to the stream
                 # untouched and the budget is served in one pass.
                 c2 = cpa + extra[2] * inv_overlap
@@ -207,9 +180,7 @@ class Core:
                 mem_unit = memory.latency + memory.current_queue_delay
                 c4 = cpa + (mem_unit - l1_lat) * inv_overlap
                 costs = (0.0, cpa, c2, c3, c4)
-                vector = (vector_ok
-                          and hierarchy.vector_kernel_ok(cid)
-                          and self._vector_est >= self._vector_min_est)
+                vector = vector_ok
                 if vector:
                     take_array = phase.take_addresses_array
                     vec_classify = hierarchy.vector_classify
@@ -235,9 +206,9 @@ class Core:
                         addr_arr = take_array(batch)
                         plan = vec_classify(cid, addr_arr)
                         if plan is None:
-                            # Not provably uniform: return the batch
-                            # untouched, serve the rest of this budget
-                            # on the bulk kernel, and back off.
+                            # Not a cold ascending stream: return the
+                            # batch untouched, serve the rest of this
+                            # budget on the bulk kernel, and back off.
                             phase.push_back_array(addr_arr, 0)
                             self.classify_declines += 1
                             self._vector_skip = self._vector_backoff
@@ -255,24 +226,17 @@ class Core:
                             fold[:batch], cycle_budget, side="left"
                         ))
                         if not vec_commit(cid, plan, n_exec):
-                            # Structural bail (overloaded L3 set, an
-                            # invalidated hit prediction, an own-core
-                            # back-invalidation): nothing was mutated
-                            # and the pricing may be wrong, so hand
-                            # the whole batch to the bulk kernel.
+                            # Nothing was mutated and the pricing may
+                            # be wrong: hand the whole batch to the
+                            # bulk kernel.
                             phase.push_back_array(addr_arr, 0)
                             vector = False
                             continue
-                        if plan.hit is None:
-                            # All-miss plan: every executed collapsed
-                            # access went to memory.
-                            n_mem = int(np.searchsorted(
-                                plan.keep_raw, n_exec, side="left"
-                            ))
-                        else:
-                            n_mem = int(np.count_nonzero(
-                                plan.levels[:n_exec] == 4
-                            ))
+                        # Every executed collapsed access went to
+                        # memory.
+                        n_mem = int(np.searchsorted(
+                            plan.keep_raw, n_exec, side="left"
+                        ))
                         used = float(fold[n_exec])
                         if n_mem:
                             memory.access_bulk(n_mem)
@@ -295,10 +259,10 @@ class Core:
                     if n_exec < batch:
                         push_back(addrs, n_exec)
                         break
-            # The per-access walk, for cores the kernels cannot serve
-            # (an L3 quota, non-LRU policies, writebacks, prefetch, or
-            # the kernels switched off); after a kernel loop its
-            # condition is already false.
+            # The per-access walk, for cores the batched paths cannot
+            # serve (an L3 quota, non-LRU policies, writebacks,
+            # prefetch, or the bulk tier switched off); after a batched
+            # loop its condition is already false.
             while done < chunk and used < cycle_budget:
                 # An L1 hit (cpa cycles) is the cheapest access, so at
                 # most this many accesses can start inside the budget.
@@ -310,13 +274,15 @@ class Core:
                     batch = _MAX_BATCH
                 addrs = take_addresses(batch)
                 consumed = batch
-                if fast and flat:
+                if fast and dict_l1:
                     for i, addr in enumerate(addrs):
                         if used >= cycle_budget:
                             push_back(addrs, i)
                             consumed = i
                             break
-                        if l1_mru[addr & l1_mask] == addr:
+                        entries = l1_sets[addr & l1_mask]
+                        if addr in entries:
+                            entries.move_to_end(addr)
                             mru_hits += 1
                             used += cpa
                             continue
@@ -374,8 +340,8 @@ class Core:
 
         if used >= cycle_budget and total_accesses:
             # Budget-limited run: what it executed is what one budget
-            # buys — the estimate the kernels' batch sizing (and the
-            # vector stand-down threshold) needs, whichever tier ran.
+            # buys — the estimate the batched paths' batch sizing
+            # needs, whichever path ran.
             self._vector_est = total_accesses
         if used > cycle_budget:
             # The final access overshot; carry the excess into the next

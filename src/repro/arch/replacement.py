@@ -28,13 +28,13 @@ class ReplacementPolicy(ABC):
     beyond the contents list itself is keyed by ``set_index``.
     """
 
-    #: Whether a cache may replace this policy's list bookkeeping with
-    #: the flat-array LRU storage (and route batches through the bulk
-    #: kernel's inlined walks).  Only exact tail-MRU/head-victim LRU
-    #: semantics qualify: the flat representation hard-codes
-    #: move-to-tail on hit, append on fill, and head eviction.  A
-    #: subclass that changes any of those must leave this ``False``.
-    flat_lru_compatible = False
+    #: Whether a cache may replace this policy's bookkeeping with the
+    #: specialized LRU storage (ordered-dict sets, and the bulk
+    #: kernel's inlined walks over them).  Only exact tail-MRU/
+    #: head-victim LRU semantics qualify: the specializations hard-code
+    #: move-to-end on hit, append on fill, and eviction from the front.
+    #: A subclass that changes any of those must leave this ``False``.
+    lru_specializable = False
 
     @abstractmethod
     def on_hit(self, contents: list[int], way: int, set_index: int) -> None:
@@ -58,7 +58,7 @@ class ReplacementPolicy(ABC):
 class LRUPolicy(ReplacementPolicy):
     """True least-recently-used. Convention: MRU at the list tail."""
 
-    flat_lru_compatible = True
+    lru_specializable = True
 
     def on_hit(self, contents: list[int], way: int, set_index: int) -> None:
         contents.append(contents.pop(way))

@@ -10,7 +10,7 @@ The instrumented sites are the hot structural seams of a run:
 * ``profile.engine_period_seconds`` — one engine probe period's slice
   execution (:meth:`repro.sim.engine.SimulationEngine._step_period`);
 * ``profile.vector_classify_seconds`` / ``profile.vector_commit_seconds``
-  — one tier-4 batch through the numpy kernel
+  — one batch through the stream path
   (:meth:`repro.arch.hierarchy.CacheHierarchy.vector_classify` /
   ``vector_commit``);
 * ``profile.worker_dispatch_seconds`` — one warm-pool task,

@@ -23,11 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Protocol
 
-from ..arch.cache import (
-    bulk_kernel_enabled,
-    fast_lane_enabled,
-    vector_kernel_enabled,
-)
+from ..arch.cache import bulk_kernel_enabled, fast_lane_enabled
 from ..arch.chip import MulticoreChip
 from ..arch.pmu import PMUSample
 from ..errors import SchedulingError, SimulationError
@@ -79,16 +75,15 @@ class SimulationEngine:
         self.metrics = metrics
         if self.metrics is not None:
             # Record which execution tier served this run (generic /
-            # fast lane / bulk kernel / vector) so perf profiles are
-            # attributable.  Telemetry only — never part of RunResult,
-            # which must hash identically across all four tiers.
+            # fast lane / bulk kernel) so perf profiles are
+            # attributable; the per-core ``sim.path.*`` counters say
+            # which path served each access.  Telemetry only — never
+            # part of RunResult, which must hash identically across
+            # all tiers.
             fast = fast_lane_enabled()
             bulk = fast and bulk_kernel_enabled()
             self.metrics.gauge("sim.fast_lane").set(1.0 if fast else 0.0)
             self.metrics.gauge("sim.bulk_kernel").set(1.0 if bulk else 0.0)
-            self.metrics.gauge("sim.vector_kernel").set(
-                1.0 if (bulk and vector_kernel_enabled()) else 0.0
-            )
         self.chip = chip
         self.processes: dict[str, SimProcess] = {}
         used_cores: set[int] = set()

@@ -1,13 +1,15 @@
-"""Bulk-access kernel vs. the scalar reference, differentially.
+"""Bulk kernel and stream path vs. the generic reference, differentially.
 
-The bulk kernel (`CacheHierarchy.access_many` over flat-array LRU
-storage) is a pure optimisation: for any address stream, any core
-interleaving, and any configuration it must produce exactly the scalar
-walk's observables — serving levels, per-core counters, cache stats,
-final cache contents, L3 ownership/occupancy, and back-invalidations.
-These tests drive a kernel-tier hierarchy and a scalar reference with
-identical inputs and compare everything, plus check that the fallback
-predicate routes unsupported configurations to the scalar path.
+The bulk kernel (`CacheHierarchy.access_many` over ordered-dict LRU
+sets) and the stream path (`vector_classify`/`vector_commit`) are pure
+optimisations: for any address stream, any core interleaving, and any
+configuration they must produce exactly the generic walk's observables
+— serving levels, per-core counters, cache stats, final cache contents,
+L3 ownership/occupancy, and back-invalidations.  These tests drive a
+fast hierarchy and the generic reference (``REPRO_FAST_LANE=0``: list
+sets, policy dispatch, the dict-of-sets owner map) with identical inputs
+and compare everything, plus check that the fallback predicate routes
+unsupported configurations to the per-access walk.
 """
 
 from __future__ import annotations
@@ -21,11 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.cache import (
-    SetAssociativeCache,
-    bulk_kernel_enabled,
-    vector_kernel_enabled,
-)
+from repro.arch.cache import SetAssociativeCache, bulk_kernel_enabled
 from repro.arch.hierarchy import CacheHierarchy
 from repro.arch.replacement import make_policy
 from repro.config import CacheGeometry, MachineConfig
@@ -37,28 +35,18 @@ def tiny_machine(**overrides) -> MachineConfig:
 
 
 @contextmanager
-def tier_env(fast: str = "1", bulk: str = "1", vector: str = "0",
-             owner: str = "1", fills: str = "1"):
+def tier_env(fast: str = "1", bulk: str = "1"):
     """Pin the execution-tier env flags for the enclosed block.
 
     A context manager (not a fixture) so hypothesis-driven tests can
-    re-enter it per generated input.  ``vector`` defaults off so the
-    existing kernel-tier differentials stay pinned one tier down; the
-    tier-4 tests pass ``vector="1"`` explicitly.  ``owner``/``fills``
-    pin the tier-5 ownership store and batched private fill (both
-    default-on in production); the block also arms
+    re-enter it per generated input.  The block also arms
     ``REPRO_DEBUG_INVARIANTS`` so every batch self-checks the
     ownership store on top of the differential comparison.
     """
-    keys = ("REPRO_FAST_LANE", "REPRO_BULK_KERNEL",
-            "REPRO_VECTOR_KERNEL", "REPRO_OWNER_ARRAYS",
-            "REPRO_VECTOR_FILLS", "REPRO_DEBUG_INVARIANTS")
+    keys = ("REPRO_FAST_LANE", "REPRO_BULK_KERNEL", "REPRO_DEBUG_INVARIANTS")
     saved = {k: os.environ.get(k) for k in keys}
     os.environ["REPRO_FAST_LANE"] = fast
     os.environ["REPRO_BULK_KERNEL"] = bulk
-    os.environ["REPRO_VECTOR_KERNEL"] = vector
-    os.environ["REPRO_OWNER_ARRAYS"] = owner
-    os.environ["REPRO_VECTOR_FILLS"] = fills
     os.environ["REPRO_DEBUG_INVARIANTS"] = "1"
     try:
         yield
@@ -71,8 +59,13 @@ def tier_env(fast: str = "1", bulk: str = "1", vector: str = "0",
 
 
 def hierarchy_pair(machine: MachineConfig):
-    """Two identically seeded hierarchies (kernel target + reference)."""
-    return CacheHierarchy(machine, seed=11), CacheHierarchy(machine, seed=11)
+    """A fast hierarchy and the generic reference, identically seeded."""
+    with tier_env():
+        fast = CacheHierarchy(machine, seed=11)
+    with tier_env("0", "0"):
+        ref = CacheHierarchy(machine, seed=11)
+    assert fast._masks and not ref._masks
+    return fast, ref
 
 
 def snapshot(h: CacheHierarchy) -> dict:
@@ -102,17 +95,17 @@ def snapshot(h: CacheHierarchy) -> dict:
 def drive_and_compare(machine, batches):
     """Feed (core, addrs) batches to both paths; assert equality.
 
-    The kernel hierarchy consumes whole batches through
-    ``access_many``; the reference replays the same stream through
-    scalar ``access`` calls.  Serving levels must match per address,
-    and every piece of hierarchy state must match at the end.
+    The fast hierarchy consumes whole batches through ``access_many``;
+    the reference replays the same stream through per-access
+    ``access`` calls.  Serving levels must match per address, and
+    every piece of hierarchy state must match at the end.
     """
-    kern, ref = hierarchy_pair(machine)
+    fast, ref = hierarchy_pair(machine)
     for core, addrs in batches:
-        got = kern.access_many(core, addrs)
+        got = fast.access_many(core, addrs)
         want = [ref.access(core, a) for a in addrs]
         assert got == want
-    assert snapshot(kern) == snapshot(ref)
+    assert snapshot(fast) == snapshot(ref)
 
 
 #: Interleaved 2-core batches over a 64-line footprint, with runs of
@@ -132,31 +125,35 @@ BATCHES = st.lists(
 
 
 class TestKernelDifferential:
-    """access_many == scalar access loop, bit for bit."""
+    """access_many == the generic walk, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(batches=BATCHES)
     def test_randomized_two_core_streams(self, batches):
-        with tier_env():
-            drive_and_compare(tiny_machine(), batches)
+        drive_and_compare(tiny_machine(), batches)
 
     @settings(max_examples=40, deadline=None)
     @given(batches=BATCHES)
     def test_non_inclusive_l3(self, batches):
-        with tier_env():
-            drive_and_compare(tiny_machine(l3_inclusive=False), batches)
+        drive_and_compare(tiny_machine(l3_inclusive=False), batches)
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random", "plru"])
     def test_every_policy_matches(self, policy):
-        # Non-LRU policies take the scalar fallback inside access_many;
-        # either way the observable behaviour must be identical.
+        # Non-LRU policies take the per-access fallback inside
+        # access_many; either way the observable behaviour must be
+        # identical.
+        machine = tiny_machine(replacement=policy)
+        stream = [(a * 7 + c) % 64 for a in range(200) for c in range(2)]
+        batches = [(0, stream[:200]), (1, stream[200:]), (0, stream[::3])]
         with tier_env():
-            machine = tiny_machine(replacement=policy)
-            stream = [(a * 7 + c) % 64 for a in range(200) for c in range(2)]
-            drive_and_compare(
-                machine,
-                [(0, stream[:200]), (1, stream[200:]), (0, stream[::3])],
-            )
+            fast = CacheHierarchy(machine, seed=11)
+        with tier_env("0", "0"):
+            ref = CacheHierarchy(machine, seed=11)
+        for core, addrs in batches:
+            assert fast.access_many(core, addrs) == [
+                ref.access(core, a) for a in addrs
+            ]
+        assert snapshot(fast) == snapshot(ref)
 
     def test_co_located_thrash_with_back_invalidations(self):
         # Two cores fighting over an L3 smaller than their combined
@@ -175,47 +172,50 @@ class TestKernelDifferential:
         for _ in range(6):
             batches.append((0, hot * 3))
             batches.append((1, sweep))
-        with tier_env():
-            kern, ref = hierarchy_pair(machine)
-            for core, addrs in batches:
-                assert kern.access_many(core, addrs) == [
-                    ref.access(core, a) for a in addrs
-                ]
-        assert snapshot(kern) == snapshot(ref)
+        fast, ref = hierarchy_pair(machine)
+        for core, addrs in batches:
+            assert fast.access_many(core, addrs) == [
+                ref.access(core, a) for a in addrs
+            ]
+        assert snapshot(fast) == snapshot(ref)
         # The scenario must actually exercise the interesting paths.
         assert any(c.back_invalidations > 0 for c in ref.counters)
         assert any(c.lines_stolen > 0 for c in ref.counters)
 
 
-def drive_vector(machine, batches):
-    """Feed batches through the tier-4 ladder; scalar replay must match.
+def vector_ladder(h, core, addrs):
+    """The core's ladder for one batch: stream path, else access_many.
 
-    Each batch first tries the vector kernel (classify, then commit of
-    the whole batch); if either declines, it re-routes through the
-    kernel-tier ``access_many`` — exactly the core's fallback ladder.
-    Serving levels must match the scalar reference per address, and all
-    hierarchy state at the end.  Returns ``(committed, fallback)`` batch
-    counts so callers can assert the path they meant to test actually
-    ran.
+    Returns ``(levels, committed)``.
     """
-    kern, ref = hierarchy_pair(machine)
+    plan = None
+    if h.bulk_kernel_ok(core):
+        plan = h.vector_classify(core, np.asarray(addrs, dtype=np.int64))
+    if plan is not None and h.vector_commit(core, plan, len(addrs)):
+        return plan.levels.tolist(), True
+    return h.access_many(core, addrs), False
+
+
+def drive_vector(machine, batches):
+    """Feed batches through the stream-path ladder; the walk must match.
+
+    Each batch first tries the stream path (classify, then commit of
+    the whole batch); if it declines, the batch re-routes through
+    ``access_many`` — exactly the core's fallback ladder.  Serving
+    levels must match the generic reference per address, and all
+    hierarchy state at the end.  Returns ``(committed, fallback)``
+    batch counts so callers can assert the path they meant to test
+    actually ran.
+    """
+    fast, ref = hierarchy_pair(machine)
     committed = fallback = 0
     for core, addrs in batches:
-        plan = None
-        if kern.vector_kernel_ok(core):
-            arr = np.asarray(addrs, dtype=np.int64)
-            plan = kern.vector_classify(core, arr)
-        if plan is not None and kern.vector_commit(
-            core, plan, len(addrs)
-        ):
-            got = plan.levels.tolist()
-            committed += 1
-        else:
-            got = kern.access_many(core, addrs)
-            fallback += 1
+        got, ok = vector_ladder(fast, core, addrs)
+        committed += ok
+        fallback += not ok
         want = [ref.access(core, a) for a in addrs]
         assert got == want
-    assert snapshot(kern) == snapshot(ref)
+    assert snapshot(fast) == snapshot(ref)
     return committed, fallback
 
 
@@ -223,9 +223,9 @@ def _vector_stream(steps):
     """Turn (core, length, rewind, reps) steps into address batches.
 
     A cursor walks upward; ``rewind`` re-visits recently streamed lines
-    (exercising the resident-line fallback and the mixed L3 hit/miss
-    strata) and ``reps`` expands each address into a consecutive repeat
-    run (exercising run collapsing and the pure-MRU-repeat edge).
+    (exercising the resident-line declines) and ``reps`` expands each
+    address into a consecutive repeat run (exercising run collapsing
+    and the leading-repeat edge).
     """
     cur = 0
     batches = []
@@ -241,8 +241,8 @@ def _vector_stream(steps):
 
 
 #: Mostly-ascending streams with occasional rewinds and repeat runs:
-#: the mix lands batches in every vector-kernel stratum (consecutive
-#: fast path, mixed hit/miss, classify-declined, commit-declined).
+#: the mix lands batches on the stream path (cold ascending runs) and
+#: off it (rewinds onto resident lines).
 VECTOR_BATCHES = st.lists(
     st.tuples(
         st.integers(0, 1),
@@ -253,156 +253,6 @@ VECTOR_BATCHES = st.lists(
     min_size=1,
     max_size=10,
 ).map(_vector_stream)
-
-
-class TestVectorDifferential:
-    """Tier 4 (classify/commit) == scalar access loop, bit for bit."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(batches=VECTOR_BATCHES)
-    def test_randomized_streams(self, batches):
-        with tier_env(vector="1"):
-            drive_vector(tiny_machine(), batches)
-
-    @settings(max_examples=40, deadline=None)
-    @given(batches=VECTOR_BATCHES)
-    def test_non_inclusive_l3(self, batches):
-        with tier_env(vector="1"):
-            drive_vector(tiny_machine(l3_inclusive=False), batches)
-
-    @settings(max_examples=40, deadline=None)
-    @given(batches=BATCHES)
-    def test_small_footprint_streams_fall_back_correctly(self, batches):
-        # The revisit-heavy kernel-tier corpus: almost every batch is
-        # classify-declined, so this pins the ladder's scalar re-route
-        # (and the scalar verbs over vector-backed L3 storage).
-        with tier_env(vector="1"):
-            drive_vector(tiny_machine(), batches)
-
-    def test_streaming_batches_commit(self):
-        # The bread-and-butter case — large consecutive batches — must
-        # actually take the vector path, not silently fall back.  Each
-        # batch spans 6 lines per tiny-L3 set, within its 8 ways (the
-        # consec plan refuses batches whose own lines would evict each
-        # other mid-stream).
-        batches = [(0, list(range(base, base + 96)))
-                   for base in range(0, 576, 96)]
-        with tier_env(vector="1"):
-            committed, fallback = drive_vector(tiny_machine(), batches)
-        assert committed == len(batches)
-        assert fallback == 0
-
-    def test_dense_fill_strided_batches_commit(self):
-        # Pointer-chase-shaped batches: non-consecutive strides far
-        # larger than the private caches take the backward dense-fill
-        # verb (only the surviving tail of each set's insertion stream
-        # is written).  Five strided batches of 90 lines dwarf the tiny
-        # L1 (4 lines) and L2 (16 lines) while spreading under 8 lines
-        # per tiny-L3 set, so every batch must commit — and the scalar
-        # replay in drive_vector proves the shortcut left tags, MRU,
-        # resident sets and eviction counts bit-identical.
-        batches, base = [], 0
-        for stride in (3, 5, 7, 9, 11):
-            batches.append(
-                (0, [base + stride * i for i in range(90)])
-            )
-            base += stride * 90 + 1
-        with tier_env(vector="1"):
-            committed, fallback = drive_vector(tiny_machine(), batches)
-        assert committed == len(batches)
-        assert fallback == 0
-
-    def test_mixed_hit_miss_batch_commits(self):
-        # Re-streaming lines that fell out of the private caches but
-        # still sit in the L3 exercises the mixed hit/miss strata.
-        with tier_env(vector="1"):
-            kern, ref = hierarchy_pair(tiny_machine())
-            warm = list(range(64))
-            assert kern.access_many(0, warm) == [
-                ref.access(0, a) for a in warm
-            ]
-            # 0..47 are L3 hits (48..63 still sit in L1/L2, so stop
-            # short of them); 200..247 are cold misses.
-            batch = list(range(48)) + list(range(200, 248))
-            plan = kern.vector_classify(0, np.asarray(batch, np.int64))
-            assert plan is not None
-            assert plan.hit is not None and plan.hit.any()
-            assert kern.vector_commit(0, plan, len(batch))
-            assert plan.levels.tolist() == [
-                ref.access(0, a) for a in batch
-            ]
-            assert snapshot(kern) == snapshot(ref)
-
-    def test_partial_prefix_commit(self):
-        # The core's budget cutoff executes a prefix and pushes the
-        # suffix back untouched: only the prefix may mutate state.
-        addrs = list(range(200))
-        cut = 90
-        with tier_env(vector="1"):
-            kern, ref = hierarchy_pair(tiny_machine())
-            plan = kern.vector_classify(0, np.asarray(addrs, np.int64))
-            assert plan is not None
-            assert kern.vector_commit(0, plan, cut)
-            assert plan.levels[:cut].tolist() == [
-                ref.access(0, a) for a in addrs[:cut]
-            ]
-            assert snapshot(kern) == snapshot(ref)
-            # The pushed-back suffix then re-enters as its own batch.
-            suffix = addrs[cut:]
-            plan2 = kern.vector_classify(
-                0, np.asarray(suffix, np.int64)
-            )
-            assert plan2 is not None
-            assert kern.vector_commit(0, plan2, len(suffix))
-            assert plan2.levels.tolist() == [
-                ref.access(0, a) for a in suffix
-            ]
-            assert snapshot(kern) == snapshot(ref)
-
-    def test_mru_repeat_only_batch(self):
-        # A batch that is nothing but repeats of the previous batch's
-        # last line: zero collapsed accesses, pure L1-hit bookkeeping.
-        with tier_env(vector="1"):
-            kern, ref = hierarchy_pair(tiny_machine())
-            first = list(range(8))
-            drive = [(0, first), (0, [7] * 20), (0, [7, 8, 9])]
-            for core, addrs in drive:
-                plan = kern.vector_classify(
-                    core, np.asarray(addrs, np.int64)
-                )
-                assert plan is not None
-                assert kern.vector_commit(core, plan, len(addrs))
-                assert plan.levels.tolist() == [
-                    ref.access(core, a) for a in addrs
-                ]
-            assert snapshot(kern) == snapshot(ref)
-
-    def test_overloaded_set_declines_untouched(self):
-        # More lines into one L3 set than it has ways: commit must
-        # refuse with NO state mutated, and the scalar re-route must
-        # then match the reference exactly.
-        with tier_env(vector="1"):
-            kern, ref = hierarchy_pair(tiny_machine())
-            nsets = kern.l3._num_sets
-            assoc = kern.l3._assoc
-            addrs = [i * nsets for i in range(2 * assoc)]
-            plan = kern.vector_classify(0, np.asarray(addrs, np.int64))
-            assert plan is not None
-            before = snapshot(kern)
-            assert not kern.vector_commit(0, plan, len(addrs))
-            assert snapshot(kern) == before
-            assert kern.access_many(0, addrs) == [
-                ref.access(0, a) for a in addrs
-            ]
-            assert snapshot(kern) == snapshot(ref)
-
-    def test_within_batch_revisit_declines(self):
-        # Non-consecutive duplicates would hit lines the batch itself
-        # fills; classification must refuse outright.
-        with tier_env(vector="1"):
-            kern, _ = hierarchy_pair(tiny_machine())
-            addrs = np.asarray([5, 6, 7, 5], dtype=np.int64)
-            assert kern.vector_classify(0, addrs) is None
 
 
 def scalar_budget_walk(h, core, addrs, costs, used, budget):
@@ -417,12 +267,276 @@ def scalar_budget_walk(h, core, addrs, costs, used, budget):
     return levels, used
 
 
+def vector_budget_step(h, core, addrs, costs, used, budget):
+    """One budgeted batch through the core's ladder.
+
+    The stream path is priced the way ``Core.run`` prices it — one
+    accumulate seeded with the running total, the cutoff found by a
+    binary search — and a declined batch runs ``access_many`` under
+    the same budget.  Returns ``(levels, total, committed)``.
+    """
+    arr = np.asarray(addrs, dtype=np.int64)
+    plan = h.vector_classify(core, arr)
+    if plan is None:
+        levels = h.access_many(core, addrs, costs, used, budget)
+        return levels, h.batch_cycles, False
+    n = arr.shape[0]
+    fold = np.empty(n + 1, dtype=np.float64)
+    fold[0] = used
+    np.take(np.asarray(costs, dtype=np.float64), plan.levels,
+            out=fold[1:])
+    np.add.accumulate(fold, out=fold)
+    n_exec = int(np.searchsorted(fold[:n], budget, side="left"))
+    assert h.vector_commit(core, plan, n_exec)
+    return plan.levels[:n_exec].tolist(), float(fold[n_exec]), True
+
+
 #: Per-level costs with inexact float values, so any reordered add
 #: shows up in the running total.
 ODD_COSTS = (0.0, 2.0, 2.0 + 6.0 / 1.5, 2.0 + 34.0 / 1.5, 2.0 + 196.0 / 1.5)
 #: Integer costs, so running totals land exactly on integer budgets
 #: and the strict "total before it is under the budget" rule matters.
 INT_COSTS = (0.0, 1.0, 3.0, 10.0, 50.0)
+
+
+class TestVectorDifferential:
+    """The stream path (classify/commit) == the generic walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches=VECTOR_BATCHES)
+    def test_randomized_streams(self, batches):
+        drive_vector(tiny_machine(), batches)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches=VECTOR_BATCHES)
+    def test_non_inclusive_l3(self, batches):
+        drive_vector(tiny_machine(l3_inclusive=False), batches)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches=BATCHES)
+    def test_small_footprint_streams_fall_back_correctly(self, batches):
+        # The revisit-heavy kernel corpus: almost every batch is
+        # classify-declined, so this pins the ladder's re-route.
+        drive_vector(tiny_machine(), batches)
+
+    def test_streaming_batches_commit(self):
+        # The bread-and-butter case — large consecutive batches — must
+        # actually take the stream path, not silently fall back.
+        batches = [(0, list(range(base, base + 96)))
+                   for base in range(0, 576, 96)]
+        committed, fallback = drive_vector(tiny_machine(), batches)
+        assert committed == len(batches)
+        assert fallback == 0
+
+    def test_dense_fill_strided_batches_commit(self):
+        # Strided ascending batches far larger than the private caches
+        # (tiny L1 4 lines, L2 16) and denser than the L3's ways per
+        # set: every batch is a cold ascending stream, so every one
+        # must commit, its fills evicting lines of the batch itself.
+        batches, base = [], 0
+        for stride in (3, 5, 7, 9, 11):
+            batches.append(
+                (0, [base + stride * i for i in range(90)])
+            )
+            base += stride * 90 + 1
+        committed, fallback = drive_vector(tiny_machine(), batches)
+        assert committed == len(batches)
+        assert fallback == 0
+
+    def test_mixed_hit_miss_batch_declines(self):
+        # Re-streaming lines that fell out of the private caches but
+        # still sit in the L3 is not a cold stream: classify declines
+        # and the bulk kernel serves the batch.
+        fast, ref = hierarchy_pair(tiny_machine())
+        warm = list(range(64))
+        assert fast.access_many(0, warm) == [ref.access(0, a) for a in warm]
+        batch = list(range(48)) + list(range(200, 248))
+        assert fast.vector_classify(0, np.asarray(batch, np.int64)) is None
+        assert fast.access_many(0, batch) == [
+            ref.access(0, a) for a in batch
+        ]
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_partial_prefix_commit(self):
+        # The core's budget cutoff executes a prefix and pushes the
+        # suffix back untouched: only the prefix may mutate state.
+        addrs = list(range(200))
+        cut = 90
+        fast, ref = hierarchy_pair(tiny_machine())
+        plan = fast.vector_classify(0, np.asarray(addrs, np.int64))
+        assert plan is not None
+        assert fast.vector_commit(0, plan, cut)
+        assert plan.levels[:cut].tolist() == [
+            ref.access(0, a) for a in addrs[:cut]
+        ]
+        assert snapshot(fast) == snapshot(ref)
+        # The pushed-back suffix then re-enters as its own batch.
+        suffix = addrs[cut:]
+        plan2 = fast.vector_classify(0, np.asarray(suffix, np.int64))
+        assert plan2 is not None
+        assert fast.vector_commit(0, plan2, len(suffix))
+        assert plan2.levels.tolist() == [ref.access(0, a) for a in suffix]
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_mru_repeat_only_batch(self):
+        # A batch that is nothing but repeats of the previous batch's
+        # last line: zero collapsed accesses, pure L1-hit bookkeeping.
+        fast, ref = hierarchy_pair(tiny_machine())
+        for core, addrs in [(0, list(range(8))), (0, [7] * 20),
+                            (0, [7, 8, 9])]:
+            plan = fast.vector_classify(core, np.asarray(addrs, np.int64))
+            assert plan is not None
+            assert fast.vector_commit(core, plan, len(addrs))
+            assert plan.levels.tolist() == [
+                ref.access(core, a) for a in addrs
+            ]
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_overloaded_set_commits(self):
+        # More lines into one L3 set than it has ways: the batch evicts
+        # its own earlier lines mid-stream, which the fill loop replays
+        # exactly as the walk does.
+        fast, ref = hierarchy_pair(tiny_machine())
+        nsets = fast.l3._num_sets
+        assoc = fast.l3._assoc
+        addrs = [i * nsets for i in range(2 * assoc)]
+        got, committed = vector_ladder(fast, 0, addrs)
+        assert committed
+        assert got == [ref.access(0, a) for a in addrs]
+        assert snapshot(fast) == snapshot(ref)
+        assert fast.l3.stats.evictions == assoc
+
+    def test_within_batch_revisit_declines(self):
+        # Non-consecutive duplicates would hit lines the batch itself
+        # fills; classification must refuse outright.
+        fast, _ = hierarchy_pair(tiny_machine())
+        addrs = np.asarray([5, 6, 7, 5], dtype=np.int64)
+        assert fast.vector_classify(0, addrs) is None
+
+    def test_vector_decline_mutates_nothing(self):
+        # Every decline reason leaves the hierarchy untouched: a
+        # descending step, a line only the L3 still holds, an
+        # L1-resident line past the leading run, and a line another
+        # core brought into the L3.
+        fast, ref = hierarchy_pair(tiny_machine())
+        for core, addrs in [(0, list(range(40))), (1, [500, 501])]:
+            vector_ladder(fast, core, addrs)
+            for a in addrs:
+                ref.access(core, a)
+        before = snapshot(fast)
+        bounds = [c._max_tag for c in fast.l1 + fast.l2 + [fast.l3]]
+        for batch in ([100, 101, 99], [2, 3, 100], [36, 38, 100],
+                      [300, 501, 502]):
+            assert fast.vector_classify(
+                0, np.asarray(batch, np.int64)
+            ) is None
+            assert snapshot(fast) == before
+            assert [c._max_tag for c in
+                    fast.l1 + fast.l2 + [fast.l3]] == bounds
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_vector_partial_prefix_of_repeat_stream(self):
+        # Every cutoff of one batch: inside the leading run, on a
+        # collapsed access, inside a repeat run, at the end.
+        head = [4, 5, 5]
+        batch = [5, 5, 6, 6, 6, 7, 8, 8, 9, 9, 9, 9]
+        for cut in range(len(batch) + 1):
+            fast, ref = hierarchy_pair(tiny_machine())
+            vector_ladder(fast, 0, head)
+            for a in head:
+                ref.access(0, a)
+            plan = fast.vector_classify(0, np.asarray(batch, np.int64))
+            assert plan is not None and plan.lead == 5
+            assert fast.vector_commit(0, plan, cut)
+            assert plan.levels[:cut].tolist() == [
+                ref.access(0, a) for a in batch[:cut]
+            ]
+            assert snapshot(fast) == snapshot(ref)
+
+    def test_vector_budget_runs_out_inside_repeat_run(self):
+        # Lines 0..39 four times each: a run costs 50 + 3 * 1 cycles
+        # with INT_COSTS, so a budget of 5 runs + 52 cycles expires
+        # after the sixth run's second repeat.  The suffix starts
+        # mid-run and re-enters with a leading L1-hit run.
+        addrs = [a for a in range(40) for _ in range(4)]
+        fast, ref = hierarchy_pair(tiny_machine())
+        budget = 53.0 * 5 + 52.0
+        got, total, committed = vector_budget_step(
+            fast, 0, addrs, INT_COSTS, 0.0, budget
+        )
+        want, want_total = scalar_budget_walk(
+            ref, 0, addrs, INT_COSTS, 0.0, budget
+        )
+        assert committed
+        assert (got, total) == (want, want_total)
+        assert len(got) == 5 * 4 + 3
+        rest = addrs[len(got):]
+        plan = fast.vector_classify(0, np.asarray(rest, np.int64))
+        assert plan is not None and plan.lead == 5
+        assert fast.vector_commit(0, plan, len(rest))
+        assert plan.levels.tolist() == [ref.access(0, a) for a in rest]
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_vector_leading_run_refreshes_its_line(self):
+        # A batch whose first line sits in the L1 but is not its set's
+        # MRU line: the leading hit must move it to the MRU end, so the
+        # batch's own fills into that set evict the other line.
+        fast, ref = hierarchy_pair(tiny_machine())
+        head = [1, 3]  # both in L1 set 1, 1 the LRU one
+        batch = [1, 1, 5, 7]  # 5 and 7 fill L1 set 1 again
+        for h in (fast, ref):
+            h.access_many(0, head)
+        plan = fast.vector_classify(0, np.asarray(batch, np.int64))
+        assert plan is not None and plan.lead == 1
+        assert fast.vector_commit(0, plan, 3)
+        assert plan.levels[:3].tolist() == [
+            ref.access(0, a) for a in batch[:3]
+        ]
+        assert snapshot(fast) == snapshot(ref)
+        assert fast.l1[0].set_contents(1) == (1, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batches=VECTOR_BATCHES,
+        costs=st.sampled_from([ODD_COSTS, INT_COSTS]),
+        budgets=st.lists(
+            st.one_of(st.floats(0.0, 900.0), st.integers(0, 900)),
+            min_size=10, max_size=10,
+        ),
+    )
+    def test_vector_budget_ladder_matches_scalar_walk(self, batches, costs,
+                                                      budgets):
+        fast, ref = hierarchy_pair(tiny_machine())
+        for (core, addrs), budget in zip(batches, budgets):
+            got, total, _ = vector_budget_step(
+                fast, core, addrs, costs, 0.0, budget
+            )
+            want, want_total = scalar_budget_walk(
+                ref, core, addrs, costs, 0.0, budget
+            )
+            assert (got, total) == (want, want_total)
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_vector_back_invalidates_own_and_foreign_lines(self):
+        # L3 set 0 is full when core 0's cold stream arrives: its LRU
+        # line h0 is core 0's own (still in core 0's L1/L2), then h1 is
+        # shared by both cores, then six lines of core 1 (the last four
+        # still in core 1's L2).  The stream evicts all of them.
+        fast, ref = hierarchy_pair(tiny_machine())
+        h0, h1 = 16 * 50, 16 * 51
+        setup = [(0, [h0, h1]), (1, [h1] + [16 * k for k in range(60, 66)])]
+        for core, addrs in setup:
+            for h in (fast, ref):
+                h.access_many(core, addrs)
+        stream = [16 * k for k in range(100, 110)]
+        got, committed = vector_ladder(fast, 0, stream)
+        assert committed
+        assert got == [ref.access(0, a) for a in stream]
+        assert snapshot(fast) == snapshot(ref)
+        own, foreign = fast.counters
+        assert own.back_invalidations == 2  # h0 and the shared h1
+        assert foreign.lines_stolen == 7  # h1 and its six lines
+        assert foreign.back_invalidations == 4  # its L2-resident lines
 
 
 def budget_phases():
@@ -467,11 +581,7 @@ def peek(phase, n=64):
 
 
 class TestBudgetCutoff:
-    """Budget-exact kernels stop exactly where the per-access walk does.
-
-    Each test covers both L3 ownership stores explicitly, whatever
-    ``REPRO_OWNER_ARRAYS`` the suite runs under.
-    """
+    """Budget-exact batched paths stop exactly where the walk does."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -482,59 +592,77 @@ class TestBudgetCutoff:
             min_size=20, max_size=20,
         ),
         used=st.sampled_from([0.0, 1.0, 7.0, 33.5]),
-        owner=st.sampled_from(["1", "0"]),
     )
     def test_access_many_budget_matches_scalar_walk(self, batches, costs,
-                                                    budgets, used, owner):
+                                                    budgets, used):
         # Runs of repeats make the budget expire inside a collapsed
         # run as well as on a walked access.
-        with tier_env(owner=owner):
-            kern, ref = hierarchy_pair(tiny_machine())
-            for (core, addrs), budget in zip(batches, budgets):
-                got = kern.access_many(core, addrs, costs, used, budget)
-                want, total = scalar_budget_walk(
-                    ref, core, addrs, costs, used, budget
-                )
-                assert got == want
-                assert kern.batch_cycles == total
-            assert snapshot(kern) == snapshot(ref)
+        fast, ref = hierarchy_pair(tiny_machine())
+        for (core, addrs), budget in zip(batches, budgets):
+            got = fast.access_many(core, addrs, costs, used, budget)
+            want, total = scalar_budget_walk(
+                ref, core, addrs, costs, used, budget
+            )
+            assert got == want
+            assert fast.batch_cycles == total
+        assert snapshot(fast) == snapshot(ref)
+
+    def test_access_many_budget_expires_inside_repeat_run(self):
+        # Lines 0..39 four times each at INT_COSTS: a run costs 53
+        # cycles, so the total lands exactly on a budget of 5 runs + 52
+        # after the sixth run's second repeat, where the walk stops.
+        addrs = [a for a in range(40) for _ in range(4)]
+        fast, ref = hierarchy_pair(tiny_machine())
+        budget = 53.0 * 5 + 52.0
+        got = fast.access_many(0, addrs, INT_COSTS, 0.0, budget)
+        want, total = scalar_budget_walk(
+            ref, 0, addrs, INT_COSTS, 0.0, budget
+        )
+        assert (got, fast.batch_cycles) == (want, total) == (
+            [4, 1, 1, 1] * 5 + [4, 1, 1], budget
+        )
+        assert snapshot(fast) == snapshot(ref)
 
     @pytest.mark.parametrize("policy", ["fifo", "random", "plru"])
     def test_fallback_honours_budget(self, policy):
         # Non-LRU policies take access_many's per-access fallback; it
         # must stop at the same access and total as the scalar walk.
         rng = np.random.default_rng(5)
+        machine = tiny_machine(replacement=policy)
         with tier_env():
-            kern, ref = hierarchy_pair(tiny_machine(replacement=policy))
-            assert not kern.bulk_kernel_ok(0)
-            cut = 0
-            for _ in range(40):
-                addrs = rng.integers(0, 96, size=60).tolist()
-                budget = float(rng.uniform(0.0, 1500.0))
-                used = float(rng.uniform(0.0, 40.0))
-                got = kern.access_many(0, addrs, ODD_COSTS, used, budget)
-                want, total = scalar_budget_walk(
-                    ref, 0, addrs, ODD_COSTS, used, budget
-                )
-                assert got == want
-                assert kern.batch_cycles == total
-                cut += len(got) < len(addrs)
-            assert snapshot(kern) == snapshot(ref)
+            fast = CacheHierarchy(machine, seed=11)
+        with tier_env("0", "0"):
+            ref = CacheHierarchy(machine, seed=11)
+        assert not fast.bulk_kernel_ok(0)
+        cut = 0
+        for _ in range(40):
+            addrs = rng.integers(0, 96, size=60).tolist()
+            budget = float(rng.uniform(0.0, 1500.0))
+            used = float(rng.uniform(0.0, 40.0))
+            got = fast.access_many(0, addrs, ODD_COSTS, used, budget)
+            want, total = scalar_budget_walk(
+                ref, 0, addrs, ODD_COSTS, used, budget
+            )
+            assert got == want
+            assert fast.batch_cycles == total
+            cut += len(got) < len(addrs)
+        assert snapshot(fast) == snapshot(ref)
         assert cut  # some budgets expired mid-batch
 
-    @pytest.mark.parametrize("owner", ["1", "0"])
+    # ``inclusive`` ids keep the 0/1 spelling of a machine flag.
+    @pytest.mark.parametrize("inclusive", [True, False], ids=["1", "0"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_core_run_matches_generic_walk(self, seed, owner):
+    def test_core_run_matches_generic_walk(self, seed, inclusive):
         from repro.arch.chip import MulticoreChip
         from repro.sim.process import AppClass, SimProcess
         from repro.workloads.base import WorkloadSpec
 
         spec = WorkloadSpec("budget-cutoffs", budget_phases(), 1e9)
+        machine = tiny_machine(l3_inclusive=inclusive)
         sides = {}
-        for name, env in (("generic", ("0", "0", "0")),
-                          ("fast", ("1", "1", "1", owner))):
+        for name, env in (("generic", ("0", "0")), ("fast", ("1", "1"))):
             with tier_env(*env):
-                chip = MulticoreChip(tiny_machine(), seed=seed)
+                chip = MulticoreChip(machine, seed=seed)
                 proc = SimProcess(spec, 0, AppClass.LATENCY_SENSITIVE,
                                   seed=seed)
                 proc.launch()
@@ -542,7 +670,7 @@ class TestBudgetCutoff:
         rng = np.random.default_rng(seed)
         budgets = np.exp(rng.uniform(0.0, np.log(6000.0), size=900))
         seen = set()
-        with tier_env("1", "1", "1"):
+        with tier_env():
             for call, budget in enumerate(budgets.tolist()):
                 got = {}
                 for name, (chip, proc) in sides.items():
@@ -565,11 +693,11 @@ class TestBudgetCutoff:
                 h = chip.hierarchy
                 nxt = got["fast"][5][proc.workload._phase_index][0]
                 l1 = h.l1[0]
-                if l1._mru[nxt & l1._set_mask] == nxt:
+                if l1.set_contents(nxt & l1._set_mask)[-1:] == (nxt,):
                     seen.add("L1 MRU run")
-                elif nxt not in l1._resident and nxt in h.l2[0]._resident:
+                elif not l1.contains(nxt) and h.l2[0].contains(nxt):
                     seen.add("L2-hit head")
-                elif nxt not in h.l3._resident:
+                elif not h.l3.contains(nxt):
                     seen.add("memory access")
         (gen_chip, _), (fast_chip, _) = sides["generic"], sides["fast"]
         assert snapshot(fast_chip.hierarchy) == snapshot(gen_chip.hierarchy)
@@ -579,14 +707,39 @@ class TestBudgetCutoff:
         assert seen == {"L1 MRU run", "L2-hit head", "memory access",
                         "phase boundary"}
         counts = fast_chip.core(0).path_counts()
-        # Both kernels served, and no kernel-eligible access was walked.
+        # Both batched paths served, and no eligible access was walked.
         assert counts["path.vector"] and counts["path.bulk"]
         assert counts["path.walk"] == counts["path.mru"] == 0
         assert gen_chip.core(0).path_counts()["path.walk"] > 0
 
 
+def streaming_path_counts(hook=None) -> dict:
+    """Path counts of a tiny-machine streaming process under ``hook``.
+
+    ``hook(chip, core)`` runs between two stretches of 30 budgets; the
+    counts are the second stretch's.
+    """
+    from repro.arch.chip import MulticoreChip
+    from repro.sim.process import AppClass, SimProcess
+    from repro.workloads import synthetic
+
+    chip = MulticoreChip(tiny_machine(), seed=1)
+    proc = SimProcess(synthetic.streamer(lines=4000, instructions=1e9), 0,
+                      AppClass.LATENCY_SENSITIVE)
+    proc.launch()
+    core = chip.core(0)
+    for _ in range(30):
+        core.run(proc, 4000.0)
+    if hook is not None:
+        hook(chip, core)
+    before = core.path_counts()
+    for _ in range(30):
+        core.run(proc, 4000.0)
+    return {k: v - before[k] for k, v in core.path_counts().items()}
+
+
 class TestFallbackPredicate:
-    """Configs the kernel cannot model must take the scalar path."""
+    """Configs the batched paths cannot model must take the walk."""
 
     def test_kernel_allowed_on_plain_lru(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_LANE", "1")
@@ -627,102 +780,82 @@ class TestFallbackPredicate:
         assert not h.bulk_kernel_ok(0)
         # BULK=0 also reverts the caches to list-based storage: the
         # middle tier is exactly the first-generation fast lane.
-        assert not h.l1[0]._flat
+        assert not h.l1[0]._dict_lru
+        assert not h._masks
 
     def test_vector_allowed_on_plain_lru(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_LANE", "1")
         monkeypatch.setenv("REPRO_BULK_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "1")
         h = CacheHierarchy(tiny_machine(), seed=1)
-        assert h.vector_kernel_ok(0)
-        # Only the shared L3 carries vector storage; the private
-        # levels stay list-backed (scalar fills win at their size).
-        assert h.l3._vector
-        assert not h.l1[0]._vector
+        # Every level stores ordered dicts, owner masks in the L3's.
+        assert all(c._dict_lru for c in h.l1 + h.l2 + [h.l3])
+        assert h._masks
+        assert h.vector_classify(
+            0, np.arange(64, dtype=np.int64)
+        ) is not None
+        counts = streaming_path_counts()
+        assert counts["path.vector"] > 0
 
-    def test_vector_env_gate_denies_only_tier_four(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_LANE", "1")
-        monkeypatch.setenv("REPRO_BULK_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
-        assert not vector_kernel_enabled()
-        h = CacheHierarchy(tiny_machine(), seed=1)
-        assert not h.vector_kernel_ok(0)
-        assert not h.l3._vector
-        # One tier down keeps working: VECTOR=0 is exactly the PR5
-        # kernel configuration.
-        assert h.bulk_kernel_ok(0)
+    def test_bulk_prerequisites_gate_vector(self):
+        # Anything that denies the bulk kernel (here a mid-run L3
+        # quota) stands the stream path down too for that core, and
+        # the stream path returns when the cap lifts.
+        counts = streaming_path_counts(
+            lambda chip, core: chip.hierarchy.set_l3_quota(0, 0.5)
+        )
+        assert counts["path.vector"] == 0 and counts["path.walk"] > 0
 
-    def test_bulk_prerequisites_gate_vector(self, monkeypatch):
-        # Tier 4 sits on top of tier 3: anything that denies the bulk
-        # kernel (here a mid-run L3 quota) denies the vector kernel
-        # for the same core, and recovers when the cap lifts.
-        monkeypatch.setenv("REPRO_FAST_LANE", "1")
-        monkeypatch.setenv("REPRO_BULK_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "1")
-        h = CacheHierarchy(tiny_machine(), seed=1)
-        h.set_l3_quota(0, 0.5)
-        assert not h.vector_kernel_ok(0)
-        assert h.vector_kernel_ok(1)
-        h.set_l3_quota(0, None)
-        assert h.vector_kernel_ok(0)
+        def cap_and_lift(chip, core):
+            chip.hierarchy.set_l3_quota(0, 0.5)
+            chip.hierarchy.set_l3_quota(0, None)
+        assert streaming_path_counts(cap_and_lift)["path.vector"] > 0
 
-    def test_bulk_env_gate_denies_vector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_LANE", "1")
-        monkeypatch.setenv("REPRO_BULK_KERNEL", "0")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "1")
-        h = CacheHierarchy(tiny_machine(), seed=1)
-        assert not h.vector_kernel_ok(0)
+    def test_bulk_env_gate_denies_vector(self):
+        with tier_env(bulk="0"):
+            counts = streaming_path_counts()
+        assert counts["path.vector"] == counts["path.bulk"] == 0
+        assert counts["path.walk"] + counts["path.mru"] > 0
 
     @pytest.mark.parametrize("overrides", [
         {"model_writebacks": True},
         {"prefetch_degree": 2},
     ])
-    def test_fallback_matches_scalar(self, overrides, monkeypatch):
-        # The fallback literally is the scalar loop; results and side
-        # effects (store accumulator, prefetch fills) must match.
-        monkeypatch.setenv("REPRO_FAST_LANE", "1")
-        monkeypatch.setenv("REPRO_BULK_KERNEL", "1")
+    def test_fallback_matches_scalar(self, overrides):
+        # The fallback literally is the per-access loop; results and
+        # side effects (store accumulator, prefetch fills) must match.
         machine = tiny_machine(**overrides)
-        kern, ref = hierarchy_pair(machine)
-        kern.set_store_ratio(0, 0.3)
+        fast, ref = hierarchy_pair(machine)
+        fast.set_store_ratio(0, 0.3)
         ref.set_store_ratio(0, 0.3)
         stream = [(a * 5) % 48 for a in range(300)]
-        assert kern.access_many(0, stream) == [
+        assert fast.access_many(0, stream) == [
             ref.access(0, a) for a in stream
         ]
-        assert snapshot(kern) == snapshot(ref)
-        assert kern._store_accumulator == ref._store_accumulator
+        assert snapshot(fast) == snapshot(ref)
+        assert fast._store_accumulator == ref._store_accumulator
 
 
 class TestFlatStorageInvariants:
-    """The flat circular representation must stay self-consistent."""
+    """The ordered-dict set storage must stay self-consistent."""
 
     GEOMETRY = CacheGeometry(num_sets=4, associativity=4)
 
-    def make_flat(self) -> SetAssociativeCache:
+    def make_cache(self) -> SetAssociativeCache:
         with tier_env():
             cache = SetAssociativeCache(
-                "flat", self.GEOMETRY, make_policy("lru", 4),
+                "dicts", self.GEOMETRY, make_policy("lru", 4),
                 specialize=True,
             )
-        assert cache._flat
+        assert cache._dict_lru
         return cache
 
     def check_invariants(self, cache: SetAssociativeCache) -> None:
-        assoc = self.GEOMETRY.associativity
-        resident = set()
         for si in range(self.GEOMETRY.num_sets):
             contents = cache.set_contents(si)
-            assert len(contents) == len(set(contents))
-            assert len(contents) == cache._fill_counts[si]
-            if cache._fill_counts[si] < assoc:
-                # Partially filled sets are never rotated.
-                assert cache._heads[si] == 0
-            if contents:
-                # The MRU shadow is the logical tail.
-                assert cache._mru[si] == contents[-1]
-            resident.update(contents)
-        assert resident == cache._resident
+            assert len(contents) <= self.GEOMETRY.associativity
+            assert all(addr & cache._set_mask == si for addr in contents)
+            assert all(addr <= cache._max_tag for addr in contents)
+        assert cache.occupancy == len(cache.resident_lines())
 
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(
@@ -730,7 +863,7 @@ class TestFlatStorageInvariants:
         min_size=1, max_size=200,
     ))
     def test_random_ops_preserve_invariants(self, ops):
-        cache = self.make_flat()
+        cache = self.make_cache()
         for op, addr in ops:
             if op == 0:
                 cache.probe(addr)
@@ -741,21 +874,23 @@ class TestFlatStorageInvariants:
         self.check_invariants(cache)
 
     def test_flush_resets_flat_state(self):
-        cache = self.make_flat()
+        cache = self.make_cache()
         for addr in range(64):
             cache.fill(addr)
         cache.flush()
         self.check_invariants(cache)
-        assert not cache._resident
-        assert all(f == 0 for f in cache._fill_counts)
+        assert not cache.resident_lines()
+        assert cache.occupancy == 0
 
     def test_set_contents_roundtrip_when_rotated(self):
-        cache = self.make_flat()
-        # Fill past capacity so the set's circular window rotates.
-        for addr in range(0, 6 * 4, 4):
-            cache.fill(addr)
-        before = cache.set_contents(0)
-        assert cache.set_contents(0) == before
+        cache = self.make_cache()
+        # Fill past capacity so the set evicts in LRU order.
+        lines = list(range(0, 6 * 4, 4))
+        evicted = [cache.fill(addr) for addr in lines]
+        assert evicted == [None] * 4 + lines[:2]
+        assert cache.set_contents(0) == tuple(lines[2:])
+        assert cache.probe(lines[2])
+        assert cache.set_contents(0) == tuple(lines[3:] + lines[2:3])
         self.check_invariants(cache)
 
 
@@ -783,8 +918,16 @@ class TestFlushStoreAccumulator:
         assert first == second
 
 
+#: (REPRO_FAST_LANE, REPRO_BULK_KERNEL) per execution tier.
+TIERS = {
+    "generic": ("0", "0"),
+    "fastlane": ("1", "0"),
+    "kernel": ("1", "1"),
+}
+
+
 class TestEndToEndTiers:
-    """Full engine runs must be identical across all four tiers."""
+    """Full engine runs must be identical across every tier."""
 
     @staticmethod
     def _run(metrics=None):
@@ -805,32 +948,24 @@ class TestEndToEndTiers:
 
     def test_run_result_identical_across_tiers(self):
         results = {}
-        for name, env in [
-            ("generic", ("0", "0", "0")),
-            ("fastlane", ("1", "0", "0")),
-            ("kernel", ("1", "1", "0")),
-            ("vector", ("1", "1", "1")),
-            # The PR-6 vector tier reconstruction: dict ownership and
-            # scalar private fills under the same classify/commit.
-            ("vector_legacy", ("1", "1", "1", "0", "0")),
-        ]:
+        for name, env in TIERS.items():
             with tier_env(*env):
                 results[name] = self._run()
         assert results["fastlane"] == results["generic"]
         assert results["kernel"] == results["generic"]
-        assert results["vector"] == results["generic"]
-        assert results["vector_legacy"] == results["generic"]
 
-    def test_traced_run_identical_on_vector_tier(self, tmp_path):
+    def test_traced_run_identical_on_vector_tier(self):
         # Attaching metrics (and so the obs plumbing) must not perturb
-        # the simulation: the vector tier's RunResult has to be
-        # bit-identical with and without telemetry.
+        # the simulation: with the stream path serving, the RunResult
+        # has to be bit-identical with and without telemetry.
         from repro.obs import MetricsRegistry
 
-        with tier_env("1", "1", "1"):
+        with tier_env():
             bare = self._run()
-            traced = self._run(metrics=MetricsRegistry())
+            metrics = MetricsRegistry()
+            traced = self._run(metrics=metrics)
         assert traced == bare
+        assert metrics.snapshot()["sim.path.vector"]["value"] > 0
 
     def test_path_counts_recorded_in_metrics(self):
         # The gauges say which flags were on; the path counters say
@@ -839,12 +974,7 @@ class TestEndToEndTiers:
         from repro.obs import MetricsRegistry
 
         paths = {}
-        for tier, env in [
-            ("generic", ("0", "0", "0")),
-            ("fastlane", ("1", "0", "0")),
-            ("kernel", ("1", "1", "0")),
-            ("vector", ("1", "1", "1")),
-        ]:
+        for tier, env in TIERS.items():
             with tier_env(*env):
                 metrics = MetricsRegistry()
                 self._run(metrics=metrics)
@@ -861,27 +991,25 @@ class TestEndToEndTiers:
         assert len(set(served.values())) == 1
         assert paths["generic"]["path.walk"] == served["generic"]
         assert paths["fastlane"]["path.mru"] > 0
-        assert paths["kernel"]["path.bulk"] == served["kernel"]
-        vector = paths["vector"]
-        assert vector["path.vector"] > 0 and vector["path.bulk"] > 0
-        assert vector["path.walk"] == vector["path.mru"] == 0
-        assert vector["vector.classify_declines"] > 0
-        assert vector["vector.backoff_skips"] > 0
-        assert paths["kernel"]["vector.classify_declines"] == 0
+        assert paths["fastlane"]["vector.classify_declines"] == 0
+        kernel = paths["kernel"]
+        assert kernel["path.vector"] > 0 and kernel["path.bulk"] > 0
+        assert kernel["path.walk"] == kernel["path.mru"] == 0
+        assert kernel["vector.classify_declines"] > 0
+        assert kernel["vector.backoff_skips"] > 0
 
     def test_tier_recorded_in_metrics_gauges(self):
         from repro.obs import MetricsRegistry
 
-        for fast, bulk, vector, wants in [
-            ("0", "0", "0", (0.0, 0.0, 0.0)),
-            ("1", "0", "0", (1.0, 0.0, 0.0)),
-            ("1", "1", "0", (1.0, 1.0, 0.0)),
-            ("1", "1", "1", (1.0, 1.0, 1.0)),
+        for env, wants in [
+            (TIERS["generic"], (0.0, 0.0)),
+            (TIERS["fastlane"], (1.0, 0.0)),
+            (TIERS["kernel"], (1.0, 1.0)),
         ]:
-            with tier_env(fast, bulk, vector):
+            with tier_env(*env):
                 metrics = MetricsRegistry()
                 self._run(metrics=metrics)
             snap = metrics.snapshot()
             assert snap["sim.fast_lane"]["value"] == wants[0]
             assert snap["sim.bulk_kernel"]["value"] == wants[1]
-            assert snap["sim.vector_kernel"]["value"] == wants[2]
+            assert "sim.vector_kernel" not in snap

@@ -1,123 +1,93 @@
-"""Tier-5 ownership store (array-backed L3 owner bitmasks) vs. dict.
+"""L3 owner masks vs. the reference dict-of-sets owner store.
 
-The owner-bitmask column (`REPRO_OWNER_ARRAYS`, default on) replaces
-the `_l3_owners` dict-of-sets with one int64 mask per L3 line slot.
-It is a pure representation change: for any stream, any interleaving,
-and any tier, every observable — serving levels, counters, stats,
-owner sets, occupancy, back-invalidations, stolen lines — must match
-the dict walk bit for bit.  These tests drive owner-on and owner-off
-hierarchies differentially (kernel and vector tiers), pin the
-edge-case semantics the ISSUE names (multi-owner victims with
-own-core back-invalidation, flush, the non-inclusive refusal), and
-prove the opt-in invariant checker actually catches corruption.
+The bulk tier keeps each L3 line's owners as a bitmask in the line's
+value in the L3's ordered dict (bit ``c`` set = core ``c`` owns it);
+the generic walk (``REPRO_FAST_LANE=0``) keeps the reference
+``_l3_owners`` dict of sets.  The mask store is a pure representation
+change: for any stream, any interleaving, and either batched path,
+every observable — serving levels, counters, stats, owner sets,
+occupancy, back-invalidations, stolen lines — must match the reference
+after every batch.  These tests drive the two differentially, pin the
+owner-record edge cases (multi-owner victims with own-core
+back-invalidation, flush, a non-inclusive L3, a quota), and prove the
+opt-in invariant checker actually catches corruption.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.arch import vector_kernel
-from repro.arch.cache import SetAssociativeCache
 from repro.arch.hierarchy import CacheHierarchy
-from repro.arch.replacement import make_policy
-from repro.config import CacheGeometry
 
 from tests.arch.test_bulk_kernel import (
     BATCHES,
     VECTOR_BATCHES,
+    hierarchy_pair,
     snapshot,
     tier_env,
     tiny_machine,
+    vector_ladder,
 )
 
 
-def owner_pair(machine, vector: str = "0"):
-    """Identically seeded hierarchies: array store vs. dict reference."""
-    with tier_env(vector=vector, owner="1"):
-        arr = CacheHierarchy(machine, seed=11)
-    with tier_env(vector=vector, owner="0"):
-        ref = CacheHierarchy(machine, seed=11)
-    return arr, ref
+def kernel(h, core, addrs):
+    return h.access_many(core, addrs)
 
 
-def drive_pair_kernel(machine, batches):
-    arr, ref = owner_pair(machine)
-    assert arr._owner_arrays
-    assert not ref._owner_arrays
+def ladder(h, core, addrs):
+    return vector_ladder(h, core, addrs)[0]
+
+
+def drive_pair(machine, batches, serve, setup=None):
+    """Serve ``batches`` on the mask store; compare after each batch."""
+    fast, ref = hierarchy_pair(machine)
+    if setup is not None:
+        setup(fast)
+        setup(ref)
     for core, addrs in batches:
-        assert arr.access_many(core, addrs) == \
-            ref.access_many(core, addrs)
-    assert snapshot(arr) == snapshot(ref)
-    arr.check_owner_invariants()
+        assert serve(fast, core, addrs) == [
+            ref.access(core, a) for a in addrs
+        ]
+        assert fast.l3_owner_sets() == ref.l3_owner_sets()
+        assert fast._occupancy == ref._occupancy
+    assert snapshot(fast) == snapshot(ref)
+    fast.check_owner_invariants()
     ref.check_owner_invariants()
-
-
-def drive_pair_vector(machine, batches):
-    """Both hierarchies walk the tier-4 ladder; must stay in lockstep."""
-    arr, ref = owner_pair(machine, vector="1")
-    assert arr._owner_arrays
-    assert not ref._owner_arrays
-    for core, addrs in batches:
-        arr_np = np.asarray(addrs, dtype=np.int64)
-        levels = []
-        for h in (arr, ref):
-            plan = (h.vector_classify(core, arr_np)
-                    if h.vector_kernel_ok(core) else None)
-            if plan is not None and h.vector_commit(
-                core, plan, len(addrs)
-            ):
-                levels.append(plan.levels.tolist())
-            else:
-                levels.append(h.access_many(core, addrs))
-        assert levels[0] == levels[1]
-    assert snapshot(arr) == snapshot(ref)
-    arr.check_owner_invariants()
-    ref.check_owner_invariants()
+    return fast, ref
 
 
 class TestOwnerDifferential:
-    """Array store == dict store, bit for bit, on every tier."""
+    """Owner masks == reference owner sets, batch by batch."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(batches=BATCHES)
     def test_kernel_tier_randomized(self, batches):
-        drive_pair_kernel(tiny_machine(), batches)
+        drive_pair(tiny_machine(), batches, kernel)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(batches=VECTOR_BATCHES)
     def test_vector_tier_randomized(self, batches):
-        drive_pair_vector(tiny_machine(), batches)
+        drive_pair(tiny_machine(), batches, ladder)
 
     @settings(max_examples=20, deadline=None)
     @given(batches=BATCHES)
     def test_vector_tier_revisit_heavy(self, batches):
-        # Classify-declined batches: the scalar re-route over the
-        # owner column (the access_many inlined L3 shifts).
-        drive_pair_vector(tiny_machine(), batches)
+        # Classify-declined batches: the re-route through the kernel.
+        drive_pair(tiny_machine(), batches, ladder)
 
     @settings(max_examples=20, deadline=None)
     @given(batches=BATCHES)
     def test_scalar_ladder_with_quota(self, batches):
-        # An L3 quota denies the bulk kernel, so both stores run the
-        # scalar access path — including `_evict_own_line`'s logical
-        # LRU scan over the bitmask column.
-        arr, ref = owner_pair(tiny_machine())
-        for h in (arr, ref):
-            h.set_l3_quota(0, 0.25)
-        for core, addrs in batches:
-            assert arr.access_many(core, addrs) == \
-                ref.access_many(core, addrs)
-        assert snapshot(arr) == snapshot(ref)
-        arr.check_owner_invariants()
+        # An L3 quota denies the batched paths, so both stores run the
+        # per-access walk — including `_evict_own_line`'s LRU-first
+        # scan for an own line.
+        drive_pair(tiny_machine(), batches, kernel,
+                   setup=lambda h: h.set_l3_quota(0, 0.25))
 
 
 class TestOwnerEdgeCases:
-    """The ISSUE's named owner-record edge cases."""
+    """The owner-record edge cases, on the mask store."""
 
     def test_multi_owner_victim_with_own_core_back_invalidation(self):
         # Core 0 and core 1 share line 0 (owners {0, 1}); core 0's
@@ -128,188 +98,83 @@ class TestOwnerEdgeCases:
         # cores and charge core 1 a stolen line — identically in both
         # stores.
         machine = tiny_machine(prefetch_degree=1)
-        arr, ref = owner_pair(machine)
-        for h in (arr, ref):
+        fast, ref = hierarchy_pair(machine)
+        for h in (fast, ref):
             h.access(0, 0)
             h.access(1, 0)
             # Demands 15, 31, ... land in L3 set 15 / L2 set 3; their
             # next-line prefetches 16, 32, ... land in L3 set 0.
             for i in range(1, 10):
                 h.access(0, 16 * i - 1)
-        assert snapshot(arr) == snapshot(ref)
-        assert not arr.l3.contains(0)
-        assert arr.counters[0].back_invalidations >= 1
-        assert arr.counters[1].back_invalidations >= 1
-        assert arr.counters[1].lines_stolen >= 1
-        arr.check_owner_invariants()
+        assert snapshot(fast) == snapshot(ref)
+        assert not fast.l3.contains(0)
+        assert fast.counters[0].back_invalidations >= 1
+        assert fast.counters[1].back_invalidations >= 1
+        assert fast.counters[1].lines_stolen >= 1
+        fast.check_owner_invariants()
 
     def test_multi_owner_victim_in_bulk_kernel(self):
         # The same fan-out through access_many's inlined fill: core 1
         # sweeps core 0's hot set-0 lines out of the L3 from behind.
-        machine = tiny_machine()
-        arr, ref = owner_pair(machine)
         hot = [a * 16 for a in range(8)]
         sweep = [(8 + a) * 16 for a in range(16)]
-        for h in (arr, ref):
-            for _ in range(6):
-                h.access_many(0, hot * 3)
-                h.access_many(1, sweep)
-        assert snapshot(arr) == snapshot(ref)
-        assert any(c.back_invalidations > 0 for c in arr.counters)
-        assert any(c.lines_stolen > 0 for c in arr.counters)
-        arr.check_owner_invariants()
+        fast, _ = drive_pair(
+            tiny_machine(), [(0, hot * 3), (1, sweep)] * 6, kernel
+        )
+        assert any(c.back_invalidations > 0 for c in fast.counters)
+        assert any(c.lines_stolen > 0 for c in fast.counters)
 
     def test_flush_clears_ownership_and_occupancy(self):
-        arr, _ = owner_pair(tiny_machine())
-        arr.access_many(0, list(range(64)))
-        arr.access_many(1, list(range(32)))
-        assert arr.l3_owner_sets()
-        assert any(arr._occupancy)
-        arr.flush()
-        assert arr.l3_owner_sets() == {}
-        assert arr._occupancy == [0] * arr.machine.num_cores
-        assert not any(arr.l3._owner_tags)
-        arr.check_owner_invariants()
+        fast, _ = hierarchy_pair(tiny_machine())
+        fast.access_many(0, list(range(64)))
+        fast.access_many(1, list(range(32)))
+        assert fast.l3_owner_sets()
+        assert any(fast._occupancy)
+        fast.flush()
+        assert fast.l3_owner_sets() == {}
+        assert fast._occupancy == [0] * fast.machine.num_cores
+        assert not any(fast.l3._sets)
+        fast.check_owner_invariants()
         # The store keeps working after the reset.
-        arr.access_many(0, list(range(16)))
-        assert arr._occupancy[0] == 16
-        arr.check_owner_invariants()
+        fast.access_many(0, list(range(16)))
+        assert fast._occupancy[0] == 16
+        fast.check_owner_invariants()
 
-    def test_non_inclusive_l3_refuses_array_path(self):
-        with tier_env(owner="1"):
-            h = CacheHierarchy(
-                tiny_machine(l3_inclusive=False), seed=3
-            )
-        assert not h._owner_arrays
-        assert h.l3._owner_tags is None
-        h.access_many(0, list(range(16)))
-        # The reference dict carries the records instead.
-        assert h._l3_owners
-        h.check_owner_invariants()
+    def test_non_inclusive_l3_keeps_owner_masks(self):
+        # Without inclusion a victim's private copies survive, but its
+        # owners still lose occupancy and count stolen lines: the masks
+        # carry the records, the reference map stays unused.
+        hot = [a * 16 for a in range(8)]
+        sweep = [(8 + a) * 16 for a in range(16)]
+        fast, _ = drive_pair(
+            tiny_machine(l3_inclusive=False),
+            [(0, hot * 3), (1, sweep)] * 6, ladder,
+        )
+        assert fast._masks and not fast._l3_owners
+        assert any(c.lines_stolen > 0 for c in fast.counters)
+        assert not any(c.back_invalidations for c in fast.counters)
 
     def test_env_gate_reverts_to_dict(self):
-        with tier_env(owner="0"):
-            h = CacheHierarchy(tiny_machine(), seed=3)
-        assert not h._owner_arrays
-        assert h.l3._owner_tags is None
-        h.access_many(0, list(range(16)))
-        assert h._l3_owners
-        h.check_owner_invariants()
-
-    def test_attach_owner_column_requires_flat_storage(self):
-        cache = SetAssociativeCache(
-            "loose", CacheGeometry(num_sets=4, associativity=4),
-            make_policy("plru", 4),
-        )
-        assert not cache._flat
-        with pytest.raises(ValueError):
-            cache.attach_owner_column()
-
-
-def fill_pair(num_sets: int = 8, assoc: int = 4):
-    """Two identical cold list-backed private levels (batched vs scalar)."""
-    with tier_env():
-        geo = CacheGeometry(num_sets=num_sets, associativity=assoc)
-        bat = SetAssociativeCache("bat", geo, make_policy("lru", assoc))
-        ref = SetAssociativeCache("ref", geo, make_policy("lru", assoc))
-    assert bat._flat and not bat._vector
-    assert isinstance(bat._tags, list)
-    return bat, ref
-
-
-def drive_fill(bat, ref, stream):
-    """One all-miss distinct stream through both verbs; compare state."""
-    c = np.asarray(stream, dtype=np.int64)
-    assert vector_kernel._fill_batch(bat, c, stream, len(stream)) == \
-        vector_kernel._fill_scalar(ref, list(stream))
-    assert bat._tags == ref._tags
-    assert bat._fill_counts == ref._fill_counts
-    assert bat._heads == ref._heads
-    assert bat._mru == ref._mru
-    assert bat._resident == ref._resident
-
-
-class TestFillBatchVerb:
-    """`_fill_batch` replays `_fill_scalar`'s exact physical state.
-
-    The verb only dispatches for collapsed streams of ≥ 384 misses —
-    beyond what the tiny-machine differential suites generate — so it
-    gets direct coverage here: every window branch (partial append,
-    in-place circular overwrite with and without wrap-around, full
-    replacement from empty/partial/full, overflowing partial set),
-    plus a randomized soak and an end-to-end commit that proves the
-    dispatch actually routes through it on a wide machine.
-    """
-
-    def test_each_window_branch(self):
-        bat, ref = fill_pair()
-        counter = itertools.count()
-
-        def seg(s, k):
-            # k fresh distinct addresses all mapping to set s.
-            return [next(counter) * 8 + s for _ in range(k)]
-
-        def merge(*segs):
-            # Round-robin interleave so the argsort grouping is real.
-            return [a for tup in itertools.zip_longest(*segs)
-                    for a in tup if a is not None]
-
-        # Cold: partial (2), exactly-full (4), overflow-from-empty
-        # k >= a (6), partial (3).
-        drive_fill(bat, ref, merge(seg(0, 2), seg(1, 4),
-                                   seg(2, 6), seg(3, 3)))
-        assert bat._fill_counts[:4] == [2, 4, 4, 3]
-        assert bat._heads[2] == 2  # 6 inserts into 4 ways wrapped
-        # Warm: partial append (1), full-set in-place without wrap
-        # (k=2, head 0 -> 2), full-set in-place WITH wrap (k=3 from
-        # head 2), overflowing partial set (fill 3 + k 3 > a).
-        drive_fill(bat, ref, merge(seg(0, 1), seg(1, 2),
-                                   seg(2, 3), seg(3, 3)))
-        assert bat._heads[1] == 2 and bat._heads[2] == 1
-        # Full replacement over a full set (k=5 >= a) and over a
-        # partial set (set 0 holds 3 of 4).
-        drive_fill(bat, ref, merge(seg(1, 5), seg(0, 7)))
-        drive_fill(bat, ref, seg(4, 1))  # untouched-set sanity
-
-    def test_randomized_soak(self):
-        bat, ref = fill_pair()
-        rng = random.Random(1234)
-        counter = itertools.count()
-        for _ in range(200):
-            stream = [next(counter) * 8 + rng.randrange(8)
-                      for _ in range(rng.randrange(1, 40))]
-            drive_fill(bat, ref, stream)
-
-    def test_vector_commit_routes_through_fill_batch(self, monkeypatch):
-        # A wide L2 (512 lines) puts a 400-miss batch inside
-        # `_fill_batch`'s window [384, 2*cap); the stride keeps the
-        # stream non-consecutive so the replacement verbs stay out.
-        calls = []
-        orig = vector_kernel._fill_batch
-        monkeypatch.setattr(
-            vector_kernel, "_fill_batch",
-            lambda *a: calls.append(1) or orig(*a),
-        )
-        machine = tiny_machine(
-            l2=CacheGeometry(num_sets=128, associativity=4),
-            l3=CacheGeometry(num_sets=1024, associativity=8),
-        )
-        drive_pair_vector(machine, [
-            (0, list(range(0, 1200, 3))),
-            (0, list(range(1201, 2401, 3))),
-        ])
-        assert calls
+        # The generic walk and the first-generation fast lane keep
+        # list sets, so ownership lives in the reference map.
+        for env in (("0", "1"), ("1", "0")):
+            with tier_env(*env):
+                h = CacheHierarchy(tiny_machine(), seed=3)
+            assert not h._masks
+            h.access_many(0, list(range(16)))
+            assert h._l3_owners
+            h.check_owner_invariants()
 
 
 class TestInvariantChecker:
     """REPRO_DEBUG_INVARIANTS must catch real corruption, not just pass."""
 
     def _hier(self):
-        arr, _ = owner_pair(tiny_machine())
-        arr.access_many(0, list(range(48)))
-        arr.access_many(1, list(range(24)))
-        arr.check_owner_invariants()
-        return arr
+        fast, _ = hierarchy_pair(tiny_machine())
+        fast.access_many(0, list(range(48)))
+        fast.access_many(1, list(range(24)))
+        fast.check_owner_invariants()
+        return fast
 
     def test_occupancy_drift_detected(self):
         h = self._hier()
@@ -319,18 +184,23 @@ class TestInvariantChecker:
 
     def test_ownerless_resident_line_detected(self):
         h = self._hier()
-        # Zero out an occupied slot's mask: its line becomes resident
-        # but ownerless.
-        si = next(
-            si for si in range(h.l3._num_sets)
-            if h.l3._fill_counts[si]
-        )
-        h.l3._owner_tags[si * h.l3._assoc] = 0
-        with pytest.raises(AssertionError):
+        # Zero a resident line's mask: it stays resident but ownerless.
+        entries = next(s for s in h.l3._sets if s)
+        entries[next(iter(entries))] = 0
+        with pytest.raises(AssertionError, match="no owner"):
+            h.check_owner_invariants()
+
+    def test_stray_owner_bit_detected(self):
+        h = self._hier()
+        # Lines 24..47 are core 0's alone; claim one for core 1 too.
+        entries = h.l3._sets[30 & h.l3._set_mask]
+        assert entries[30] == 0b01
+        entries[30] = 0b11
+        with pytest.raises(AssertionError, match="occupancy"):
             h.check_owner_invariants()
 
     def test_dict_store_checked_too(self):
-        with tier_env(owner="0"):
+        with tier_env("0", "0"):
             h = CacheHierarchy(tiny_machine(), seed=7)
         h.access_many(0, list(range(48)))
         h.check_owner_invariants()

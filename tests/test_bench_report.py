@@ -4,7 +4,7 @@
 appends one comparable point (schema 2), and pre-trajectory schema-1
 snapshots are migrated as point zero.  These tests pin the point
 schema, the v1 -> v2 migration, the append semantics, and the gate
-logic — including the per-workload vector gates — without running
+logic — including the stream-path (vector) ordering gate — without running
 full-length measurements.
 """
 
@@ -22,13 +22,11 @@ _spec = importlib.util.spec_from_file_location("bench_simspeed", BENCH_PATH)
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
-TIER_NAMES = {"generic", "fastlane", "kernel", "vector"}
+TIER_NAMES = {"generic", "fastlane", "kernel"}
 RATIO_NAMES = {
     "fastlane_over_generic",
     "kernel_over_fastlane",
     "kernel_over_generic",
-    "vector_over_kernel",
-    "vector_over_generic",
 }
 
 
@@ -36,20 +34,15 @@ def fake_rows(
     kf: float = 2.0,
     kg: float = 4.0,
     fg: float = 2.2,
-    vk: float = 3.5,
-    gate_vk: float | None = None,
-    gate_ol: float | None = None,
+    gate_vk: float = 1.6,
 ):
     """Synthetic suite rows with the given ratios on every workload.
 
-    ``vk`` is the default-budget vector/kernel ratio; ``gate_vk``
-    overrides the ratio measured at each workload's own gate budget
-    (defaults to comfortably above every target); ``gate_ol``
-    overrides the ownership gates' vector-over-legacy ratio likewise.
+    ``gate_vk`` is the stream path's ratio over the dict kernel on the
+    workloads that carry the vector gate.
     """
     rows = []
-    for name, (_f, streaming, gated, vgate,
-               ogate) in bench.WORKLOADS.items():
+    for name, (_f, streaming, gated, vgated) in bench.WORKLOADS.items():
         generic = 100_000.0
         row = {
             "workload": name,
@@ -59,38 +52,20 @@ def fake_rows(
                 "generic": generic,
                 "fastlane": generic * fg,
                 "kernel": generic * kg,
-                "vector": generic * kg * vk,
             },
             "ratios": {
                 "fastlane_over_generic": fg,
                 "kernel_over_fastlane": kf,
                 "kernel_over_generic": kg,
-                "vector_over_kernel": vk,
-                "vector_over_generic": kg * vk,
             },
             "vector_gate": None,
-            "ownership_gate": None,
         }
-        if vgate is not None:
-            ratio = gate_vk if gate_vk is not None else \
-                vgate["target"] + 1.0
+        if vgated:
             row["vector_gate"] = {
-                "budget": vgate["budget"],
-                "target": vgate["target"],
+                "batch": 2048,
                 "kernel": generic * kg,
-                "vector": generic * kg * ratio,
-                "vector_over_kernel": ratio,
-            }
-        if ogate is not None:
-            ratio = gate_ol if gate_ol is not None else \
-                ogate["target"] + 0.5
-            vector = row["tiers"]["vector"]
-            row["ownership_gate"] = {
-                "budget": ogate["budget"],
-                "target": ogate["target"],
-                "legacy_vector": vector / ratio,
-                "vector": vector,
-                "vector_over_legacy": ratio,
+                "vector": generic * kg * gate_vk,
+                "vector_over_kernel": gate_vk,
             }
         rows.append(row)
     return rows
@@ -98,6 +73,12 @@ def fake_rows(
 
 def fake_point():
     return bench.build_point(fake_rows(), warm=1, timed=2, reps=1)
+
+
+def vector_gated():
+    return [
+        name for name, (_f, _s, _g, v) in bench.WORKLOADS.items() if v
+    ]
 
 
 class TestPointSchema:
@@ -110,67 +91,38 @@ class TestPointSchema:
             wl = point["workloads"][name]
             assert set(wl["tiers"]) == TIER_NAMES
             assert set(wl["ratios"]) == RATIO_NAMES
-        assert point["targets"]["kernel_over_fastlane"] == \
-            bench.KERNEL_OVER_FASTLANE_TARGET
-        assert point["targets"]["vector_over_kernel_stream"] == \
-            bench.VECTOR_OVER_KERNEL_STREAM_TARGET
-        assert point["targets"]["vector_over_kernel_chase"] == \
-            bench.VECTOR_OVER_KERNEL_CHASE_TARGET
-        assert point["targets"]["owner_over_legacy_stream"] == \
-            bench.OWNER_OVER_LEGACY_STREAM_TARGET
-        assert point["targets"]["owner_over_legacy_chase"] == \
-            bench.OWNER_OVER_LEGACY_CHASE_TARGET
+        assert point["targets"] == {
+            "streaming_fastlane_over_generic": bench.STREAMING_TARGET,
+            "kernel_over_fastlane": bench.KERNEL_OVER_FASTLANE_TARGET,
+            "kernel_over_generic": bench.KERNEL_OVER_GENERIC_TARGET,
+        }
 
     def test_point_records_kernel_gates_per_tier(self):
-        # Satellite of the tier-5 PR: a trajectory point must say
-        # which REPRO_* kernel gates each measured column ran under.
+        # A trajectory point must say which REPRO_* tier flags each
+        # measured column ran under.
         gates = fake_point()["kernel_gates"]
-        assert set(gates) == set(bench.TIERS) | {"legacy_vector"}
-        flags = {"fast_lane", "bulk_kernel", "vector_kernel",
-                 "owner_arrays", "vector_fills"}
+        assert set(gates) == set(bench.TIERS)
         for column in gates.values():
-            assert set(column) == flags
+            assert set(column) == {"fast_lane", "bulk_kernel"}
             assert all(isinstance(v, bool) for v in column.values())
-        assert gates["vector"]["owner_arrays"]
-        assert gates["vector"]["vector_fills"]
-        assert not gates["legacy_vector"]["owner_arrays"]
-        assert not gates["legacy_vector"]["vector_fills"]
-        assert gates["legacy_vector"]["vector_kernel"]
         assert not gates["generic"]["fast_lane"]
+        assert gates["fastlane"]["fast_lane"]
+        assert not gates["fastlane"]["bulk_kernel"]
+        assert gates["kernel"]["bulk_kernel"]
 
     def test_gated_workloads_record_their_gate_measurement(self):
         point = fake_point()
-        gated = {
-            name: vgate
-            for name, (_f, _s, _g, vgate, _o) in bench.WORKLOADS.items()
-            if vgate is not None
-        }
-        assert gated  # the suite must carry at least one vector gate
-        for name, vgate in gated.items():
+        # The stream-shaped acceptance benchmark carries the gate.
+        assert vector_gated() == ["stream-llc"]
+        for name in bench.WORKLOADS:
             gate = point["workloads"][name]["vector_gate"]
-            assert gate["budget"] == vgate["budget"]
-            assert gate["target"] == vgate["target"]
-            assert gate["vector_over_kernel"] > gate["target"]
-        ungated = set(bench.WORKLOADS) - set(gated)
-        for name in ungated:
-            assert point["workloads"][name]["vector_gate"] is None
-
-    def test_ownership_gated_workloads_record_their_measurement(self):
-        point = fake_point()
-        gated = {
-            name: ogate
-            for name, (_f, _s, _g, _v, ogate) in bench.WORKLOADS.items()
-            if ogate is not None
-        }
-        # Both acceptance workloads carry an ownership gate.
-        assert set(gated) == {"stream-llc", "pointer-chase"}
-        for name, ogate in gated.items():
-            gate = point["workloads"][name]["ownership_gate"]
-            assert gate["budget"] == ogate["budget"]
-            assert gate["target"] == ogate["target"]
-            assert gate["vector_over_legacy"] > gate["target"]
-        for name in set(bench.WORKLOADS) - set(gated):
-            assert point["workloads"][name]["ownership_gate"] is None
+            if name in vector_gated():
+                assert set(gate) == {
+                    "batch", "kernel", "vector", "vector_over_kernel"
+                }
+                assert gate["vector_over_kernel"] > 1.0
+            else:
+                assert gate is None
 
     def test_report_wraps_points(self):
         report = bench.build_report([fake_point()])
@@ -272,8 +224,7 @@ class TestGateLogic:
         assert any("over-fastlane" in f for f in failures)
         # Only the gated streaming benchmark enforces the kernel gate.
         gated = [
-            name for name, (_f, _s, g, _v, _o) in bench.WORKLOADS.items()
-            if g
+            name for name, (_f, _s, g, _v) in bench.WORKLOADS.items() if g
         ]
         assert all(f.split(":")[0] in gated for f in failures)
 
@@ -286,87 +237,33 @@ class TestGateLogic:
         assert any("streaming target" in f for f in failures)
 
     def test_vector_below_gate_target_fails_each_gated_workload(self):
-        failures = bench.check_gates(
-            fake_rows(gate_vk=1.01), smoke=False
-        )
-        gated = [
-            name for name, (_f, _s, _g, v, _o) in bench.WORKLOADS.items()
-            if v is not None
-        ]
-        vector_failures = [
-            f for f in failures
-            if "over-kernel" in f and "legacy" not in f
-        ]
-        assert len(vector_failures) == len(gated)
-        for f in vector_failures:
-            assert "cycle budget" in f
-
-    def test_vector_gate_passes_exactly_at_target(self):
-        rows = fake_rows()
-        for row in rows:
-            if row["vector_gate"] is not None:
-                row["vector_gate"]["vector_over_kernel"] = \
-                    row["vector_gate"]["target"]
-        assert bench.check_gates(rows, smoke=False) == []
-
-    def test_ownership_below_target_fails_each_gated_workload(self):
-        failures = bench.check_gates(fake_rows(gate_ol=1.05),
-                                     smoke=False)
-        ownership_failures = [
-            f for f in failures if "over-legacy-vector" in f
-        ]
-        gated = [
-            name for name, (_f, _s, _g, _v, o) in bench.WORKLOADS.items()
-            if o is not None
-        ]
-        assert len(ownership_failures) == len(gated)
-        assert all(
-            f.split(":")[0] in gated for f in ownership_failures
-        )
-
-    def test_ownership_gate_passes_exactly_at_target(self):
-        rows = fake_rows()
-        for row in rows:
-            if row["ownership_gate"] is not None:
-                row["ownership_gate"]["vector_over_legacy"] = \
-                    row["ownership_gate"]["target"]
-        assert bench.check_gates(rows, smoke=False) == []
-
-    def test_smoke_checks_ownership_ordering(self):
-        # Below the absolute target but still faster than legacy:
-        # smoke passes.  An inversion fails even the smoke run.
-        assert bench.check_gates(fake_rows(gate_ol=1.05),
-                                 smoke=True) == []
-        failures = bench.check_gates(fake_rows(gate_ol=0.95),
-                                     smoke=True)
-        assert any("legacy vector" in f for f in failures)
+        # The gate's target is the dict kernel itself: parity fails in
+        # full runs as in smoke runs.
+        for smoke in (False, True):
+            failures = bench.check_gates(fake_rows(gate_vk=1.0),
+                                         smoke=smoke)
+            assert [f.split(":")[0] for f in failures] == vector_gated()
+            assert all("batches" in f for f in failures)
 
     def test_smoke_checks_ordering_only(self):
         # Below absolute targets but correctly ordered: smoke passes.
-        rows = fake_rows(kf=1.05, kg=1.3, fg=1.2, vk=1.1)
+        rows = fake_rows(kf=1.05, kg=1.3, fg=1.2, gate_vk=1.1)
         assert bench.check_gates(rows, smoke=True) == []
         assert bench.check_gates(rows, smoke=False) != []
         # An inversion fails even the smoke run.
-        inverted = fake_rows(kf=0.9, kg=0.8, fg=0.9, vk=0.9)
+        inverted = fake_rows(kf=0.9, kg=0.8, fg=0.9, gate_vk=0.9)
         assert bench.check_gates(inverted, smoke=True) != []
 
     def test_smoke_vector_ordering_applies_to_gated_rows_only(self):
-        # Pointer-chase stands down to parity at the smoke budget, so
-        # vector-below-kernel there must not fail the smoke run; the
-        # amortised streaming benchmark still must stay ordered.
-        rows = fake_rows(vk=0.9)
-        failures = bench.check_gates(rows, smoke=True)
+        # Only the rows carrying the gate measurement are checked for
+        # stream-path ordering.
+        failures = bench.check_gates(fake_rows(gate_vk=0.9), smoke=True)
         slower = [f for f in failures if "vector slower than kernel" in f]
-        gated = [
-            name for name, (_f, _s, g, _v, _o) in bench.WORKLOADS.items()
-            if g
-        ]
-        assert len(slower) == len(gated)
-        assert all(f.split(":")[0] in gated for f in slower)
+        assert [f.split(":")[0] for f in slower] == vector_gated()
 
     def test_smoke_ignores_vector_gate_measurements(self):
-        # Smoke rows carry no gate measurement at all; the checker
-        # must not require one.
+        # Rows without a gate measurement must not fail for lack of
+        # one.
         rows = fake_rows()
         for row in rows:
             row["vector_gate"] = None
