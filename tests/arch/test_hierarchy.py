@@ -170,3 +170,32 @@ class TestInvariants:
             )
             assert c.l2_hits + c.l2_misses == c.l1_misses
             assert c.l3_hits + c.l3_misses == c.l2_misses
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("bulk", ["1", "0"])
+    def test_chip_is_freed_without_the_cycle_collector(self, bulk,
+                                                       monkeypatch):
+        # A hierarchy holds hundreds of per-set containers; left to the
+        # cyclic garbage collector, every finished run's chip would stay
+        # alive until the next collection and be traversed on the way.
+        import gc
+        import weakref
+
+        from repro.arch.chip import MulticoreChip
+
+        monkeypatch.setenv("REPRO_BULK_KERNEL", bulk)
+        chip = MulticoreChip(MachineConfig.tiny(), seed=1)
+        chip.hierarchy.access_many(0, list(range(64)))
+        hierarchy = chip.hierarchy
+        refs = [weakref.ref(cache) for cache in
+                hierarchy.l1 + hierarchy.l2 + [hierarchy.l3]]
+        refs.append(weakref.ref(hierarchy))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del chip, hierarchy
+            assert all(ref() is None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
