@@ -4,18 +4,15 @@ Measures raw access throughput (simulated memory accesses per wall
 second) of one core driving the scaled-Nehalem hierarchy for each
 execution tier:
 
-* **generic** (``REPRO_FAST_LANE=0``) — the reference path: virtual
-  policy dispatch and exception-based probing on every access;
-* **fastlane** (``REPRO_FAST_LANE=1 REPRO_BULK_KERNEL=0``) — the
-  first-generation fast lane: batched address generation, inlined
-  list-based LRU verbs, scalar hierarchy walks;
-* **kernel** (``REPRO_FAST_LANE=1 REPRO_BULK_KERNEL=1``, the default)
-  — every LRU set an ordered dict (owner masks as the L3's values),
-  whole batches served by the bulk kernel (``access_many``) or, for
-  cold ascending streams, by the stream path (``vector_classify`` /
-  ``vector_commit``).
+* **generic** (``REPRO_FAST_LANE=0``) — the reference path: list sets,
+  virtual policy dispatch and exception-based probing, one
+  ``CacheHierarchy.access`` call per access;
+* **kernel** (``REPRO_FAST_LANE=1``, the default) — every LRU set an
+  ordered dict (owner masks as the L3's values), whole batches served
+  by the bulk kernel (``access_many``) or, for cold ascending streams,
+  by the stream path (``vector_classify`` / ``vector_commit``).
 
-All tiers produce bit-identical results (the differential suites in
+Both tiers produce bit-identical results (the differential suites in
 ``tests/arch/test_bulk_kernel.py`` and ``tests/arch/test_owner_store.py``
 and the pinned outcomes in ``tests/golden`` prove it); only wall-clock
 differs.
@@ -67,11 +64,7 @@ from repro.workloads import synthetic
 #: comparable measurement snapshots (schema 1 was one bare snapshot).
 SCHEMA_VERSION = 2
 
-#: PR1 gate, kept: fast lane vs. generic on streaming workloads.
-STREAMING_TARGET = 1.8
-
-#: Kernel gates, applied to the streaming benchmark (``stream-llc``).
-KERNEL_OVER_FASTLANE_TARGET = 1.7
+#: Kernel gate, applied to the streaming benchmark (``stream-llc``).
 KERNEL_OVER_GENERIC_TARGET = 3.0
 
 #: Maximum allowed slowdown of a fully traced engine run (ring-buffer
@@ -86,34 +79,25 @@ EXPORT_OVERHEAD_TARGET = 0.02
 #: Cycle budget of one ``core.run`` call in the main table.
 DEFAULT_BUDGET = 40_000.0
 
-#: Environment variables a tier tuple maps onto, in order.
-_ENV_KEYS = ("REPRO_FAST_LANE", "REPRO_BULK_KERNEL")
+#: tier -> REPRO_FAST_LANE.
+TIERS = {"generic": "0", "kernel": "1"}
 
-#: tier -> (REPRO_FAST_LANE, REPRO_BULK_KERNEL).
-TIERS = {
-    "generic": ("0", "0"),
-    "fastlane": ("1", "0"),
-    "kernel": ("1", "1"),
-}
-
-#: name -> (factory, streaming gate applies, kernel gates apply,
-#: vector gate applies).  ``stream-llc`` is *the* streaming benchmark
-#: of the acceptance criteria: a cyclic sweep well past the L3, every
-#: fourth access a fresh line.  ``stream-l2`` stresses the L3-hit walk
-#: (informational for the kernel gates: the walk is a handful of
-#: C-level operations either way, so the batched win is structurally
-#: smaller there).  ``pointer-chase`` is informational: its batches
-#: are never ascending, so the dict kernel serves them all.
+#: name -> (factory, kernel gate applies, vector gate applies).
+#: ``stream-llc`` is *the* streaming benchmark of the acceptance
+#: criteria: a cyclic sweep well past the L3, every fourth access a
+#: fresh line.  ``stream-l2`` stresses the L3-hit walk (informational
+#: for the kernel gate: the walk is a handful of C-level operations
+#: either way, so the batched win is structurally smaller there).
+#: ``pointer-chase`` is informational: its batches are never
+#: ascending, so the dict kernel serves them all.
 WORKLOADS = {
     "stream-llc": (
         lambda: synthetic.streamer(lines=70_000, instructions=1e9),
         True,
         True,
-        True,
     ),
     "stream-l2": (
         lambda: synthetic.streamer(lines=512, instructions=1e9),
-        True,
         False,
         False,
     ),
@@ -121,19 +105,16 @@ WORKLOADS = {
         lambda: synthetic.pointer_chaser(lines=70_000, instructions=1e9),
         False,
         False,
-        False,
     ),
 }
 
 
 def _set_tier(tier: str) -> None:
-    for key, value in zip(_ENV_KEYS, TIERS[tier]):
-        os.environ[key] = value
+    os.environ["REPRO_FAST_LANE"] = TIERS[tier]
 
 
 def _clear_tier() -> None:
-    for key in _ENV_KEYS:
-        os.environ.pop(key, None)
+    os.environ.pop("REPRO_FAST_LANE", None)
 
 
 def measure(
@@ -146,7 +127,7 @@ def measure(
 ) -> float:
     """Best-of-``reps`` accesses/second for one execution tier.
 
-    The gates are read at object construction, so the chip is built
+    The tier flag is read at object construction, so the chip is built
     after setting the environment; the workload restarts when it
     finishes so the measured stream is steady-state.  Best-of-N is the
     standard defence against interpreter and scheduler noise (only
@@ -268,22 +249,16 @@ def measure_vector_gate(factory, warm: int, timed: int,
 def run_suite(warm: int, timed: int, reps: int = 3) -> list[dict]:
     """One row per workload: tier throughputs, ratios, gate data."""
     rows = []
-    for name, (factory, is_streaming, kernel_gated,
-               vector_gated) in WORKLOADS.items():
+    for name, (factory, kernel_gated, vector_gated) in WORKLOADS.items():
         tiers = {
             tier: measure(tier, factory, warm, timed, reps=reps)
             for tier in TIERS
         }
         rows.append({
             "workload": name,
-            "streaming": is_streaming,
             "kernel_gated": kernel_gated,
             "tiers": tiers,
             "ratios": {
-                "fastlane_over_generic":
-                    tiers["fastlane"] / tiers["generic"],
-                "kernel_over_fastlane":
-                    tiers["kernel"] / tiers["fastlane"],
                 "kernel_over_generic":
                     tiers["kernel"] / tiers["generic"],
             },
@@ -297,16 +272,13 @@ def run_suite(warm: int, timed: int, reps: int = 3) -> list[dict]:
 
 def render(rows: list[dict]) -> str:
     lines = [
-        f"{'workload':<14} {'generic/s':>10} {'fastlane/s':>10} "
-        f"{'kernel/s':>10} {'f/g':>6} {'k/f':>6} {'k/g':>6}"
+        f"{'workload':<14} {'generic/s':>10} {'kernel/s':>10} {'k/g':>6}"
     ]
     for row in rows:
         t, r = row["tiers"], row["ratios"]
         lines.append(
             f"{row['workload']:<14} {t['generic']:>10.0f} "
-            f"{t['fastlane']:>10.0f} {t['kernel']:>10.0f} "
-            f"{r['fastlane_over_generic']:>5.2f}x "
-            f"{r['kernel_over_fastlane']:>5.2f}x "
+            f"{t['kernel']:>10.0f} "
             f"{r['kernel_over_generic']:>5.2f}x"
         )
         gate = row.get("vector_gate")
@@ -334,42 +306,20 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
             )
         if smoke:
             # CI machines are noisy: sanity ordering only, using the
-            # ratios with structural (>= 2x) margin.
-            if r["fastlane_over_generic"] <= 1.0:
-                failures.append(
-                    f"{name}: fastlane slower than generic "
-                    f"({r['fastlane_over_generic']:.2f}x)"
-                )
+            # ratio with structural (>= 2x) margin.
             if r["kernel_over_generic"] <= 1.0:
                 failures.append(
                     f"{name}: kernel slower than generic "
                     f"({r['kernel_over_generic']:.2f}x)"
                 )
-            if row["kernel_gated"] and r["kernel_over_fastlane"] <= 1.0:
-                failures.append(
-                    f"{name}: kernel slower than fastlane "
-                    f"({r['kernel_over_fastlane']:.2f}x)"
-                )
             continue
-        if row["streaming"] and \
-                r["fastlane_over_generic"] < STREAMING_TARGET:
+        if row["kernel_gated"] and \
+                r["kernel_over_generic"] < KERNEL_OVER_GENERIC_TARGET:
             failures.append(
-                f"{name}: fastlane {r['fastlane_over_generic']:.2f}x "
-                f"below the {STREAMING_TARGET}x streaming target"
+                f"{name}: kernel {r['kernel_over_generic']:.2f}x "
+                f"below the {KERNEL_OVER_GENERIC_TARGET}x "
+                f"over-generic target"
             )
-        if row["kernel_gated"]:
-            if r["kernel_over_fastlane"] < KERNEL_OVER_FASTLANE_TARGET:
-                failures.append(
-                    f"{name}: kernel {r['kernel_over_fastlane']:.2f}x "
-                    f"below the {KERNEL_OVER_FASTLANE_TARGET}x "
-                    f"over-fastlane target"
-                )
-            if r["kernel_over_generic"] < KERNEL_OVER_GENERIC_TARGET:
-                failures.append(
-                    f"{name}: kernel {r['kernel_over_generic']:.2f}x "
-                    f"below the {KERNEL_OVER_GENERIC_TARGET}x "
-                    f"over-generic target"
-                )
     return failures
 
 
@@ -392,24 +342,18 @@ def build_point(rows: list[dict], warm: int, timed: int,
             "reps": reps,
         },
         "targets": {
-            "streaming_fastlane_over_generic": STREAMING_TARGET,
-            "kernel_over_fastlane": KERNEL_OVER_FASTLANE_TARGET,
             "kernel_over_generic": KERNEL_OVER_GENERIC_TARGET,
         },
-        # Which REPRO_* tier flags each measured column ran under —
+        # Which REPRO_* tier flag each measured column ran under —
         # without this, trajectory points from different builds are
         # not comparable (a "kernel" column meant flat arrays without
         # the numpy tier before the ordered-dict sets).
         "kernel_gates": {
-            name: dict(zip(
-                ("fast_lane", "bulk_kernel"),
-                (value == "1" for value in env),
-            ))
+            name: {"fast_lane": env == "1"}
             for name, env in TIERS.items()
         },
         "workloads": {
             row["workload"]: {
-                "streaming": row["streaming"],
                 "kernel_gated": row["kernel_gated"],
                 "tiers": row["tiers"],
                 "ratios": row["ratios"],
@@ -790,10 +734,8 @@ def main(argv: list[str] | None = None) -> int:
         "OK"
         if args.smoke
         else (
-            f"OK: streaming fastlane >= {STREAMING_TARGET}x, kernel >= "
-            f"{KERNEL_OVER_FASTLANE_TARGET}x fastlane / "
-            f"{KERNEL_OVER_GENERIC_TARGET}x generic, stream path ahead "
-            f"of the dict kernel"
+            f"OK: kernel >= {KERNEL_OVER_GENERIC_TARGET}x generic, "
+            f"stream path ahead of the dict kernel"
         )
     )
     return 0

@@ -19,39 +19,19 @@ import os
 from collections import OrderedDict
 
 from ..config import CacheGeometry
-from .replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-)
+from .replacement import ReplacementPolicy
 
 
 def fast_lane_enabled() -> bool:
     """Whether the hot-path specializations are on (default yes).
 
-    ``REPRO_FAST_LANE=0`` forces every cache and core onto the generic
-    path — the reference the fast lane is benchmarked and property-
-    tested against.  Read at object construction, not import, so tests
-    can toggle it per instance.
+    ``REPRO_FAST_LANE=0`` keeps every cache on the generic list sets,
+    so the hierarchy serves every batch with its per-access walk — the
+    reference the fast path is benchmarked and property-tested
+    against.  Read at object construction, not import, so tests can
+    toggle it per instance.
     """
     return os.environ.get("REPRO_FAST_LANE", "1") != "0"
-
-
-def bulk_kernel_enabled() -> bool:
-    """Whether the bulk-kernel tier is on (default yes).
-
-    ``REPRO_BULK_KERNEL=0`` disables both halves of the bulk tier —
-    the ordered-dict set storage *and* the batched walks over it
-    (:meth:`repro.arch.hierarchy.CacheHierarchy.access_many` and the
-    stream path behind ``vector_classify``/``vector_commit``) —
-    leaving exactly the first-generation fast lane (list-based LRU
-    specializations, scalar walks).  That is how ``bench_simspeed``
-    isolates the kernel's contribution from the scalar fast lane's.
-    Only meaningful while the fast lane itself is enabled; like it, the
-    flag is read at object construction.
-    """
-    return os.environ.get("REPRO_BULK_KERNEL", "1") != "0"
 
 
 def debug_invariants_enabled() -> bool:
@@ -125,9 +105,7 @@ class SetAssociativeCache:
 
     FIFO/Random/PLRU keep per-set lists driven by the policy object.
     Pass ``specialize=False`` (or set ``REPRO_FAST_LANE=0``) to force
-    the generic list path for benchmarking and equivalence tests;
-    ``REPRO_BULK_KERNEL=0`` keeps LRU on lists with the
-    first-generation list specializations.
+    the generic list path for benchmarking and equivalence tests.
     """
 
     def __init__(
@@ -153,20 +131,9 @@ class SetAssociativeCache:
         self._max_tag = -1
         if specialize is None:
             specialize = fast_lane_enabled()
-        #: whether re-touching the MRU line (list tail) is a policy
-        #: no-op — the invariant the core's inlined L1-hit check needs
-        self.hit_is_mru_noop = specialize and isinstance(
-            policy, (LRUPolicy, FIFOPolicy, RandomPolicy)
-        )
         #: whether the sets are ordered dicts (the storage the bulk
-        #: kernel and the stream path require); with
-        #: ``REPRO_BULK_KERNEL=0`` plain-LRU caches fall back to the
-        #: first-generation list-based specializations instead
-        self._dict_lru = (
-            specialize
-            and policy.lru_specializable
-            and bulk_kernel_enabled()
-        )
+        #: kernel and the stream path require)
+        self._dict_lru = specialize and policy.lru_specializable
         self._sets: list
         # The specialized verbs live on subclasses rather than being
         # bound onto each instance: a bound method stored on its own
@@ -178,10 +145,6 @@ class SetAssociativeCache:
             self.__class__ = _DictLRUCache
         else:
             self._sets = [[] for _ in range(geometry.num_sets)]
-            if specialize and policy.lru_specializable:
-                # Bulk tier off: the first-generation list-based LRU
-                # specializations (scalar walks only).
-                self.__class__ = _ListLRUCache
 
     # -- hot path ------------------------------------------------------
 
@@ -234,41 +197,6 @@ class SetAssociativeCache:
         self.policy.on_invalidate(contents, way, set_index)
         self.stats.invalidations += 1
         return True
-
-    def _probe_lru_list(self, addr: int) -> bool:
-        """LRU-inlined :meth:`probe` on per-set lists (the PR1 tier).
-
-        Tests membership before ``list.index`` — raising ``ValueError``
-        costs ~4x a C-level scan of an 8-entry set, and misses dominate
-        the probes that reach this path (MRU hits are inlined upstream).
-        """
-        contents = self._sets[addr & self._set_mask]
-        if addr not in contents:
-            self.stats.misses += 1
-            return False
-        if contents[-1] != addr:
-            contents.append(contents.pop(contents.index(addr)))
-        self.stats.hits += 1
-        return True
-
-    def _fill_lru_list(self, addr: int) -> int | None:
-        """LRU-inlined :meth:`fill` on per-set lists (the PR1 tier).
-
-        Membership-first for the same reason as :meth:`_probe_lru_list`:
-        nearly every fill inserts a line that is not yet resident.
-        """
-        contents = self._sets[addr & self._set_mask]
-        if addr in contents:
-            if contents[-1] != addr:
-                contents.append(contents.pop(contents.index(addr)))
-            return None
-        victim: int | None = None
-        if len(contents) >= self._assoc:
-            victim = contents.pop(0)
-            self.stats.evictions += 1
-        contents.append(addr)
-        self.stats.fills += 1
-        return victim
 
     def _probe_lru(self, addr: int) -> bool:
         """LRU :meth:`probe` on the set's ordered dict."""
@@ -351,10 +279,3 @@ class _DictLRUCache(SetAssociativeCache):
     probe = SetAssociativeCache._probe_lru
     fill = SetAssociativeCache._fill_lru
     invalidate = SetAssociativeCache._invalidate_lru
-
-
-class _ListLRUCache(SetAssociativeCache):
-    """LRU sets as lists, with the first-generation inlined verbs."""
-
-    probe = SetAssociativeCache._probe_lru_list
-    fill = SetAssociativeCache._fill_lru_list

@@ -10,11 +10,13 @@ engine whose progress is gated by memory stalls:
   ``overlap`` factor (memory-level parallelism: streaming codes overlap
   several outstanding misses, pointer chasers cannot).
 
-The loop advances one *memory access* at a time — between accesses the
-workload retires ``1 / mem_ratio`` instructions — which is what makes a
-whole-benchmark simulation tractable in Python while still reproducing
-the paper's Figure 3 phenomenon: periods with many LLC misses are
-periods with few instructions retired.
+The model advances one *memory access* at a time — between accesses
+the workload retires ``1 / mem_ratio`` instructions — which is what
+makes a whole-benchmark simulation tractable in Python while still
+reproducing the paper's Figure 3 phenomenon: periods with many LLC
+misses are periods with few instructions retired.  The hierarchy
+serves the accesses in whole batches with exactly those per-access
+semantics.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import MachineConfig
-from .cache import fast_lane_enabled
 from .hierarchy import CacheHierarchy
 from .memory import MainMemory
 
@@ -63,12 +64,11 @@ class Core:
         #: cumulative memory accesses issued
         self.accesses_issued = 0
         #: accesses served per path, counted per batch (telemetry
-        #: only): stream-path commits, the bulk kernel, the per-access
-        #: walk and the walk's inline L1 hits
+        #: only): stream-path commits, the bulk kernel, and the
+        #: per-access walk of ``access_many``'s fallback
         self.served_vector = 0
         self.served_bulk = 0
         self.served_walk = 0
-        self.served_mru = 0
         #: stream-path classify declines, and budgets the decline
         #: backoff skipped the stream-path attempt for
         self.classify_declines = 0
@@ -79,7 +79,6 @@ class Core:
         self._extra_stall = (0.0, 0.0, float(lat.l2 - lat.l1),
                              float(lat.l3 - lat.l1))
         self._l1_latency = float(lat.l1)
-        self._fast_lane = fast_lane_enabled()
         # Cycles the in-flight access of the previous run() call owes
         # beyond its budget; deducted from the next budget so cycle
         # accounting never exceeds the sum of granted budgets.
@@ -98,13 +97,11 @@ class Core:
             "path.vector": self.served_vector,
             "path.bulk": self.served_bulk,
             "path.walk": self.served_walk,
-            "path.mru": self.served_mru,
             "vector.classify_declines": self.classify_declines,
             "vector.backoff_skips": self.backoff_skips,
         }
 
-    def run(self, process: "object", cycle_budget: float,
-            start_cycle: float = 0.0) -> float:
+    def run(self, process: "object", cycle_budget: float) -> float:
         """Execute ``process`` for up to ``cycle_budget`` cycles.
 
         ``process`` is a :class:`repro.sim.process.SimProcess` (duck
@@ -124,224 +121,130 @@ class Core:
             self.cycles_executed += cycle_budget
             return cycle_budget
         self._stall_debt = 0.0
-        # A recent classify decline stands the stream path down for
-        # this whole budget (see _DECLINE_BACKOFF_CAP).
-        vector_ok = True
+        hierarchy = self.hierarchy
+        cid = self.core_id
+        # Only kernel-eligible cores try the stream path; a recent
+        # classify decline stands it down for this whole budget (see
+        # _DECLINE_BACKOFF_CAP).
+        kernel = hierarchy.bulk_kernel_ok(cid)
+        vector_ok = kernel
         if self._vector_skip:
             self._vector_skip -= 1
             self.backoff_skips += 1
             vector_ok = False
         total_accesses = 0
         total_instructions = 0.0
-        hierarchy = self.hierarchy
-        hier_access = hierarchy.access
         access_many = hierarchy.access_many
         memory = self.memory
-        mem_access = memory.access
         extra = self._extra_stall
         l1_lat = self._l1_latency
-        cid = self.core_id
-        # Fast lane: inline the L1-hit check when it is provably
-        # equivalent to the generic walk; hit counts are accumulated
-        # locally and flushed per chunk.  An ordered-dict LRU set
-        # answers any hit (move-to-end); list sets answer a re-touch
-        # of their MRU tail, which FIFO/Random/LRU all leave in place.
-        l1 = hierarchy.l1[cid]
-        dict_l1 = l1._dict_lru
-        l1_sets = l1._sets
-        l1_mask = l1._set_mask
-        l1_stats = l1.stats
-        counters = hierarchy.counters[cid]
-        fast = self._fast_lane and hierarchy.l1_mru_fastpath_ok(cid)
 
         while used < cycle_budget and not process.finished:
             phase = process.current_phase()
             hierarchy.set_store_ratio(cid, phase.store_ratio)
-            take_addresses = phase.take_addresses
-            push_back = phase.push_back
-            ipa = phase.instructions_per_access
             cpa = phase.compute_cycles_per_access
             inv_overlap = 1.0 / phase.overlap
             chunk = process.accesses_left_in_phase()
             done = 0
-            mru_hits = 0
-            if hierarchy.bulk_kernel_ok(cid):
-                # Batched paths: whole batches, priced by serving level.
-                # The per-level costs are the exact expressions the
-                # per-access walk evaluates (the memory channel prices
-                # every access in a period identically), and both paths
-                # stop where the walk would — access i executes only
-                # while the total before it is under the budget, with
-                # the walk's left-to-right float adds — so the
-                # unexecuted suffix of a batch goes back to the stream
-                # untouched and the budget is served in one pass.
-                c2 = cpa + extra[2] * inv_overlap
-                c3 = cpa + extra[3] * inv_overlap
-                mem_unit = memory.latency + memory.current_queue_delay
-                c4 = cpa + (mem_unit - l1_lat) * inv_overlap
-                costs = (0.0, cpa, c2, c3, c4)
-                vector = vector_ok
-                if vector:
-                    take_array = phase.take_addresses_array
-                    vec_classify = hierarchy.vector_classify
-                    vec_commit = hierarchy.vector_commit
-                    costs_np = np.array(costs, dtype=np.float64)
-                    # The running total seeds slot 0 so the accumulate
-                    # replays the walk's exact left-to-right IEEE-754
-                    # add sequence.
-                    fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
-                # Size batches by what one budget buys, so miss-heavy
-                # phases don't draw ~4096 addresses to execute a few
-                # hundred; the 25% overdraw absorbs estimate drift.
-                cap = self._vector_est + (self._vector_est >> 2)
-                if cap < 64:
-                    cap = 64
-                elif cap > _MAX_BATCH:
-                    cap = _MAX_BATCH
-                while done < chunk and used < cycle_budget:
-                    batch = chunk - done
-                    if batch > cap:
-                        batch = cap
-                    if vector and batch >= _VECTOR_MIN_BATCH:
-                        addr_arr = take_array(batch)
-                        plan = vec_classify(cid, addr_arr)
-                        if plan is None:
-                            # Not a cold ascending stream: return the
-                            # batch untouched, serve the rest of this
-                            # budget on the bulk kernel, and back off.
-                            phase.push_back_array(addr_arr, 0)
-                            self.classify_declines += 1
-                            self._vector_skip = self._vector_backoff
-                            if self._vector_backoff < _DECLINE_BACKOFF_CAP:
-                                self._vector_backoff <<= 1
-                            vector = vector_ok = False
-                            continue
-                        self._vector_backoff = 1
-                        fold[0] = used
-                        np.take(costs_np, plan.levels,
-                                out=fold[1:batch + 1])
-                        np.add.accumulate(fold[:batch + 1],
-                                          out=fold[:batch + 1])
-                        n_exec = int(np.searchsorted(
-                            fold[:batch], cycle_budget, side="left"
-                        ))
-                        if not vec_commit(cid, plan, n_exec):
-                            # Nothing was mutated and the pricing may
-                            # be wrong: hand the whole batch to the
-                            # bulk kernel.
-                            phase.push_back_array(addr_arr, 0)
-                            vector = False
-                            continue
-                        # Every executed collapsed access went to
-                        # memory.
-                        n_mem = int(np.searchsorted(
-                            plan.keep_raw, n_exec, side="left"
-                        ))
-                        used = float(fold[n_exec])
-                        if n_mem:
-                            memory.access_bulk(n_mem)
-                        done += n_exec
-                        self.served_vector += n_exec
-                        if n_exec < batch:
-                            phase.push_back_array(addr_arr, n_exec)
-                            break
+            # Whole batches, priced by serving level: an L1 hit costs
+            # the compute cycles, a miss adds the serving level's extra
+            # latency over the L1's, scaled by the phase's overlap (the
+            # memory channel prices every access in a period
+            # identically).  Both batched paths stop where a per-access
+            # walk would — access i executes only while the total
+            # before it is under the budget, with left-to-right float
+            # adds — so the unexecuted suffix of a batch goes back to
+            # the stream untouched and the budget is served in one pass.
+            c2 = cpa + extra[2] * inv_overlap
+            c3 = cpa + extra[3] * inv_overlap
+            mem_unit = memory.latency + memory.current_queue_delay
+            c4 = cpa + (mem_unit - l1_lat) * inv_overlap
+            costs = (0.0, cpa, c2, c3, c4)
+            vector = vector_ok
+            if vector:
+                vec_classify = hierarchy.vector_classify
+                vec_commit = hierarchy.vector_commit
+                costs_np = np.array(costs, dtype=np.float64)
+                # The running total seeds slot 0 so the accumulate
+                # replays the walk's exact left-to-right IEEE-754 add
+                # sequence.
+                fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
+            # Size batches by what one budget buys, so miss-heavy
+            # phases don't draw ~4096 addresses to execute a few
+            # hundred; the 25% overdraw absorbs estimate drift.
+            cap = self._vector_est + (self._vector_est >> 2)
+            if cap < 64:
+                cap = 64
+            elif cap > _MAX_BATCH:
+                cap = _MAX_BATCH
+            while done < chunk and used < cycle_budget:
+                batch = chunk - done
+                if batch > cap:
+                    batch = cap
+                if vector and batch >= _VECTOR_MIN_BATCH:
+                    addr_arr = phase.take_addresses_array(batch)
+                    plan = vec_classify(cid, addr_arr)
+                    if plan is None:
+                        # Not a cold ascending stream: return the batch
+                        # untouched, serve the rest of this budget on
+                        # the bulk kernel, and back off.
+                        phase.push_back_array(addr_arr, 0)
+                        self.classify_declines += 1
+                        self._vector_skip = self._vector_backoff
+                        if self._vector_backoff < _DECLINE_BACKOFF_CAP:
+                            self._vector_backoff <<= 1
+                        vector = vector_ok = False
                         continue
-                    addrs = take_addresses(batch)
-                    levels = access_many(cid, addrs, costs, used,
-                                         cycle_budget)
-                    n_exec = len(levels)
-                    used = hierarchy.batch_cycles
-                    n_mem = levels.count(4)
+                    self._vector_backoff = 1
+                    fold[0] = used
+                    np.take(costs_np, plan.levels, out=fold[1:batch + 1])
+                    np.add.accumulate(fold[:batch + 1],
+                                      out=fold[:batch + 1])
+                    n_exec = int(np.searchsorted(
+                        fold[:batch], cycle_budget, side="left"
+                    ))
+                    if not vec_commit(cid, plan, n_exec):
+                        # Nothing was mutated and the pricing may be
+                        # wrong: hand the whole batch to the bulk
+                        # kernel.
+                        phase.push_back_array(addr_arr, 0)
+                        vector = False
+                        continue
+                    # Every executed collapsed access went to memory.
+                    n_mem = int(np.searchsorted(
+                        plan.keep_raw, n_exec, side="left"
+                    ))
+                    used = float(fold[n_exec])
                     if n_mem:
                         memory.access_bulk(n_mem)
                     done += n_exec
-                    self.served_bulk += n_exec
+                    self.served_vector += n_exec
                     if n_exec < batch:
-                        push_back(addrs, n_exec)
+                        phase.push_back_array(addr_arr, n_exec)
                         break
-            # The per-access walk, for cores the batched paths cannot
-            # serve (an L3 quota, non-LRU policies, writebacks,
-            # prefetch, or the bulk tier switched off); after a batched
-            # loop its condition is already false.
-            while done < chunk and used < cycle_budget:
-                # An L1 hit (cpa cycles) is the cheapest access, so at
-                # most this many accesses can start inside the budget.
-                batch = int((cycle_budget - used) / cpa) + 1
-                rest = chunk - done
-                if batch > rest:
-                    batch = rest
-                if batch > _MAX_BATCH:
-                    batch = _MAX_BATCH
-                addrs = take_addresses(batch)
-                consumed = batch
-                if fast and dict_l1:
-                    for i, addr in enumerate(addrs):
-                        if used >= cycle_budget:
-                            push_back(addrs, i)
-                            consumed = i
-                            break
-                        entries = l1_sets[addr & l1_mask]
-                        if addr in entries:
-                            entries.move_to_end(addr)
-                            mru_hits += 1
-                            used += cpa
-                            continue
-                        level = hier_access(cid, addr)
-                        if level == 1:
-                            used += cpa
-                        elif level == 4:
-                            stall = mem_access(start_cycle + used) - l1_lat
-                            used += cpa + stall * inv_overlap
-                        else:
-                            used += cpa + extra[level] * inv_overlap
-                elif fast:
-                    for i, addr in enumerate(addrs):
-                        if used >= cycle_budget:
-                            push_back(addrs, i)
-                            consumed = i
-                            break
-                        contents = l1_sets[addr & l1_mask]
-                        if contents and contents[-1] == addr:
-                            mru_hits += 1
-                            used += cpa
-                            continue
-                        level = hier_access(cid, addr)
-                        if level == 1:
-                            used += cpa
-                        elif level == 4:
-                            stall = mem_access(start_cycle + used) - l1_lat
-                            used += cpa + stall * inv_overlap
-                        else:
-                            used += cpa + extra[level] * inv_overlap
+                    continue
+                addrs = phase.take_addresses(batch)
+                levels = access_many(cid, addrs, costs, used, cycle_budget)
+                n_exec = len(levels)
+                used = hierarchy.batch_cycles
+                n_mem = levels.count(4)
+                if n_mem:
+                    memory.access_bulk(n_mem)
+                done += n_exec
+                if kernel:
+                    self.served_bulk += n_exec
                 else:
-                    for i, addr in enumerate(addrs):
-                        if used >= cycle_budget:
-                            push_back(addrs, i)
-                            consumed = i
-                            break
-                        level = hier_access(cid, addr)
-                        if level == 1:
-                            used += cpa
-                        elif level == 4:
-                            stall = mem_access(start_cycle + used) - l1_lat
-                            used += cpa + stall * inv_overlap
-                        else:
-                            used += cpa + extra[level] * inv_overlap
-                done += consumed
-                self.served_walk += consumed
-            if mru_hits:
-                counters.l1_hits += mru_hits
-                l1_stats.hits += mru_hits
-                self.served_walk -= mru_hits
-                self.served_mru += mru_hits
+                    self.served_walk += n_exec
+                if n_exec < batch:
+                    phase.push_back(addrs, n_exec)
+                    break
             total_accesses += done
-            total_instructions += done * ipa
+            total_instructions += done * phase.instructions_per_access
             process.account(done)
 
         if used >= cycle_budget and total_accesses:
             # Budget-limited run: what it executed is what one budget
-            # buys — the estimate the batched paths' batch sizing
-            # needs, whichever path ran.
+            # buys — the estimate the batch sizing needs.
             self._vector_est = total_accesses
         if used > cycle_budget:
             # The final access overshot; carry the excess into the next

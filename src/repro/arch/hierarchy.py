@@ -134,9 +134,9 @@ class CacheHierarchy:
     Ownership — which cores pulled each resident L3 line in — drives
     back-invalidation targeting, stolen-line counts and per-core
     occupancy.  When the L3 stores its sets as ordered dicts (plain LRU
-    with the bulk tier on), each line's value there is its owner
-    bitmask (bit ``c`` set = core ``c`` owns it).  The list-backed
-    generic and first-generation tiers keep the reference
+    with the fast lane on), each line's value there is its owner
+    bitmask (bit ``c`` set = core ``c`` owns it).  List-backed sets
+    (other policies, or ``REPRO_FAST_LANE=0``) keep the reference
     ``_l3_owners`` dict of sets instead.
     """
 
@@ -188,7 +188,7 @@ class CacheHierarchy:
         # Whether the batched paths may run at all: every level on
         # ordered dicts (all levels share one policy, so the L3 speaks
         # for them), and none of the per-access side channels the
-        # batched paths do not model (see bulk_kernel_ok for the quota).
+        # batched paths do not model (see bulk_kernel_ok).
         self._batched = (
             self._masks
             and not self._writebacks_enabled
@@ -279,18 +279,19 @@ class CacheHierarchy:
 
         That per-access loop, under the same budget rule, is what runs
         when :meth:`bulk_kernel_ok` denies the kernel (non-LRU
-        policies, writebacks, prefetch, an L3 quota on this core, or
-        ``REPRO_BULK_KERNEL=0``).  On the kernel path all hot state is
-        hoisted into locals, the L1/L2/L3 probes and fills are inlined
-        over the sets' ordered dicts, and per-access counter increments
-        become batch-local integer deltas flushed into
-        :class:`HierarchyCounters` (and the per-cache stats) once at
-        the end.  Runs of identical consecutive addresses collapse into
-        one walk plus guaranteed L1 hits: after any access the line is
-        MRU in this core's L1, and nothing else can touch the hierarchy
-        mid-batch (cores interleave at slice granularity).  One C-level
-        fold prices a run's hits; only the run the budget expires in is
-        walked member by member.
+        policies, writebacks, prefetch, or ``REPRO_FAST_LANE=0``).  On
+        the kernel path all hot state is hoisted into locals, the
+        L1/L2/L3 probes and fills are inlined over the sets' ordered
+        dicts, and per-access counter increments become batch-local
+        integer deltas flushed into :class:`HierarchyCounters` (and the
+        per-cache stats) once at the end.  Runs of identical
+        consecutive addresses collapse into one walk plus guaranteed L1
+        hits: after any access the line is MRU in this core's L1, and
+        nothing else can touch the hierarchy mid-batch (cores
+        interleave at slice granularity).  One C-level fold prices a
+        run's hits; only the run the budget expires in is walked member
+        by member.  An L3 miss of a core at its L3 quota first
+        pre-evicts one of the core's own lines, as :meth:`access` does.
         """
         if not self.bulk_kernel_ok(core):
             access = self.access
@@ -320,6 +321,8 @@ class CacheHierarchy:
         l1_invalidate = l1.invalidate
         l2_invalidate = l2.invalidate
         drop_line = self._drop_line
+        evict_own = self._evict_own_line
+        quota = self._l3_quota[core]
         occupancy = self._occupancy
         own_bit = 1 << core
         inclusive = self._inclusive
@@ -335,7 +338,8 @@ class CacheHierarchy:
         c4 = costs[4]
         # Batch-local deltas, flushed once at the end: hits at L2 and
         # L3, memory accesses, evictions per level, and this core's L3
-        # occupancy.  The rest follow from them (every miss fills its
+        # occupancy (so ``occupancy[core] + occ`` is its current
+        # value).  The rest follow from them (every miss fills its
         # level; an L1 hit is whatever executed without missing).
         # Evictions call ``popitem(False)``: the keyword spelling costs
         # ~60 ns more per call.
@@ -403,6 +407,8 @@ class CacheHierarchy:
                 used += c3
             else:
                 nm3 += 1
+                if quota is not None and occupancy[core] + occ >= quota:
+                    evict_own(core, addr)
                 if len(set3) >= l3_assoc:
                     victim, mask = set3.popitem(False)
                     ev3 += 1
@@ -637,32 +643,19 @@ class CacheHierarchy:
                 if invalidated and owner != core:
                     self.counters[owner].back_invalidations += 1
 
-    def l1_mru_fastpath_ok(self, core: int) -> bool:
-        """Whether ``core`` may inline the L1 MRU-hit check.
-
-        Requires the L1 policy to treat a re-touch of the MRU line as a
-        no-op (LRU/FIFO/Random, with specialization on) and writeback
-        modelling to be off — with stores modelled, every access must
-        run the store accumulator inside :meth:`access`.
-        """
-        return self.l1[core].hit_is_mru_noop and \
-            not self._writebacks_enabled
-
     def bulk_kernel_ok(self, core: int) -> bool:
         """Whether ``core`` may route batches through the batched paths.
 
-        The single predicate centralising every fallback condition (the
-        bulk sibling of :meth:`l1_mru_fastpath_ok`) for
+        The single predicate centralising every fallback condition for
         :meth:`access_many`'s kernel and the stream path alike: both
         inline ordered-dict LRU walks only, so every level must use
         that storage (plain LRU with specialization on), and the
         per-access side channels they do not model — the store
-        accumulator (writebacks), the next-line prefetcher, and this
-        core's L3 occupancy quota — must all be off.  Quotas arrive
-        mid-run (CAER's response hook), so the answer can change
-        between periods; callers re-check per batch loop.
+        accumulator (writebacks) and the next-line prefetcher — must
+        both be off.  Both paths model the L3 quota, so the answer is
+        the same for every core and fixed at construction.
         """
-        return self._batched and self._l3_quota[core] is None
+        return self._batched
 
     # -- stream path ---------------------------------------------------
 
@@ -786,6 +779,9 @@ class CacheHierarchy:
         l1_invalidate = l1.invalidate
         l2_invalidate = l2.invalidate
         drop_line = self._drop_line
+        evict_own = self._evict_own_line
+        quota = self._l3_quota[core]
+        occupancy = self._occupancy
         own_bit = 1 << core
         inclusive = self._inclusive
         counters = self.counters[core]
@@ -793,6 +789,10 @@ class CacheHierarchy:
         misses = plan.misses if m == len(plan.misses) else plan.misses[:m]
         for addr in misses:
             entries = l3_sets[addr & l3_mask]
+            # A quota eviction only removes lines, and the batch never
+            # revisits one it filled: every access still misses.
+            if quota is not None and occupancy[core] + occ >= quota:
+                evict_own(core, addr)
             if len(entries) >= l3_assoc:
                 victim, mask = entries.popitem(False)
                 ev3 += 1
@@ -811,6 +811,7 @@ class CacheHierarchy:
                 else:
                     drop_line(core, victim, mask)
             entries[addr] = own_bit
+            occ += 1
             entries = l2_sets[addr & l2_mask]
             if len(entries) >= l2_assoc:
                 entries.popitem(False)
@@ -822,7 +823,7 @@ class CacheHierarchy:
                 ev1 += 1
             entries[addr] = None
         nh1 = n_exec - m
-        self._occupancy[core] += occ + m
+        occupancy[core] += occ
         counters.l1_hits += nh1
         counters.l1_misses += m
         counters.l2_misses += m

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Protocol
 
-from ..arch.cache import bulk_kernel_enabled, fast_lane_enabled
+from ..arch.cache import fast_lane_enabled
 from ..arch.chip import MulticoreChip
 from ..arch.pmu import PMUSample
 from ..errors import SchedulingError, SimulationError
@@ -74,16 +74,13 @@ class SimulationEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         if self.metrics is not None:
-            # Record which execution tier served this run (generic /
-            # fast lane / bulk kernel) so perf profiles are
-            # attributable; the per-core ``sim.path.*`` counters say
-            # which path served each access.  Telemetry only — never
-            # part of RunResult, which must hash identically across
-            # all tiers.
+            # Record which execution tier served this run (generic or
+            # fast) so perf profiles are attributable; the per-core
+            # ``sim.path.*`` counters say which path served each
+            # access.  Telemetry only — never part of RunResult, which
+            # must hash identically across both tiers.
             fast = fast_lane_enabled()
-            bulk = fast and bulk_kernel_enabled()
             self.metrics.gauge("sim.fast_lane").set(1.0 if fast else 0.0)
-            self.metrics.gauge("sim.bulk_kernel").set(1.0 if bulk else 0.0)
         self.chip = chip
         self.processes: dict[str, SimProcess] = {}
         used_cores: set[int] = set()
@@ -248,9 +245,6 @@ class SimulationEngine:
         }
         names = list(self.processes)
         for s in range(self.slices_per_period):
-            slice_start = self.clock.cycle_at(
-                period, s / self.slices_per_period
-            )
             # Rotate service order so shared-resource priority is fair.
             order = names[s % len(names):] + names[:s % len(names)]
             for name in order:
@@ -260,11 +254,7 @@ class SimulationEngine:
                 if not proc.runnable:
                     continue
                 core = self.chip.core(proc.core_id)
-                core.run(
-                    proc,
-                    budgets[name] * proc.speed_factor,
-                    start_cycle=slice_start,
-                )
+                core.run(proc, budgets[name] * proc.speed_factor)
                 if proc.finished:
                     proc.note_completion(period)
 
@@ -331,8 +321,8 @@ class SimulationEngine:
     def _finalise(self) -> None:
         if self.metrics is not None:
             # Which path served the run's accesses, counted per batch
-            # by the cores (the tier gauges above say only which flags
-            # were on).  Telemetry only, like the gauges.
+            # by the cores (the tier gauge above says only which flag
+            # was on).  Telemetry only, like the gauge.
             cores = sorted({p.core_id for p in self.processes.values()})
             for core_id in cores:
                 counts = self.chip.core(core_id).path_counts()

@@ -1,9 +1,9 @@
 """Hot-path specializations vs. the generic reference implementation.
 
-The LRU-specialized probe/fill rebindings and the core's inlined L1
-MRU-hit check are pure optimisations: every observable — set contents,
-stats, per-core counters, simulated results — must match the generic
-path bit for bit.  These tests drive both paths with identical inputs
+The LRU-specialized probe/fill/invalidate verbs over ordered-dict sets
+are pure optimisations: every observable — set contents, stats,
+per-core counters, simulated results — must match the generic path bit
+for bit.  These tests drive both paths with identical inputs
 and compare, and check the cache invariants on the specialized path.
 """
 
@@ -67,21 +67,6 @@ class TestSpecializedLru:
             "c", GEOMETRY, make_policy(policy, 4), specialize=True
         )
         assert cache.probe.__func__ is SetAssociativeCache.probe
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
-    def test_mru_noop_flag_for_tail_stable_policies(self, policy):
-        cache = SetAssociativeCache(
-            "c", GEOMETRY, make_policy(policy, 4), specialize=True
-        )
-        assert cache.hit_is_mru_noop
-
-    def test_mru_noop_flag_denied_for_plru(self):
-        # PLRU flips tree bits even when the tail line re-hits, so the
-        # inlined MRU shortcut would diverge from the reference.
-        cache = SetAssociativeCache(
-            "c", GEOMETRY, make_policy("plru", 4), specialize=True
-        )
-        assert not cache.hit_is_mru_noop
 
     @given(ops=OP_STREAM)
     @settings(max_examples=200, deadline=None)

@@ -173,8 +173,8 @@ class TestInvariants:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("bulk", ["1", "0"])
-    def test_chip_is_freed_without_the_cycle_collector(self, bulk,
+    @pytest.mark.parametrize("fast", ["1", "0"])
+    def test_chip_is_freed_without_the_cycle_collector(self, fast,
                                                        monkeypatch):
         # A hierarchy holds hundreds of per-set containers; left to the
         # cyclic garbage collector, every finished run's chip would stay
@@ -184,7 +184,7 @@ class TestLifetime:
 
         from repro.arch.chip import MulticoreChip
 
-        monkeypatch.setenv("REPRO_BULK_KERNEL", bulk)
+        monkeypatch.setenv("REPRO_FAST_LANE", fast)
         chip = MulticoreChip(MachineConfig.tiny(), seed=1)
         chip.hierarchy.access_many(0, list(range(64)))
         hierarchy = chip.hierarchy

@@ -79,9 +79,9 @@ class TestOwnerDifferential:
     @settings(max_examples=20, deadline=None)
     @given(batches=BATCHES)
     def test_scalar_ladder_with_quota(self, batches):
-        # An L3 quota denies the batched paths, so both stores run the
-        # per-access walk — including `_evict_own_line`'s LRU-first
-        # scan for an own line.
+        # Under an L3 quota the kernel pre-evicts through
+        # `_evict_own_line`'s LRU-first scan for an own line, the walk
+        # through the reference store's.
         drive_pair(tiny_machine(), batches, kernel,
                    setup=lambda h: h.set_l3_quota(0, 0.25))
 
@@ -155,15 +155,14 @@ class TestOwnerEdgeCases:
         assert not any(c.back_invalidations for c in fast.counters)
 
     def test_env_gate_reverts_to_dict(self):
-        # The generic walk and the first-generation fast lane keep
-        # list sets, so ownership lives in the reference map.
-        for env in (("0", "1"), ("1", "0")):
-            with tier_env(*env):
-                h = CacheHierarchy(tiny_machine(), seed=3)
-            assert not h._masks
-            h.access_many(0, list(range(16)))
-            assert h._l3_owners
-            h.check_owner_invariants()
+        # The generic walk keeps list sets, so ownership lives in the
+        # reference map.
+        with tier_env("0"):
+            h = CacheHierarchy(tiny_machine(), seed=3)
+        assert not h._masks
+        h.access_many(0, list(range(16)))
+        assert h._l3_owners
+        h.check_owner_invariants()
 
 
 class TestInvariantChecker:
@@ -200,7 +199,7 @@ class TestInvariantChecker:
             h.check_owner_invariants()
 
     def test_dict_store_checked_too(self):
-        with tier_env("0", "0"):
+        with tier_env("0"):
             h = CacheHierarchy(tiny_machine(), seed=7)
         h.access_many(0, list(range(48)))
         h.check_owner_invariants()

@@ -275,12 +275,12 @@ class TestStatsFormats:
                    if row["config"] == "solo"]
         paths = solo["paths"]
         assert set(paths) == {
-            "path.vector", "path.bulk", "path.walk", "path.mru",
+            "path.vector", "path.bulk", "path.walk",
             "vector.classify_declines", "vector.backoff_skips",
         }
         # The streaming victim is served by the kernels, not the walk.
         assert paths["path.vector"] > 0
-        assert paths["path.walk"] == paths["path.mru"] == 0
+        assert paths["path.walk"] == 0
         assert cli.main(["stats", "--format", "prometheus"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_sim_path_vector_total counter" in out

@@ -7,7 +7,9 @@ module pins the sha256 of each ``RunOutcome``'s compare-fields
 ``sim`` matrix at length 0.01: six paper victims under every campaign
 configuration, plus ``raw`` runs on machines that enable the
 prefetcher, writeback modelling and a non-inclusive L3 — the hierarchy
-paths ``bench/expected/seed0.json`` never exercises.
+paths ``bench/expected/seed0.json`` never exercises.  Every pin must
+hold on the fast path and on the generic reference
+(``REPRO_FAST_LANE=0``) alike.
 
 A deliberate result change rewrites ``outcomes.json`` (run this module
 as a script) and bumps ``CACHE_EPOCH`` in
@@ -91,8 +93,19 @@ def test_matrix_matches_pinned_file(pinned):
     assert sorted(pinned) == sorted(SPECS)
 
 
-@pytest.mark.parametrize("label", list(SPECS))
-def test_outcome_pinned(label, pinned):
+#: (label, REPRO_FAST_LANE) cases; a fast-path case's id is its bare
+#: label, a reference case's id names the flag.
+CASES = [
+    pytest.param(label, lane,
+                 id=label if lane == "1" else f"{label}-REPRO_FAST_LANE=0")
+    for lane in ("1", "0")
+    for label in SPECS
+]
+
+
+@pytest.mark.parametrize("label, lane", CASES)
+def test_outcome_pinned(label, lane, pinned, monkeypatch):
+    monkeypatch.setenv("REPRO_FAST_LANE", lane)
     got = outcome_sha256(execute_run(SPECS[label]))
     assert got == pinned[label], (
         f"the outcome of {label} changed (sha256 {got}). If the change "

@@ -22,40 +22,27 @@ _spec = importlib.util.spec_from_file_location("bench_simspeed", BENCH_PATH)
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
-TIER_NAMES = {"generic", "fastlane", "kernel"}
-RATIO_NAMES = {
-    "fastlane_over_generic",
-    "kernel_over_fastlane",
-    "kernel_over_generic",
-}
+TIER_NAMES = {"generic", "kernel"}
+RATIO_NAMES = {"kernel_over_generic"}
 
 
-def fake_rows(
-    kf: float = 2.0,
-    kg: float = 4.0,
-    fg: float = 2.2,
-    gate_vk: float = 1.6,
-):
+def fake_rows(kg: float = 4.0, gate_vk: float = 1.6):
     """Synthetic suite rows with the given ratios on every workload.
 
     ``gate_vk`` is the stream path's ratio over the dict kernel on the
     workloads that carry the vector gate.
     """
     rows = []
-    for name, (_f, streaming, gated, vgated) in bench.WORKLOADS.items():
+    for name, (_f, gated, vgated) in bench.WORKLOADS.items():
         generic = 100_000.0
         row = {
             "workload": name,
-            "streaming": streaming,
             "kernel_gated": gated,
             "tiers": {
                 "generic": generic,
-                "fastlane": generic * fg,
                 "kernel": generic * kg,
             },
             "ratios": {
-                "fastlane_over_generic": fg,
-                "kernel_over_fastlane": kf,
                 "kernel_over_generic": kg,
             },
             "vector_gate": None,
@@ -76,9 +63,7 @@ def fake_point():
 
 
 def vector_gated():
-    return [
-        name for name, (_f, _s, _g, v) in bench.WORKLOADS.items() if v
-    ]
+    return [name for name, (_f, _g, v) in bench.WORKLOADS.items() if v]
 
 
 class TestPointSchema:
@@ -92,23 +77,19 @@ class TestPointSchema:
             assert set(wl["tiers"]) == TIER_NAMES
             assert set(wl["ratios"]) == RATIO_NAMES
         assert point["targets"] == {
-            "streaming_fastlane_over_generic": bench.STREAMING_TARGET,
-            "kernel_over_fastlane": bench.KERNEL_OVER_FASTLANE_TARGET,
             "kernel_over_generic": bench.KERNEL_OVER_GENERIC_TARGET,
         }
 
     def test_point_records_kernel_gates_per_tier(self):
-        # A trajectory point must say which REPRO_* tier flags each
+        # A trajectory point must say which REPRO_* tier flag each
         # measured column ran under.
         gates = fake_point()["kernel_gates"]
         assert set(gates) == set(bench.TIERS)
         for column in gates.values():
-            assert set(column) == {"fast_lane", "bulk_kernel"}
+            assert set(column) == {"fast_lane"}
             assert all(isinstance(v, bool) for v in column.values())
         assert not gates["generic"]["fast_lane"]
-        assert gates["fastlane"]["fast_lane"]
-        assert not gates["fastlane"]["bulk_kernel"]
-        assert gates["kernel"]["bulk_kernel"]
+        assert gates["kernel"]["fast_lane"]
 
     def test_gated_workloads_record_their_gate_measurement(self):
         point = fake_point()
@@ -219,22 +200,14 @@ class TestGateLogic:
         assert bench.check_gates(fake_rows(), smoke=False) == []
         assert bench.check_gates(fake_rows(), smoke=True) == []
 
-    def test_kernel_below_fastlane_target_fails_gated_workload(self):
-        failures = bench.check_gates(fake_rows(kf=1.2), smoke=False)
-        assert any("over-fastlane" in f for f in failures)
-        # Only the gated streaming benchmark enforces the kernel gate.
-        gated = [
-            name for name, (_f, _s, g, _v) in bench.WORKLOADS.items() if g
-        ]
-        assert all(f.split(":")[0] in gated for f in failures)
-
     def test_kernel_below_generic_target_fails(self):
         failures = bench.check_gates(fake_rows(kg=2.0), smoke=False)
-        assert any("over-generic" in f for f in failures)
-
-    def test_fastlane_below_streaming_target_fails(self):
-        failures = bench.check_gates(fake_rows(fg=1.5), smoke=False)
-        assert any("streaming target" in f for f in failures)
+        # Only the gated streaming benchmark enforces the kernel gate.
+        gated = [
+            name for name, (_f, g, _v) in bench.WORKLOADS.items() if g
+        ]
+        assert [f.split(":")[0] for f in failures] == gated
+        assert all("over-generic" in f for f in failures)
 
     def test_vector_below_gate_target_fails_each_gated_workload(self):
         # The gate's target is the dict kernel itself: parity fails in
@@ -247,11 +220,11 @@ class TestGateLogic:
 
     def test_smoke_checks_ordering_only(self):
         # Below absolute targets but correctly ordered: smoke passes.
-        rows = fake_rows(kf=1.05, kg=1.3, fg=1.2, gate_vk=1.1)
+        rows = fake_rows(kg=1.3, gate_vk=1.1)
         assert bench.check_gates(rows, smoke=True) == []
         assert bench.check_gates(rows, smoke=False) != []
         # An inversion fails even the smoke run.
-        inverted = fake_rows(kf=0.9, kg=0.8, fg=0.9, gate_vk=0.9)
+        inverted = fake_rows(kg=0.8, gate_vk=0.9)
         assert bench.check_gates(inverted, smoke=True) != []
 
     def test_smoke_vector_ordering_applies_to_gated_rows_only(self):
