@@ -23,9 +23,6 @@ behind :meth:`CacheHierarchy.vector_classify` /
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import repeat as _repeat
-from operator import add as _fadd
 from time import perf_counter as _perf_counter
 from typing import Sequence
 
@@ -279,19 +276,19 @@ class CacheHierarchy:
 
         That per-access loop, under the same budget rule, is what runs
         when :meth:`bulk_kernel_ok` denies the kernel (non-LRU
-        policies, writebacks, prefetch, or ``REPRO_FAST_LANE=0``).  On
-        the kernel path all hot state is hoisted into locals, the
-        L1/L2/L3 probes and fills are inlined over the sets' ordered
+        policies, writebacks, prefetch, or ``REPRO_FAST_LANE=0``).  The
+        kernel path is one loop: all hot state is hoisted into locals,
+        the L1/L2/L3 probes and fills are inlined over the sets' ordered
         dicts, and per-access counter increments become batch-local
         integer deltas flushed into :class:`HierarchyCounters` (and the
-        per-cache stats) once at the end.  Runs of identical
-        consecutive addresses collapse into one walk plus guaranteed L1
-        hits: after any access the line is MRU in this core's L1, and
-        nothing else can touch the hierarchy mid-batch (cores
-        interleave at slice granularity).  One C-level fold prices a
-        run's hits; only the run the budget expires in is walked member
-        by member.  An L3 miss of a core at its L3 quota first
-        pre-evicts one of the core's own lines, as :meth:`access` does.
+        per-cache stats) once at the end.  A repeat of the access just
+        before it in the batch is priced inline as an L1 hit that
+        touches no set: every access leaves its line MRU in this core's
+        L1, and nothing else can touch the hierarchy mid-batch (cores
+        interleave at slice granularity).  Nothing carries over between
+        batches, where another core may evict the line.  An L3 miss of
+        a core at its L3 quota first pre-evicts one of the core's own
+        lines, as :meth:`access` does.
         """
         if not self.bulk_kernel_ok(core):
             access = self.access
@@ -327,11 +324,8 @@ class CacheHierarchy:
         own_bit = 1 << core
         inclusive = self._inclusive
         counters_core = self.counters[core]
-        n = len(addrs)
-        # Every level starts as an L1 hit (the repeats and L1 hits never
-        # write it); the walk overwrites the others and the unexecuted
-        # tail is cut off at the end.
-        levels = [1] * n
+        levels = []
+        append = levels.append
         c1 = costs[1]
         c2 = costs[2]
         c3 = costs[3]
@@ -344,42 +338,21 @@ class CacheHierarchy:
         # Evictions call ``popitem(False)``: the keyword spelling costs
         # ~60 ns more per call.
         nh2 = nh3 = nm3 = ev1 = ev2 = ev3 = occ = 0
-        i = 0
-        run = 0
-        while True:
-            if run:
-                # The previous access's trailing repeats: guaranteed L1
-                # MRU hits, priced by one C-level fold (the same
-                # left-to-right adds).  Only a run the budget expires
-                # in is walked member by member, to find its cutoff.
-                total = reduce(_fadd, _repeat(c1, run), used)
-                if total >= budget:
-                    k = 0
-                    total = used
-                    while total < budget:
-                        total += c1
-                        k += 1
-                    i -= run - k
-                used = total
-                run = 0
-            if i >= n or used >= budget:
+        prev = None
+        for addr in addrs:
+            if used >= budget:
                 break
-            pos = i
-            addr = addrs[i]
-            j = i + 1
-            # Trailing repeats are guaranteed L1 MRU hits; let the end
-            # of the batch terminate the scan instead of re-checking
-            # the bound on every step.
-            try:
-                while addrs[j] == addr:
-                    j += 1
-            except IndexError:
-                j = n
-            run = j - i - 1
-            i = j
+            if addr == prev:
+                # The access just before left this line MRU in our L1:
+                # an L1 hit whose move_to_end would be a no-op.
+                append(1)
+                used += c1
+                continue
+            prev = addr
             set1 = l1_sets[addr & l1_mask]
             if addr in set1:
                 set1.move_to_end(addr)
+                append(1)
                 used += c1
                 continue
             set2 = l2_sets[addr & l2_mask]
@@ -392,7 +365,7 @@ class CacheHierarchy:
                     set1.popitem(False)
                     ev1 += 1
                 set1[addr] = None
-                levels[pos] = 2
+                append(2)
                 used += c2
                 continue
             set3 = l3_sets[addr & l3_mask]
@@ -403,7 +376,7 @@ class CacheHierarchy:
                 if not mask & own_bit:
                     set3[addr] = mask | own_bit
                     occ += 1
-                level = 3
+                append(3)
                 used += c3
             else:
                 nm3 += 1
@@ -431,7 +404,7 @@ class CacheHierarchy:
                         drop_line(core, victim, mask)
                 set3[addr] = own_bit
                 occ += 1
-                level = 4
+                append(4)
                 used += c4
             # -- private fills (L2 then L1, both absent) ---------------
             # Set sizes are read here, after the L3-miss path: a
@@ -444,15 +417,13 @@ class CacheHierarchy:
                 set1.popitem(False)
                 ev1 += 1
             set1[addr] = None
-            levels[pos] = level
-        if i < n:
-            del levels[i:]
+        i = len(levels)
         if i:
             # One conservative raise of the monotone fill bounds covers
             # every fill of the executed prefix (see
             # SetAssociativeCache._max_tag); the pushed-back suffix
             # stays unfilled, so it must not raise them.
-            mx = max(addrs) if i == n else max(addrs[:i])
+            mx = max(addrs) if i == len(addrs) else max(addrs[:i])
             if mx > l1._max_tag:
                 l1._max_tag = mx
             if mx > l2._max_tag:

@@ -109,12 +109,14 @@ def drive_and_compare(machine, batches):
 
 
 #: Interleaved 2-core batches over a 64-line footprint, with runs of
-#: consecutive repeats (the kernel collapses those) made likely.
+#: consecutive repeats made likely: the kernel prices a repeat as an
+#: L1 hit without touching a set.  Runs reach 8, the longest repeat of
+#: the SPEC streams (bzip2 3, lbm 4, libquantum and namd 8).
 BATCHES = st.lists(
     st.tuples(
         st.integers(0, 1),
         st.lists(
-            st.tuples(st.integers(0, 63), st.integers(1, 3)),
+            st.tuples(st.integers(0, 63), st.integers(1, 8)),
             min_size=1,
             max_size=40,
         ).map(lambda runs: [a for a, reps in runs for _ in range(reps)]),
@@ -182,6 +184,26 @@ class TestKernelDifferential:
         assert any(c.back_invalidations > 0 for c in ref.counters)
         assert any(c.lines_stolen > 0 for c in ref.counters)
 
+    def test_repeat_across_batches_takes_the_walk(self):
+        # Only a repeat inside one batch skips the walk.  Core 0's
+        # batch ends on line 0; core 1 then fills eight more lines of
+        # L3 set 0, evicting line 0 from the inclusive L3 and with it
+        # core 0's private copies.  Core 0's next batch starts with
+        # line 0 again: a memory access, not an L1 hit.
+        fast, ref = hierarchy_pair(tiny_machine())
+        batches = [
+            (0, [3, 0]),
+            (1, [16 * k for k in range(1, 9)]),
+            (0, [0, 0, 3]),
+        ]
+        got = []
+        for core, addrs in batches:
+            got.append(fast.access_many(core, addrs))
+            assert got[-1] == [ref.access(core, a) for a in addrs]
+        assert got[2] == [4, 1, 1]
+        assert fast.counters[0].back_invalidations == 1
+        assert snapshot(fast) == snapshot(ref)
+
 
 def vector_ladder(h, core, addrs):
     """The core's ladder for one batch: stream path, else access_many.
@@ -227,8 +249,8 @@ def _vector_stream(steps):
 
     A cursor walks upward; ``rewind`` re-visits recently streamed lines
     (exercising the resident-line declines) and ``reps`` expands each
-    address into a consecutive repeat run (exercising run collapsing
-    and the leading-repeat edge).
+    address into a consecutive repeat run (exercising the stream
+    path's repeat handling and the leading-repeat edge).
     """
     cur = 0
     batches = []
@@ -598,8 +620,8 @@ class TestBudgetCutoff:
     )
     def test_access_many_budget_matches_scalar_walk(self, batches, costs,
                                                     budgets, used):
-        # Runs of repeats make the budget expire inside a collapsed
-        # run as well as on a walked access.
+        # Runs of repeats make the budget expire on a repeat priced
+        # inline as well as on a walked access.
         fast, ref = hierarchy_pair(tiny_machine())
         for (core, addrs), budget in zip(batches, budgets):
             got = fast.access_many(core, addrs, costs, used, budget)
@@ -610,19 +632,30 @@ class TestBudgetCutoff:
             assert fast.batch_cycles == total
         assert snapshot(fast) == snapshot(ref)
 
-    def test_access_many_budget_expires_inside_repeat_run(self):
-        # Lines 0..39 four times each at INT_COSTS: a run costs 53
-        # cycles, so the total lands exactly on a budget of 5 runs + 52
-        # after the sixth run's second repeat, where the walk stops.
+    @pytest.mark.parametrize(
+        "extra, executed",
+        [(25.0, 1), (50.5, 2), (52.0, 3), (52.5, 4), (53.0, 4)],
+        ids=["head", "r1", "r2", "r3", "end"],
+    )
+    def test_access_many_budget_expires_inside_repeat_run(self, extra,
+                                                          executed):
+        # Lines 0..39 four times each at INT_COSTS: a run is a walked
+        # miss (50 cycles) and three repeats (1 each), 53 cycles.  The
+        # budget lies ``extra`` cycles into the sixth run: inside its
+        # head's cost, after each of its repeats r1..r3 (exactly on
+        # r2's add), or exactly on the run's last add (end).  The walk
+        # stops after the sixth run's first ``executed`` accesses.
         addrs = [a for a in range(40) for _ in range(4)]
         fast, ref = hierarchy_pair(tiny_machine())
-        budget = 53.0 * 5 + 52.0
+        budget = 53.0 * 5 + extra
         got = fast.access_many(0, addrs, INT_COSTS, 0.0, budget)
         want, total = scalar_budget_walk(
             ref, 0, addrs, INT_COSTS, 0.0, budget
         )
+        run = [4, 1, 1, 1][:executed]
         assert (got, fast.batch_cycles) == (want, total) == (
-            [4, 1, 1, 1] * 5 + [4, 1, 1], budget
+            [4, 1, 1, 1] * 5 + run,
+            53.0 * 5 + sum(INT_COSTS[level] for level in run),
         )
         assert snapshot(fast) == snapshot(ref)
 
