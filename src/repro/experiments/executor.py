@@ -3,12 +3,12 @@
 The campaign's run matrix is embarrassingly parallel: every run is a
 self-contained :class:`~repro.runspec.RunSpec` — it builds its own
 chip, seeds its own RNG streams, and shares no mutable state with its
-neighbours.  :func:`fan_out` distributes such runs across a
-:class:`~concurrent.futures.ProcessPoolExecutor`; with ``jobs=1`` it
-degrades to a plain in-process loop, which is the bit-identical
-reference the parallel path is tested against (determinism holds
-because each run's results depend only on its picklable arguments,
-never on scheduling order).
+neighbours.  :func:`fan_out` distributes such runs across the
+persistent worker pool of :mod:`repro.experiments.workerpool`; with
+``jobs=1`` it degrades to a plain in-process loop, which is the
+bit-identical reference the parallel path is tested against
+(determinism holds because each run's results depend only on its
+picklable arguments, never on scheduling order).
 
 :func:`run_specs` is the one spec-in/outcome-out fan-out every
 experiment driver uses; :func:`run_many` keeps the campaign's
@@ -20,20 +20,12 @@ variable, and finally the number of CPUs this process may actually be
 scheduled on (``os.sched_getaffinity``, so container/cgroup CPU masks
 are honoured), falling back to ``os.cpu_count()`` where affinity is
 unsupported.
-
-Spec fan-outs (:func:`run_specs`) route through the persistent warm
-pool of :mod:`repro.experiments.workerpool` by default; set
-``REPRO_WARM_POOL=0`` for the cold per-batch
-:class:`~concurrent.futures.ProcessPoolExecutor` behaviour.
-:func:`fan_out` itself stays cold — it accepts arbitrary callables,
-which the spec-keyed warm protocol cannot intern.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
@@ -46,6 +38,7 @@ from ..obs import (
     Tracer,
 )
 from ..runspec import RunOutcome, RunSpec, execute_run
+from .workerpool import WorkerFailure, get_pool
 
 if TYPE_CHECKING:
     from .campaign import CampaignSettings, RunSummary
@@ -102,16 +95,19 @@ def fan_out(
 ) -> list[R]:
     """Run ``worker`` over ``tasks``, results in task order.
 
-    ``worker`` must be a module-level callable and every task picklable
-    (:mod:`concurrent.futures` requirements).  A failing task does not
-    abort its siblings: every task runs to completion or failure, then
-    one :class:`ExperimentError` reports *which* tasks failed, via
-    ``describe``.
+    ``worker`` must be a module-level callable and every task and
+    result picklable: with ``jobs > 1`` and at least two tasks, the
+    batch runs on the persistent worker pool (:func:`get_pool`).  A
+    failing task does not abort its siblings: every task runs to
+    completion or failure, then one :class:`ExperimentError` reports
+    *which* tasks failed, via ``describe``.
 
     ``metrics``, when given, receives per-job spans: the
-    ``executor.job_seconds`` histogram (submit-to-result for parallel
-    jobs, so queueing time is included), plus ``executor.tasks`` /
+    ``executor.job_seconds`` histogram (dispatch-to-result for pool
+    jobs — the pool dispatches a task only to an idle worker, so no
+    queueing time is included), plus ``executor.tasks`` /
     ``executor.failures`` counters and the batch's total wall time.
+    Pool jobs also feed ``profile.worker_dispatch_seconds``.
     """
     jobs = resolve_jobs(jobs)
     batch_started = time.perf_counter()
@@ -143,38 +139,29 @@ def fan_out(
                         time.perf_counter() - batch_started
                     )
         return results
-    out: list[R | None] = [None] * len(tasks)
-    failures: list[str] = []
-    done_at: dict[int, float] = {}
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
-    try:
-        submitted_at = time.perf_counter()
-        futures = []
-        for index, task in enumerate(tasks):
-            future = pool.submit(worker, task)
-            # Stamp completion on the callback thread: the span then
-            # covers queue wait + execution, not result-drain order.
-            future.add_done_callback(
-                lambda _f, i=index: done_at.__setitem__(
-                    i, time.perf_counter()
-                )
-            )
-            futures.append(future)
-        for index, future in enumerate(futures):
-            try:
-                out[index] = future.result()
-            except Exception as exc:
-                failures.append(f"{describe(tasks[index])}: {exc!r}")
-    except BaseException:
-        # Ctrl-C (or any non-run failure) mid-collection: cancel every
-        # task that has not started and leave without waiting, so a
-        # dying batch cannot leak orphan workers that keep simulating.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
+
+    def on_result(_key: object, _value: object, seconds: float) -> None:
+        if metrics is not None:
+            span.observe(seconds)
+            # Dispatch-to-result wall clock of one pool task: the
+            # worker-side leg of the span-profiling story (the engine
+            # and kernel legs travel back on run telemetry).
+            metrics.histogram(
+                "profile.worker_dispatch_seconds",
+                buckets=SPAN_SECONDS_BUCKETS,
+            ).observe(seconds)
+
+    settled = get_pool(jobs).map_specs(
+        [(index, worker, task) for index, task in enumerate(tasks)],
+        on_result=on_result,
+    )
+    out = [settled[index] for index in range(len(tasks))]
+    failures = [
+        f"{describe(task)}: {value.describe()}"
+        for task, value in zip(tasks, out)
+        if isinstance(value, WorkerFailure)
+    ]
     if metrics is not None:
-        for index in range(len(tasks)):
-            span.observe(done_at.get(index, submitted_at) - submitted_at)
         metrics.counter("executor.failures").inc(len(failures))
         metrics.gauge("executor.batch_seconds").set(
             time.perf_counter() - batch_started
@@ -184,7 +171,7 @@ def fan_out(
             f"{len(failures)} of {len(tasks)} runs failed — "
             + "; ".join(failures)
         )
-    return out  # type: ignore[return-value]
+    return out
 
 
 def _spec_tracer(spec: RunSpec) -> Tracer | None:
@@ -201,7 +188,7 @@ def _execute_spec(spec: RunSpec) -> RunOutcome:
     """The executor's unit of work: one spec, on its named backend.
 
     Module-level and driven only by its picklable argument, as the
-    process pool requires.  Attaches the environment-configured tracer
+    worker pool requires.  Attaches the environment-configured tracer
     (if any) so traced campaigns behave identically serial or parallel.
     """
     tracer = _spec_tracer(spec)
@@ -222,92 +209,16 @@ def run_specs(
 
     Outcomes come back in ``specs`` order.  Failures are reported with
     ``describe`` (defaulting to :meth:`RunSpec.describe`, e.g.
-    ``(429.mcf, rule)``) and never abort sibling runs.
-
-    Parallel batches run on the persistent warm pool
-    (:mod:`repro.experiments.workerpool`) unless ``REPRO_WARM_POOL=0``;
-    serial execution (``jobs=1``) stays in-process, the bit-identical
-    reference both parallel paths are tested against.
+    ``(429.mcf, rule)``) and never abort sibling runs.  This is
+    :func:`fan_out` of :func:`_execute_spec`.
     """
-    from .workerpool import warm_pool_enabled
-
-    specs = list(specs)
-    jobs = resolve_jobs(jobs)
-    describe = describe or RunSpec.describe
-    if jobs > 1 and len(specs) > 1 and warm_pool_enabled():
-        return _run_specs_warm(specs, jobs, metrics, describe)
     return fan_out(
         _execute_spec,
-        specs,
+        list(specs),
         jobs=jobs,
-        describe=describe,
+        describe=describe or RunSpec.describe,
         metrics=metrics,
     )
-
-
-def _run_specs_warm(
-    specs: list[RunSpec],
-    jobs: int,
-    metrics: MetricsRegistry | None,
-    describe: Callable[[RunSpec], str],
-) -> list[RunOutcome]:
-    """:func:`run_specs` on the persistent pool — same contract.
-
-    Matches the cold parallel path observable-for-observable: results
-    in spec order, one aggregated :class:`ExperimentError` naming every
-    failed run, and the same metrics instruments (``executor.tasks``,
-    ``executor.failures``, ``executor.job_seconds``,
-    ``executor.batch_seconds``) plus the warm-only
-    ``executor.worker_reuse`` gauge — how many dispatches in this
-    batch were served from a worker's interned spec state.
-    """
-    from .workerpool import WorkerFailure, get_pool
-
-    pool = get_pool(jobs)
-    batch_started = time.perf_counter()
-    span = None
-    if metrics is not None:
-        metrics.counter("executor.tasks").inc(len(specs))
-        span = metrics.histogram(
-            "executor.job_seconds", buckets=SECONDS_BUCKETS
-        )
-
-    def on_result(key: object, value: object, seconds: float) -> None:
-        if span is not None:
-            span.observe(seconds)
-        if metrics is not None:
-            # Dispatch-to-result wall clock of one warm-pool task: the
-            # worker-side leg of the span-profiling story (the engine
-            # and kernel legs travel back on run telemetry).
-            metrics.histogram(
-                "profile.worker_dispatch_seconds",
-                buckets=SPAN_SECONDS_BUCKETS,
-            ).observe(seconds)
-
-    results = pool.map_specs(
-        [(index, spec, None) for index, spec in enumerate(specs)],
-        on_result=on_result,
-    )
-    failures: list[str] = []
-    out: list[RunOutcome] = []
-    for index, spec in enumerate(specs):
-        value = results[index]
-        if isinstance(value, WorkerFailure):
-            failures.append(f"{describe(spec)}: {value.describe()}")
-        else:
-            out.append(value)
-    if metrics is not None:
-        metrics.counter("executor.failures").inc(len(failures))
-        metrics.gauge("executor.batch_seconds").set(
-            time.perf_counter() - batch_started
-        )
-        metrics.gauge("executor.worker_reuse").set(pool.last_batch_reuse)
-    if failures:
-        raise ExperimentError(
-            f"{len(failures)} of {len(specs)} runs failed — "
-            + "; ".join(failures)
-        )
-    return out
 
 
 def run_many(

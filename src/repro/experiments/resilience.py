@@ -3,7 +3,8 @@
 :func:`fan_out` treats any worker failure as fatal to the batch; fine
 for unit tests, unacceptable for multi-hour campaigns where one crashed
 or hung worker should not discard hours of finished runs.  This module
-adds the production posture on top of the same worker unit:
+adds the production posture on top of the same worker unit and the
+same persistent pool (:mod:`repro.experiments.workerpool`):
 
 * :class:`RetryPolicy` — bounded attempts, a deterministic backoff
   schedule, and an optional per-run timeout (``REPRO_RETRIES`` /
@@ -26,8 +27,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -37,7 +36,7 @@ from ..faults.chaos import maybe_inject
 from ..obs import MetricsRegistry
 from ..runspec import RunOutcome, RunSpec
 from .executor import _execute_spec, resolve_jobs
-from .workerpool import WorkerFailure, get_pool, warm_pool_enabled
+from .workerpool import WorkerFailure, get_pool
 
 #: Environment overrides for :meth:`RetryPolicy.from_env`.
 RETRIES_ENV = "REPRO_RETRIES"
@@ -136,10 +135,11 @@ def run_specs_resilient(
     with its last error.  ``on_complete(spec, outcome, attempt)`` fires
     in the calling process the moment each spec finishes — the caller's
     checkpoint seam, so an interruption loses at most the in-flight
-    work.  A per-run ``policy.timeout`` abandons stragglers (parallel
-    path only; the wedged worker is left behind rather than awaited).
-    :exc:`KeyboardInterrupt` cancels all unstarted work and propagates —
-    everything already checkpointed stays checkpointed.
+    work.  A per-run ``policy.timeout`` fails stragglers (parallel
+    path only; the pool kills the wedged worker and respawns it).
+    :exc:`KeyboardInterrupt` shuts the pool down, so no unstarted work
+    runs, and propagates — everything already checkpointed stays
+    checkpointed.
 
     Metrics: ``executor.attempts`` (one per spec-attempt),
     ``executor.retries`` (failed attempts that will be retried), and
@@ -222,73 +222,15 @@ def _parallel_round(
     on_complete: Callable[[RunSpec, RunOutcome, int], None] | None,
     metrics: MetricsRegistry | None,
 ) -> list[RunSpec]:
-    if warm_pool_enabled():
-        return _warm_round(
-            pending, attempt, jobs, policy, outcomes, errors,
-            on_complete, metrics,
-        )
-    failed: list[RunSpec] = []
-    abandoned = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-    try:
-        if metrics is not None:
-            metrics.counter("executor.attempts").inc(len(pending))
-        futures = [
-            (spec, pool.submit(_execute_spec_attempt, (spec, attempt)))
-            for spec in pending
-        ]
-        for spec, future in futures:
-            try:
-                outcome = future.result(timeout=policy.timeout)
-            except FuturesTimeout:
-                errors[spec.digest] = (
-                    f"timed out after {policy.timeout:g}s"
-                )
-                failed.append(spec)
-                future.cancel()
-                # The worker may be wedged; don't await it on shutdown.
-                abandoned = True
-            except CancelledError:
-                errors[spec.digest] = "cancelled before it started"
-                failed.append(spec)
-            except Exception as exc:
-                errors[spec.digest] = repr(exc)
-                failed.append(spec)
-            else:
-                outcomes[spec.digest] = outcome
-                if on_complete is not None:
-                    on_complete(spec, outcome, attempt)
-    except BaseException:
-        # KeyboardInterrupt (or a checkpoint failure): cancel every
-        # queued task and leave without waiting, so no orphan worker
-        # outlives the batch and the checkpointed prefix is preserved.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
-    return failed
+    """One retry round on the persistent pool.
 
-
-def _warm_round(
-    pending: list[RunSpec],
-    attempt: int,
-    jobs: int,
-    policy: RetryPolicy,
-    outcomes: dict[str, RunOutcome],
-    errors: dict[str, str],
-    on_complete: Callable[[RunSpec, RunOutcome, int], None] | None,
-    metrics: MetricsRegistry | None,
-) -> list[RunSpec]:
-    """One retry round on the persistent pool — same contract as cold.
-
-    Timeouts keep their failure identity (``timed out after Ns``), but
-    the enforcement improves: the pool kills and respawns exactly the
-    wedged worker instead of abandoning a whole
-    :class:`~concurrent.futures.ProcessPoolExecutor`, and a worker
+    Tasks are keyed by spec digest, so a worker's beacon names the spec
+    it is running.  A timed-out spec fails as ``timed out after Ns``
+    and the pool kills and respawns exactly the wedged worker; a worker
     that dies mid-run (chaos ``die``) fails only its own spec.
     ``on_complete`` fires the moment each spec settles, preserving the
     checkpoint seam.
     """
-    pool = get_pool(jobs)
     if metrics is not None:
         metrics.counter("executor.attempts").inc(len(pending))
     by_key = {spec.digest: spec for spec in pending}
@@ -301,8 +243,11 @@ def _warm_round(
         if on_complete is not None:
             on_complete(spec, value, attempt)
 
-    results = pool.map_specs(
-        [(spec.digest, spec, attempt) for spec in pending],
+    results = get_pool(jobs).map_specs(
+        [
+            (spec.digest, _execute_spec_attempt, (spec, attempt))
+            for spec in pending
+        ],
         timeout=policy.timeout,
         on_result=on_result,
     )
@@ -317,8 +262,6 @@ def _warm_round(
             else:
                 errors[spec.digest] = value.describe()
             failed.append(spec)
-    if metrics is not None:
-        metrics.gauge("executor.worker_reuse").set(pool.last_batch_reuse)
     return failed
 
 

@@ -166,14 +166,14 @@ def render_watch(status: dict) -> str:
             digest = payload.get("digest")
             doing = (
                 f"running {str(digest)[:12]}"
-                if payload.get("state") == "running" and digest
+                if payload.get("state") == "running"
+                and digest is not None
                 else "idle"
             )
             out.write(
                 f"  {name:<10} {doing:<21} "
                 f"done={beacon_field(payload, 'tasks_completed'):.0f} "
                 f"failed={beacon_field(payload, 'tasks_failed'):.0f} "
-                f"reused={beacon_field(payload, 'reused_dispatches'):.0f} "
                 f"verdicts={beacon_field(payload, 'detector_verdicts'):.0f} "
                 f"(+{beacon_field(payload, 'detector_positives'):.0f}) "
                 f"— {_age_text(payload, now)}\n"

@@ -1,39 +1,28 @@
-"""Persistent spec workers: warm fan-out without per-batch spawns.
+"""Persistent workers: the one process pool every parallel batch uses.
 
-:func:`~repro.experiments.executor.fan_out` pays a full
-:class:`~concurrent.futures.ProcessPoolExecutor` spin-up — process
-forks, pickled module state, pool teardown — for *every* batch.  A
-campaign is hundreds of small batches over the same few dozen specs,
-so the spawn tax dominates short runs.  This module keeps one warm
-pool of worker processes alive across batches:
+A campaign is hundreds of small batches, so forking a fresh pool per
+batch would pay process start-up again and again.  This module keeps
+one supervised pool of worker processes alive across batches and runs
+module-level ``(worker, arg)`` tasks on it —
+:func:`~repro.experiments.executor.fan_out` and the resilient
+executor's parallel rounds both dispatch here:
 
-* **Spec interning** — a worker remembers every spec it has executed,
-  keyed by content digest; re-dispatching the same spec sends only the
-  digest string over the task queue (the ``executor.worker_reuse``
-  gauge counts these digest-only dispatches).
-* **Zero-copy results** — each worker owns a
-  :class:`multiprocessing.shared_memory.SharedMemory` SPSC ring
-  buffer; outcomes come back as pickled payloads written straight into
-  the ring (the worker's result pipe then carries only a tiny header),
-  falling back to pipe pickling when a payload outgrows the free ring
-  space.  Result pipes are strictly per-worker: no lock is ever shared
-  between worker processes, so a worker dying mid-send (chaos ``die``,
-  OOM kill) can corrupt only its own channel — never wedge the
-  others'.
+* **Per-worker result pipes** — a worker pickles its result once and
+  sends it on its own pipe.  No lock is shared between worker
+  processes, so a worker dying mid-send (chaos ``die``, OOM kill) can
+  corrupt only its own channel — never wedge the others'.
 * **Per-task environment forwarding** — the ``REPRO_*`` environment is
   snapshotted at dispatch and replayed in the worker, so env-driven
-  behaviour (chaos, tracing, tier gates) tracks the parent exactly as
-  it did when every batch forked fresh processes.
+  behaviour (chaos, tracing, tier gates) tracks the parent even though
+  the worker forked long before.
 * **Failure containment** — a worker that dies (chaos ``die``, OOM
   kill) or outlives a per-task timeout is killed and respawned; only
-  its in-flight task fails, with the same failure identity the cold
-  path reports.
+  its in-flight task fails.
 
-The pool is an implementation detail behind
-:func:`~repro.experiments.executor.run_specs` and the resilient
-executor's parallel rounds; ``REPRO_WARM_POOL=0`` restores the cold
-per-batch pools.  One task is in flight per worker at a time, so
-dispatch-to-result spans are exact and a kill loses exactly one task.
+Workers fork once, when the pool is built, so anything registered in
+the parent afterwards (a plugin detector, say) is unknown to them.
+One task is in flight per worker at a time, so dispatch-to-result
+spans are exact and a kill loses exactly one task.
 """
 
 from __future__ import annotations
@@ -43,26 +32,12 @@ import os
 import pickle
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from multiprocessing import get_context, shared_memory
+from multiprocessing import get_context
 from typing import Callable, Sequence
 
-from ..faults.chaos import maybe_inject
 from ..obs.heartbeat import beacon_dir, write_beacon
-from ..runspec import RunSpec
-
-#: Gate (default on): ``0``/``false``/``off`` restores the cold
-#: per-batch :class:`~concurrent.futures.ProcessPoolExecutor` path.
-WARM_POOL_ENV = "REPRO_WARM_POOL"
-
-#: Per-worker result ring capacity.  Outcomes are a few KiB; a ring
-#: this size never overflows in practice, and the queue-pickle
-#: fallback keeps correctness when one does.
-RING_BYTES = 1 << 20
-
-#: Ring header: two little-endian uint64 cursors (head, tail).
-_HEADER = 16
 
 #: Liveness/deadline poll cadence while waiting for results.
 _POLL_SECONDS = 0.05
@@ -70,53 +45,6 @@ _POLL_SECONDS = 0.05
 #: Only this namespace is forwarded per task; everything else the
 #: worker inherited at fork and never needs refreshed.
 _ENV_PREFIX = "REPRO_"
-
-
-def warm_pool_enabled() -> bool:
-    """Whether the persistent pool backs parallel spec execution."""
-    return os.environ.get(WARM_POOL_ENV, "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
-
-# -- SPSC ring ---------------------------------------------------------
-#
-# Layout: bytes [0, 8) the write cursor (head, worker-owned), [8, 16)
-# the read cursor (tail, parent-owned), the rest the data area.  Both
-# cursors grow monotonically; position = cursor % data_size.  Single
-# writer per cursor makes the protocol race-free: the worker only
-# writes payload bytes the parent has already consumed (head - tail is
-# the unread span), and the parent only reads bytes the header message
-# on the worker's result pipe has announced.
-
-def _ring_write(buf, data: bytes) -> bool:
-    """Append ``data`` to the ring; False when it does not fit."""
-    size = len(buf) - _HEADER
-    need = len(data)
-    head = int.from_bytes(buf[0:8], "little")
-    tail = int.from_bytes(buf[8:16], "little")
-    if need > size - (head - tail):
-        return False
-    pos = head % size
-    first = min(need, size - pos)
-    buf[_HEADER + pos:_HEADER + pos + first] = data[:first]
-    if first < need:
-        buf[_HEADER:_HEADER + need - first] = data[first:]
-    buf[0:8] = (head + need).to_bytes(8, "little")
-    return True
-
-
-def _ring_read(buf, length: int) -> bytes:
-    """Consume ``length`` announced bytes from the ring."""
-    size = len(buf) - _HEADER
-    tail = int.from_bytes(buf[8:16], "little")
-    pos = tail % size
-    first = min(length, size - pos)
-    data = bytes(buf[_HEADER + pos:_HEADER + pos + first])
-    if first < length:
-        data += bytes(buf[_HEADER:_HEADER + length - first])
-    buf[8:16] = (tail + length).to_bytes(8, "little")
-    return data
 
 
 # -- worker process ----------------------------------------------------
@@ -144,12 +72,11 @@ class _WorkerStatus:
         self.name = f"worker-{worker_id}"
         self.tasks_completed = 0
         self.tasks_failed = 0
-        self.reused_dispatches = 0
         self.detector_verdicts = 0.0
         self.detector_positives = 0.0
         self.last_span_seconds = 0.0
 
-    def _emit(self, state: str, digest: str | None) -> None:
+    def _emit(self, state: str, digest: object) -> None:
         directory = beacon_dir()
         if directory is None:
             return
@@ -161,18 +88,15 @@ class _WorkerStatus:
                 "digest": digest,
                 "tasks_completed": self.tasks_completed,
                 "tasks_failed": self.tasks_failed,
-                "reused_dispatches": self.reused_dispatches,
                 "detector_verdicts": self.detector_verdicts,
                 "detector_positives": self.detector_positives,
                 "last_span_seconds": round(self.last_span_seconds, 6),
             },
         )
 
-    def task_started(self, digest: str, reused: bool) -> None:
+    def task_started(self, key: object) -> None:
         try:
-            if reused:
-                self.reused_dispatches += 1
-            self._emit("running", digest)
+            self._emit("running", key)
         except Exception:
             pass
 
@@ -203,75 +127,48 @@ class _WorkerStatus:
             pass
 
 
-def _worker_main(
-    worker_id: int, task_q, result_conn, shm_name: str
-) -> None:
-    """Worker loop: intern specs, execute, ship outcomes via the ring.
+def _worker_main(worker_id: int, conn) -> None:
+    """Worker loop: run each ``worker(arg)``, pickle, send.
 
-    Result messages are ``(worker_id, key, ok, reused, in_ring,
-    payload)`` where ``payload`` is the pickled byte count when
-    ``in_ring`` else the pickled bytes themselves.  ``ok=False``
-    payloads unpickle to the raised exception, preserving the cold
-    path's per-run failure identities.  ``result_conn`` is this
-    worker's private pipe end — sends are synchronous in this thread
-    (no feeder thread, no shared lock), so a death at any instant
-    leaves every other worker's result path untouched.
+    ``conn`` is this worker's private end of its duplex pipe to the
+    parent: pickled ``(key, worker, arg, env)`` tasks arrive on it, and
+    each result leaves on it as the pickled ``(ok, value)`` pair.  An
+    ``ok=False`` value is the raised exception, so the parent reports
+    the same failure identity an in-process run would; a result that
+    cannot be pickled comes back as a failure naming that.  Sends are
+    synchronous in this thread (no feeder thread, no shared lock), so a
+    death at any instant leaves every other worker's pipe untouched.
     """
-    from .executor import _execute_spec
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    buf = shm.buf
-    specs: dict[str, RunSpec] = {}
     status = _WorkerStatus(worker_id)
-    try:
-        while True:
-            msg = task_q.get()
-            if msg is None:
-                break
-            key, payload, attempt, env = msg
-            _apply_env(env)
-            if isinstance(payload, str):
-                spec = specs[payload]
-                reused = True
-            else:
-                spec = payload
-                specs[spec.digest] = spec
-                reused = False
-            status.task_started(spec.digest, reused)
-            started = time.perf_counter()
-            try:
-                if attempt is not None:
-                    maybe_inject(spec, attempt)
-                result: object = _execute_spec(spec)
-                ok = True
-            except BaseException as exc:  # shipped, not swallowed
-                result = exc
-                ok = False
-            status.task_finished(
-                ok, result, time.perf_counter() - started
+    while True:
+        msg = pickle.loads(conn.recv_bytes())
+        if msg is None:  # the pool is closing
+            break
+        key, worker, arg, env = msg
+        _apply_env(env)
+        status.task_started(key)
+        started = time.perf_counter()
+        try:
+            result: object = worker(arg)
+            ok = True
+        except BaseException as exc:  # shipped, not swallowed
+            result = exc
+            ok = False
+        status.task_finished(ok, result, time.perf_counter() - started)
+        try:
+            data = pickle.dumps((ok, result), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps(
+                (False, RuntimeError(f"unpicklable result: {exc!r}"))
             )
-            try:
-                data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                ok = False
-                data = pickle.dumps(
-                    RuntimeError(f"unpicklable result: {exc!r}")
-                )
-            in_ring = _ring_write(buf, data)
-            result_conn.send((
-                worker_id, key, ok, reused, in_ring,
-                len(data) if in_ring else data,
-            ))
-    finally:
-        buf = None
-        shm.close()
+        conn.send_bytes(data)
 
 
 # -- parent-side pool --------------------------------------------------
 
 @dataclass
 class WorkerFailure:
-    """A task the pool could not turn into an outcome."""
+    """A task the pool could not turn into a result."""
 
     error: BaseException | None
     timed_out: bool = False
@@ -289,38 +186,32 @@ class _Worker:
     """Parent-side handle of one persistent worker process."""
 
     process: object
-    task_q: object
-    #: parent read end of this worker's private result pipe
+    #: parent end of this worker's private duplex pipe
     conn: object
-    shm: shared_memory.SharedMemory
-    known: set[str] = field(default_factory=set)
-    #: (key, spec, attempt) currently executing, None when idle
-    busy: tuple | None = None
+    #: whether a task is in flight, and that task's key
+    busy: bool = False
+    key: object = None
     deadline: float | None = None
     started: float = 0.0
 
 
 class SpecWorkerPool:
-    """A warm, fixed-size pool of persistent spec workers.
+    """A warm, fixed-size pool of persistent task workers.
 
     One task in flight per worker; :meth:`map_specs` drives a whole
-    batch and returns per-key outcomes or :class:`WorkerFailure`
+    batch and returns per-key results or :class:`WorkerFailure`
     markers.  The pool survives across batches — that is the point —
     and :func:`get_pool` keeps a process-wide singleton sized to the
-    campaign's ``--jobs``.
+    campaign's ``--jobs``.  The class and :meth:`map_specs` keep their
+    spec-era names because the benchmark's ledger wraps them by name.
     """
 
-    def __init__(self, jobs: int, ring_bytes: int = RING_BYTES):
+    def __init__(self, jobs: int):
         self.jobs = jobs
-        self._ring_bytes = ring_bytes
         self._ctx = get_context("fork")
         self._workers: dict[int, _Worker] = {}
         self._next_id = 0
         self._closed = False
-        #: cumulative digest-only dispatches (spec already interned)
-        self.reuse_hits = 0
-        #: digest-only dispatches in the most recent map_specs batch
-        self.last_batch_reuse = 0
         #: workers respawned after a death or timeout kill
         self.respawns = 0
         for _ in range(jobs):
@@ -331,29 +222,22 @@ class SpecWorkerPool:
     def _spawn(self) -> int:
         wid = self._next_id
         self._next_id += 1
-        shm = shared_memory.SharedMemory(
-            create=True, size=_HEADER + self._ring_bytes
-        )
-        shm.buf[0:_HEADER] = b"\x00" * _HEADER
-        task_q = self._ctx.Queue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_q, send_conn, shm.name),
+            args=(wid, child_conn),
             daemon=True,
             name=f"repro-spec-worker-{wid}",
         )
         process.start()
-        # Drop the parent's copy of the write end so a worker death
-        # shows up as EOF on the read end instead of a silent stall.
-        send_conn.close()
-        self._workers[wid] = _Worker(
-            process=process, task_q=task_q, conn=recv_conn, shm=shm
-        )
+        # Drop the parent's copy of the worker's end so a worker death
+        # shows up as EOF on ours instead of a silent stall.
+        child_conn.close()
+        self._workers[wid] = _Worker(process=process, conn=conn)
         return wid
 
     def _retire(self, wid: int, kill: bool) -> None:
-        """Drop one worker (killing it if asked) and free its ring."""
+        """Drop one worker, killing it if asked."""
         worker = self._workers.pop(wid)
         if kill:
             worker.process.terminate()
@@ -361,27 +245,21 @@ class SpecWorkerPool:
         if worker.process.is_alive():
             worker.process.kill()
             worker.process.join(timeout=2.0)
-        worker.task_q.close()
         worker.conn.close()
-        worker.shm.close()
-        try:
-            worker.shm.unlink()
-        except FileNotFoundError:
-            pass
 
     def close(self) -> None:
-        """Shut every worker down and release the shared rings."""
+        """Shut every worker down."""
         if self._closed:
             return
         self._closed = True
         for worker in self._workers.values():
-            if worker.busy is None and worker.process.is_alive():
+            if not worker.busy and worker.process.is_alive():
                 try:
-                    worker.task_q.put(None)
+                    worker.conn.send_bytes(pickle.dumps(None))
                 except (OSError, ValueError):
                     pass
         for wid in list(self._workers):
-            self._retire(wid, kill=self._workers[wid].busy is not None)
+            self._retire(wid, kill=self._workers[wid].busy)
 
     # -- dispatch ------------------------------------------------------
 
@@ -392,44 +270,41 @@ class SpecWorkerPool:
         timeout: float | None,
         env: dict[str, str],
     ) -> None:
-        key, spec, attempt = task
-        if spec.digest in worker.known:
-            payload: object = spec.digest
-            self.reuse_hits += 1
-            self.last_batch_reuse += 1
-        else:
-            payload = spec
-            worker.known.add(spec.digest)
-        worker.busy = task
+        data = pickle.dumps((*task, env), pickle.HIGHEST_PROTOCOL)
+        worker.busy = True
+        worker.key = task[0]
         worker.started = time.monotonic()
         worker.deadline = (
             worker.started + timeout if timeout is not None else None
         )
-        worker.task_q.put((key, payload, attempt, env))
+        try:
+            worker.conn.send_bytes(data)
+        except OSError:
+            pass  # it died; the liveness sweep fails the task
 
     def map_specs(
         self,
-        tasks: Sequence[tuple[object, RunSpec, int | None]],
+        tasks: Sequence[tuple[object, Callable[[object], object], object]],
         timeout: float | None = None,
         on_result: Callable[[object, object, float], None] | None = None,
     ) -> dict:
-        """Run ``(key, spec, attempt)`` tasks; outcomes keyed by key.
+        """Run ``(key, worker, arg)`` tasks; results keyed by key.
 
-        ``attempt`` arms the chaos hook (``None`` skips it, matching
-        the non-resilient executor).  Values are :class:`RunOutcome`
-        on success and :class:`WorkerFailure` otherwise: an exception
-        shipped back from the worker, a per-task ``timeout`` expiry
-        (the worker is killed and respawned), or a worker death.
-        ``on_result(key, value, span_seconds)`` fires as each task
-        settles, span measured dispatch-to-result.  Any exception that
-        escapes the batch — a worker exception that is not an
-        :class:`Exception` (chaos ``interrupt``'s
+        ``worker`` must be a module-level callable, and ``arg`` and
+        its result picklable (a task that cannot be pickled raises at
+        dispatch).  Values are ``worker(arg)`` on success and
+        :class:`WorkerFailure` otherwise: an exception shipped back
+        from the worker (an unpicklable result included), a per-task
+        ``timeout`` expiry (the worker is killed and respawned), or a
+        worker death.  ``on_result(key, value, span_seconds)`` fires as
+        each task settles, span measured dispatch-to-result.  Any
+        exception that escapes the batch — a worker exception that is
+        not an :class:`Exception` (chaos ``interrupt``'s
         :exc:`KeyboardInterrupt`), Ctrl-C in this process, or an
         ``on_result`` checkpoint failure — tears the whole pool down
-        before re-raising, so no orphan worker keeps simulating and a
-        fresh pool starts clean: the cold path's abandonment posture.
+        before re-raising, so no orphan worker keeps running and a
+        fresh pool starts clean.
         """
-        self.last_batch_reuse = 0
         results: dict = {}
         pending = deque(tasks)
         env = {
@@ -443,62 +318,53 @@ class SpecWorkerPool:
                 on_result(key, value, span)
 
         try:
-            while pending or any(
-                w.busy is not None for w in self._workers.values()
-            ):
+            while pending or any(w.busy for w in self._workers.values()):
                 for worker in self._workers.values():
                     if not pending:
                         break
-                    if worker.busy is None:
+                    if not worker.busy:
                         self._dispatch(
                             worker, pending.popleft(), timeout, env
                         )
                 now = time.monotonic()
                 wait = _POLL_SECONDS
                 for worker in self._workers.values():
-                    if (worker.busy is not None
-                            and worker.deadline is not None):
+                    if worker.busy and worker.deadline is not None:
                         wait = min(
                             wait, max(worker.deadline - now, 0.001)
                         )
-                ready = mp_connection.wait(
-                    [w.conn for w in self._workers.values()],
-                    timeout=wait,
-                )
-                messages = []
-                for conn in ready:
+                by_conn = {w.conn: w for w in self._workers.values()}
+                for conn in mp_connection.wait(list(by_conn), wait):
+                    worker = by_conn[conn]
                     try:
-                        messages.append(conn.recv())
+                        data = conn.recv_bytes()
                     except (EOFError, OSError):
                         # The worker died; the liveness sweep below
                         # retires and replaces it.
-                        pass
-                for msg in messages:
-                    wid, key, ok, _reused, in_ring, payload = msg
-                    worker = self._workers.get(wid)
-                    if worker is None or worker.busy is None \
-                            or worker.busy[0] != key:
-                        continue  # stale: its worker was retired
-                    data = (
-                        _ring_read(worker.shm.buf, payload)
-                        if in_ring else payload
-                    )
-                    value = pickle.loads(data)
+                        continue
+                    try:
+                        ok, value = pickle.loads(data)
+                    except Exception as exc:
+                        # Pickled, but not rebuildable here (say, an
+                        # exception whose __init__ takes more args).
+                        ok, value = False, RuntimeError(
+                            f"unpicklable result: {exc!r}"
+                        )
+                    key = worker.key
                     span = time.monotonic() - worker.started
-                    worker.busy = None
+                    worker.busy = False
                     worker.deadline = None
                     if ok:
                         settle(key, value, span)
                     elif isinstance(value, Exception):
                         settle(key, WorkerFailure(error=value), span)
                     else:
-                        # KeyboardInterrupt and kin: abandon the
-                        # batch the way the cold path does.
+                        # KeyboardInterrupt and kin abandon the batch.
                         raise value
                 now = time.monotonic()
                 for wid in list(self._workers):
                     worker = self._workers[wid]
-                    if worker.busy is None:
+                    if not worker.busy:
                         if not worker.process.is_alive():
                             # Died between tasks: no task to fail, but
                             # replace it so its EOF'd pipe doesn't turn
@@ -507,7 +373,7 @@ class SpecWorkerPool:
                             self._spawn()
                             self.respawns += 1
                         continue
-                    key, _spec, _attempt = worker.busy
+                    key = worker.key
                     if not worker.process.is_alive():
                         code = worker.process.exitcode
                         span = now - worker.started
@@ -558,9 +424,9 @@ def _reset_singleton(pool: SpecWorkerPool) -> None:
 def get_pool(jobs: int) -> SpecWorkerPool:
     """The shared warm pool, (re)sized to ``jobs`` workers.
 
-    Campaigns call this per batch; the pool persists between calls —
+    Every parallel batch calls this; the pool persists between calls —
     resizing (a changed ``--jobs``) is the only thing that recycles
-    the workers and their interned spec state.
+    the workers.
     """
     global _pool, _atexit_registered
     if _pool is not None and _pool.jobs != jobs:

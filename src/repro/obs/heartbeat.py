@@ -1,11 +1,11 @@
 """Campaign heartbeats: progress beacons from workers and the parent.
 
-The warm pool's result rings carry *outcomes*; beacons carry *status*.
-When ``REPRO_BEACON_DIR`` is set, every warm-pool worker writes a small
+The worker pool's pipes carry *outcomes*; beacons carry *status*.
+When ``REPRO_BEACON_DIR`` is set, every pool worker writes a small
 JSON beacon file as it picks up and finishes each task, and the parent
 campaign writes a ``campaign`` beacon as runs checkpoint — so any other
 process (``repro-caer watch``, the Prometheus endpoint's provider) can
-reconstruct in-flight campaign health without touching the task queues.
+reconstruct in-flight campaign health without touching those pipes.
 
 Beacons are plain JSON files, written atomically (unique temp name +
 rename, the campaign cache's pattern) so a reader never observes a torn
@@ -204,10 +204,6 @@ def merge_beacon_metrics(
         counter(
             "workerpool.tasks_failed",
             sum(beacon_field(p, "tasks_failed") for p in workers),
-        )
-        counter(
-            "workerpool.spec_reuse",
-            sum(beacon_field(p, "reused_dispatches") for p in workers),
         )
         counter(
             "workerpool.detector_verdicts",

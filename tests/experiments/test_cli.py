@@ -311,8 +311,7 @@ class TestWatchCommand:
         write_beacon(beacons, "worker-0", {
             "state": "running", "digest": "abc123def456",
             "tasks_completed": 4, "tasks_failed": 0,
-            "reused_dispatches": 1, "detector_verdicts": 7.0,
-            "detector_positives": 2.0,
+            "detector_verdicts": 7.0, "detector_positives": 2.0,
         })
         code = cli.main(["watch", "--once"])
         out = capsys.readouterr().out

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.executor import fan_out, resolve_jobs, run_many
+from repro.experiments.workerpool import get_pool
 
 #: Short runs keep the fan-out suite fast while still spanning several
 #: probe periods.
@@ -90,6 +93,21 @@ def _failing_worker(task):
     return task * 10
 
 
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its args alone."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _unpicklable_worker(task):
+    if task == 1:
+        return lambda: task
+    if task == 3:
+        raise _TwoArgError("x", "y")
+    return task * 10
+
+
 class TestFanOut:
     def test_serial_matches_input_order(self):
         assert fan_out(_failing_worker, [0, 2, 4], jobs=1) == [0, 20, 40]
@@ -111,6 +129,32 @@ class TestFanOut:
         assert "task<3>" in message
         # Healthy siblings were not nuked by the failures.
         assert "task<0>" not in message
+
+    def test_unpicklable_result_fails_only_its_task(self):
+        pool = get_pool(2)
+        with pytest.raises(ExperimentError) as excinfo:
+            fan_out(
+                _unpicklable_worker,
+                [0, 1, 2, 3, 4],
+                jobs=2,
+                describe=lambda t: f"task<{t}>",
+            )
+        message = str(excinfo.value)
+        # Two failures named, so every sibling completed.
+        assert "2 of 5 runs failed" in message
+        assert "task<1>: RuntimeError('unpicklable result" in message
+        assert "task<3>: RuntimeError('unpicklable result" in message
+        # The worker survived its result: the same pool serves on.
+        assert get_pool(2) is pool
+        assert pool.respawns == 0
+        assert fan_out(_unpicklable_worker, [0, 2], jobs=2) == [0, 20]
+
+    def test_unpicklable_task_raises_at_dispatch(self):
+        # Loudly and at once, not a batch waiting forever on a task
+        # that never reached its worker; the next batch starts clean.
+        with pytest.raises(TypeError, match="pickle"):
+            fan_out(_failing_worker, [0, threading.Lock()], jobs=2)
+        assert fan_out(_failing_worker, [0, 2], jobs=2) == [0, 20]
 
     def test_serial_failure_is_described(self):
         with pytest.raises(ExperimentError, match="task<1>"):

@@ -324,10 +324,10 @@ class TestFanOutCancellation:
         ]
         with pytest.raises(KeyboardInterrupt):
             fan_out(_orphan_worker, tasks, jobs=2)
-        # Give in-flight (and call-queue-prefetched) workers ample time
-        # to finish, then count what actually ran.  Without
-        # cancel_futures the pool would drain all six sleepers; with it
-        # only the handful already dispatched may complete.
+        # Give in-flight workers ample time to finish, then count what
+        # actually ran.  A pool that drained its queue would run all
+        # six sleepers; the pool shuts down on the interrupt instead,
+        # so at most the handful already dispatched may complete.
         time.sleep(1.5)
         markers = sorted(p.name for p in tmp_path.glob("marker_*"))
         assert len(markers) < sleepers

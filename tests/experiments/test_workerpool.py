@@ -1,29 +1,30 @@
-"""Persistent warm pool: ring protocol, cold-path parity, chaos.
+"""Persistent worker pool: supervision, env forwarding, chaos.
 
-The warm pool is a pure transport optimisation: byte-for-byte the same
-:class:`~repro.runspec.RunOutcome` objects, the same failure identities,
-and the same journal/quarantine behaviour as the cold per-batch
-``ProcessPoolExecutor`` path it replaces.  These tests pin that parity
-and the pool's own survival machinery (digest interning, per-task env
-forwarding, timeout kills, dead-worker replacement).
+Every parallel batch runs on this pool, so these tests pin its own
+survival machinery (per-task env forwarding, timeout kills,
+dead-worker replacement, failure identities) and the resilient
+executor's behaviour on it.  That its answers equal the in-process
+reference is pinned by ``tests/golden``, which runs every pinned spec
+at ``--jobs 2``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import ChaosError
 from repro.experiments.campaign import CampaignSettings
-from repro.experiments.executor import run_specs
-from repro.experiments.resilience import RetryPolicy, run_specs_resilient
+from repro.experiments.executor import _execute_spec, run_specs
+from repro.experiments.resilience import (
+    RetryPolicy,
+    _execute_spec_attempt,
+    run_specs_resilient,
+)
 from repro.experiments.workerpool import (
-    _HEADER,
     SpecWorkerPool,
     WorkerFailure,
-    _ring_read,
-    _ring_write,
     get_pool,
     shutdown_pool,
-    warm_pool_enabled,
 )
 from repro.faults.chaos import _DIE_EXIT_CODE, CHAOS_ENV
 from repro.obs import MetricsRegistry
@@ -34,124 +35,36 @@ FAST = CampaignSettings(length=0.02, backend="statistical")
 EAGER = RetryPolicy(max_attempts=2, backoff=(0.0,))
 
 
+def attempt(key: int, spec, number: int) -> tuple:
+    """The pool task a resilient round sends for ``spec``'s attempt."""
+    return (key, _execute_spec_attempt, (spec, number))
+
+
 @pytest.fixture(autouse=True)
 def _fresh_pool(monkeypatch):
-    """Each test starts unarmed and without a lingering warm singleton."""
+    """Each test starts unarmed and without a lingering pool singleton."""
     monkeypatch.delenv(CHAOS_ENV, raising=False)
     shutdown_pool()
     yield
     shutdown_pool()
 
 
-class TestEnableGate:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WARM_POOL", raising=False)
-        assert warm_pool_enabled()
+class TestFanOutOnPool:
+    """run_specs (fan_out of _execute_spec) on the pool."""
 
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", "no"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_WARM_POOL", value)
-        assert not warm_pool_enabled()
-
-
-class TestRing:
-    """The SPSC shared-memory ring transporting pickled outcomes."""
-
-    @staticmethod
-    def make_buf(data_size: int) -> bytearray:
-        return bytearray(_HEADER + data_size)
-
-    def test_roundtrip(self):
-        buf = self.make_buf(32)
-        assert _ring_write(buf, b"hello")
-        assert _ring_read(buf, 5) == b"hello"
-
-    def test_fifo_across_messages(self):
-        buf = self.make_buf(32)
-        assert _ring_write(buf, b"one")
-        assert _ring_write(buf, b"two!")
-        assert _ring_read(buf, 3) == b"one"
-        assert _ring_read(buf, 4) == b"two!"
-
-    def test_wraparound_split_copy(self):
-        buf = self.make_buf(8)
-        assert _ring_write(buf, b"abcdef")
-        assert _ring_read(buf, 6) == b"abcdef"
-        # The next message spans the physical end of the data area.
-        assert _ring_write(buf, b"ghijkl")
-        assert _ring_read(buf, 6) == b"ghijkl"
-
-    def test_overflow_refused_until_drained(self):
-        buf = self.make_buf(8)
-        assert _ring_write(buf, b"abcdef")
-        # Only 2 free bytes: the write must refuse (the pool then
-        # falls back to shipping the payload over the queue).
-        assert not _ring_write(buf, b"wxyz")
-        assert _ring_read(buf, 6) == b"abcdef"
-        assert _ring_write(buf, b"wxyz")
-        assert _ring_read(buf, 4) == b"wxyz"
-
-
-class TestWarmColdParity:
-    """run_specs must not care which transport executed the batch."""
-
-    @staticmethod
-    def specs():
-        return [
+    def test_metrics_instruments(self):
+        specs = [
             FAST.run_spec(bench, config)
             for bench in ("444.namd", "429.mcf")
             for config in ("solo", "rule")
         ]
-
-    def test_outcomes_identical_warm_cold_serial(self, monkeypatch):
-        specs = self.specs()
-        monkeypatch.setenv("REPRO_WARM_POOL", "0")
-        cold = run_specs(specs, jobs=2)
-        monkeypatch.setenv("REPRO_WARM_POOL", "1")
-        warm = run_specs(specs, jobs=2)
-        serial = run_specs(specs, jobs=1)
-        assert warm == cold == serial
-        # Digest equality is byte-level: the canonical JSON of every
-        # outcome survived the ring transport unchanged.
-        assert [o.digest for o in warm] == [o.digest for o in serial]
-
-    def test_worker_reuse_gauge_counts_digest_dispatches(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_WARM_POOL", "1")
-        spec = FAST.run_spec("444.namd", "solo")
-        m1, m2 = MetricsRegistry(), MetricsRegistry()
-        first = run_specs([spec] * 4, jobs=2, metrics=m1)
-        second = run_specs([spec] * 4, jobs=2, metrics=m2)
-        assert first == second
-        # Batch 1: both workers start idle so each executes at least
-        # one task, paying exactly one full-spec dispatch apiece; the
-        # other two dispatches are digest-only.  Batch 2: everything
-        # is interned everywhere.
-        assert m1.snapshot()["executor.worker_reuse"]["value"] == 2.0
-        assert m2.snapshot()["executor.worker_reuse"]["value"] == 4.0
-
-    def test_interning_single_worker(self):
-        pool = SpecWorkerPool(jobs=1)
-        try:
-            spec = FAST.run_spec("444.namd", "solo")
-            r1 = pool.map_specs([(0, spec, None)])
-            r2 = pool.map_specs([(1, spec, None)])
-            assert pool.reuse_hits == 1
-            assert pool.last_batch_reuse == 1
-            assert r1[0] == r2[1]
-            assert r1[0].digest == r2[1].digest
-        finally:
-            pool.close()
-
-    def test_metrics_instruments_match_cold_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARM_POOL", "1")
         metrics = MetricsRegistry()
-        run_specs(self.specs(), jobs=2, metrics=metrics)
+        run_specs(specs, jobs=2, metrics=metrics)
         snap = metrics.snapshot()
         assert snap["executor.tasks"]["value"] == 4.0
         assert snap["executor.failures"]["value"] == 0.0
         assert snap["executor.job_seconds"]["count"] == 4
+        assert snap["profile.worker_dispatch_seconds"]["count"] == 4
         assert snap["executor.batch_seconds"]["value"] > 0.0
 
 
@@ -163,7 +76,7 @@ class TestPoolFailureHandling:
         pool = SpecWorkerPool(jobs=1)
         try:
             spec = FAST.run_spec("444.namd", "solo")
-            failure = pool.map_specs([(0, spec, 1)])[0]
+            failure = pool.map_specs([attempt(0, spec, 1)])[0]
             assert isinstance(failure, WorkerFailure)
             assert "ChaosError" in failure.describe()
             assert "injected crash on attempt 1" in failure.describe()
@@ -175,14 +88,16 @@ class TestPoolFailureHandling:
         pool = SpecWorkerPool(jobs=1)
         try:
             spec = FAST.run_spec("444.namd", "solo")
-            failure = pool.map_specs([(0, spec, 1)], timeout=0.5)[0]
+            failure = pool.map_specs(
+                [attempt(0, spec, 1)], timeout=0.5
+            )[0]
             assert isinstance(failure, WorkerFailure)
             assert failure.timed_out
             assert pool.respawns == 1
             # The replacement worker is functional (chaos hits only
             # attempt 1, and attempt 2 here is a fresh dispatch).
             monkeypatch.delenv(CHAOS_ENV)
-            outcome = pool.map_specs([(1, spec, 2)])[1]
+            outcome = pool.map_specs([attempt(1, spec, 2)])[1]
             assert not isinstance(outcome, WorkerFailure)
         finally:
             pool.close()
@@ -192,12 +107,12 @@ class TestPoolFailureHandling:
         pool = SpecWorkerPool(jobs=1)
         try:
             spec = FAST.run_spec("444.namd", "solo")
-            failure = pool.map_specs([(0, spec, 1)])[0]
+            failure = pool.map_specs([attempt(0, spec, 1)])[0]
             assert isinstance(failure, WorkerFailure)
             assert failure.died
             assert f"exit code {_DIE_EXIT_CODE}" in failure.describe()
             assert pool.respawns == 1
-            outcome = pool.map_specs([(1, spec, 2)])[1]
+            outcome = pool.map_specs([attempt(1, spec, 2)])[1]
             assert not isinstance(outcome, WorkerFailure)
         finally:
             pool.close()
@@ -209,15 +124,18 @@ class TestPoolFailureHandling:
         try:
             spec = FAST.run_spec("444.namd", "solo")
             assert not isinstance(
-                pool.map_specs([(0, spec, 1)])[0], WorkerFailure
+                pool.map_specs([attempt(0, spec, 1)])[0],
+                WorkerFailure,
             )
             monkeypatch.setenv(CHAOS_ENV, "crash:5")
             assert isinstance(
-                pool.map_specs([(1, spec, 1)])[1], WorkerFailure
+                pool.map_specs([attempt(1, spec, 1)])[1],
+                WorkerFailure,
             )
             monkeypatch.delenv(CHAOS_ENV)
             assert not isinstance(
-                pool.map_specs([(2, spec, 1)])[2], WorkerFailure
+                pool.map_specs([attempt(2, spec, 1)])[2],
+                WorkerFailure,
             )
         finally:
             pool.close()
@@ -228,10 +146,7 @@ class TestPoolFailureHandling:
         """Regression: ``REPRO_TRACE_DIR`` set after the pool forked
         must still produce worker-side trace files, byte-identical to
         a serially traced run of the same spec."""
-        from repro.experiments.executor import (
-            TRACE_DIR_ENV,
-            _execute_spec,
-        )
+        from repro.experiments.executor import TRACE_DIR_ENV
 
         spec = FAST.run_spec("444.namd", "rule")
         pool = SpecWorkerPool(jobs=1)
@@ -239,11 +154,11 @@ class TestPoolFailureHandling:
             # Warm the worker with an untraced dispatch first, so the
             # trace env var demonstrably postdates the fork.
             assert not isinstance(
-                pool.map_specs([(0, spec, None)])[0], WorkerFailure
+                pool.map_specs([(0, _execute_spec, spec)])[0], WorkerFailure
             )
             warm_dir = tmp_path / "warm"
             monkeypatch.setenv(TRACE_DIR_ENV, str(warm_dir))
-            outcome = pool.map_specs([(1, spec, None)])[1]
+            outcome = pool.map_specs([(1, _execute_spec, spec)])[1]
             assert not isinstance(outcome, WorkerFailure)
         finally:
             pool.close()
@@ -270,8 +185,8 @@ class TestPoolFailureHandling:
         try:
             spec = FAST.run_spec("444.namd", "rule")
             monkeypatch.setenv(BEACON_DIR_ENV, str(tmp_path))
-            pool.map_specs([(0, spec, None)])
-            pool.map_specs([(1, spec, None)])
+            pool.map_specs([(0, _execute_spec, spec)])
+            pool.map_specs([(1, _execute_spec, spec)])
         finally:
             pool.close()
         beacons = read_beacons(tmp_path)
@@ -280,7 +195,6 @@ class TestPoolFailureHandling:
         assert payload["state"] == "idle"
         assert payload["tasks_completed"] == 2
         assert payload["tasks_failed"] == 0
-        assert payload["reused_dispatches"] == 1
         # A rule-governed run issues verdicts; they surface in the
         # beacon's cumulative detector counters.
         assert payload["detector_verdicts"] > 0
@@ -299,7 +213,7 @@ class TestPoolFailureHandling:
 
 
 class TestResilientParity:
-    """run_specs_resilient behaves identically warm and cold."""
+    """run_specs_resilient on the pool: retry, quarantine, chaos."""
 
     @staticmethod
     def specs():
@@ -311,27 +225,21 @@ class TestResilientParity:
     def test_outcomes_and_quarantine_identical(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "crash:99:444.namd")
         specs = self.specs()
-        monkeypatch.setenv("REPRO_WARM_POOL", "0")
-        cold_out, cold_q = run_specs_resilient(
+        outcomes, quarantined = run_specs_resilient(
             specs, jobs=2, policy=EAGER
         )
-        monkeypatch.setenv("REPRO_WARM_POOL", "1")
-        warm_out, warm_q = run_specs_resilient(
-            specs, jobs=2, policy=EAGER
-        )
-        assert warm_out == cold_out
-        assert {k: v.digest for k, v in warm_out.items()} == {
-            k: v.digest for k, v in cold_out.items()
-        }
-        assert set(warm_q) == set(cold_q)
-        record_w = warm_q[specs[0].digest]
-        record_c = cold_q[specs[0].digest]
-        assert record_w.attempts == record_c.attempts
-        assert record_w.error == record_c.error
+        assert set(outcomes) == {specs[1].digest}
+        assert set(quarantined) == {specs[0].digest}
+        record = quarantined[specs[0].digest]
+        # The shipped exception keeps the identity a serial run gives.
+        assert record.attempts == EAGER.max_attempts
+        assert record.error == repr(ChaosError(
+            f"chaos: injected crash on attempt {EAGER.max_attempts} "
+            f"of {specs[0].describe()}"
+        ))
 
     def test_die_once_retries_on_respawned_workers(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "die:1")
-        monkeypatch.setenv("REPRO_WARM_POOL", "1")
         metrics = MetricsRegistry()
         specs = self.specs()
         outcomes, quarantined = run_specs_resilient(
@@ -352,7 +260,6 @@ class TestResilientParity:
         # retry round would run serially, where die degrades to a
         # crash), so the quarantine records the worker death itself.
         monkeypatch.setenv(CHAOS_ENV, "die:99:444.namd")
-        monkeypatch.setenv("REPRO_WARM_POOL", "1")
         specs = self.specs()
         policy = RetryPolicy(max_attempts=1, backoff=(0.0,))
         outcomes, quarantined = run_specs_resilient(
@@ -383,7 +290,6 @@ class TestResilientParity:
         cap creeping in and no quarantine leaking across rounds.
         """
         monkeypatch.setenv(CHAOS_ENV, "die:1")
-        monkeypatch.setenv("REPRO_WARM_POOL", "1")
         specs = self.specs()
         for round_number in range(1, 4):
             outcomes, quarantined = run_specs_resilient(

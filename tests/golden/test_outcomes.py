@@ -9,7 +9,8 @@ configuration, plus ``raw`` runs on machines that enable the
 prefetcher, writeback modelling and a non-inclusive L3 — the hierarchy
 paths ``bench/expected/seed0.json`` never exercises.  Every pin must
 hold on the fast path and on the generic reference
-(``REPRO_FAST_LANE=0``) alike.
+(``REPRO_FAST_LANE=0``) alike, and at ``--jobs 2`` on the persistent
+worker pool, through both the plain and the resilient executor.
 
 A deliberate result change rewrites ``outcomes.json`` (run this module
 as a script) and bumps ``CACHE_EPOCH`` in
@@ -26,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.campaign import CampaignSettings
+from repro.experiments.executor import run_specs
+from repro.experiments.resilience import RetryPolicy, run_specs_resilient
 from repro.runspec import execute_run
 from repro.runspec.spec import paper_run_spec
 
@@ -112,6 +115,31 @@ def test_outcome_pinned(label, lane, pinned, monkeypatch):
         f"is deliberate, rewrite {GOLDEN.name} by running "
         f"`PYTHONPATH=src python -m tests.golden.test_outcomes` and bump "
         f"CACHE_EPOCH in repro.experiments.campaign in the same change."
+    )
+
+
+def _on_pool(executor: str, specs: list) -> list:
+    """Outcomes of ``specs`` at ``--jobs 2``, in ``specs`` order."""
+    if executor == "run_specs":
+        return run_specs(specs, jobs=2)
+    outcomes, quarantined = run_specs_resilient(
+        specs, jobs=2, policy=RetryPolicy(max_attempts=1)
+    )
+    assert not quarantined, quarantined
+    return [outcomes[spec.digest] for spec in specs]
+
+
+@pytest.mark.parametrize("executor", ["run_specs", "run_specs_resilient"])
+def test_outcomes_pinned_on_pool(executor, pinned):
+    labels = list(SPECS)
+    outcomes = _on_pool(executor, [SPECS[label] for label in labels])
+    changed = [
+        label for label, outcome in zip(labels, outcomes)
+        if outcome_sha256(outcome) != pinned[label]
+    ]
+    assert not changed, (
+        f"at --jobs 2 through {executor}, the outcomes of {changed} "
+        f"differ from their pins in {GOLDEN.name}"
     )
 
 

@@ -208,13 +208,11 @@ class TestHeartbeats:
     def test_merge_aggregates_workers_and_campaign(self, tmp_path):
         write_beacon(tmp_path, "worker-0", {
             "state": "running", "tasks_completed": 3, "tasks_failed": 1,
-            "reused_dispatches": 2, "detector_verdicts": 10.0,
-            "detector_positives": 4.0,
+            "detector_verdicts": 10.0, "detector_positives": 4.0,
         })
         write_beacon(tmp_path, "worker-1", {
             "state": "idle", "tasks_completed": 5, "tasks_failed": 0,
-            "reused_dispatches": 1, "detector_verdicts": 6.0,
-            "detector_positives": 1.0,
+            "detector_verdicts": 6.0, "detector_positives": 1.0,
         })
         write_beacon(tmp_path, "campaign", {
             "state": "running", "runs_total": 20, "runs_completed": 8,
@@ -225,7 +223,6 @@ class TestHeartbeats:
         assert merged["workerpool.workers_running"]["value"] == 1
         assert merged["workerpool.tasks_completed"]["value"] == 8
         assert merged["workerpool.tasks_failed"]["value"] == 1
-        assert merged["workerpool.spec_reuse"]["value"] == 3
         assert merged["workerpool.detector_verdicts"]["value"] == 16.0
         assert merged["workerpool.detector_positives"]["value"] == 5.0
         assert merged["campaign.beacon_runs_total"]["value"] == 20
@@ -294,7 +291,6 @@ class TestMidCampaignScrape:
 
         from repro.experiments import Campaign, CampaignSettings
 
-        monkeypatch.setenv("REPRO_WARM_POOL", "0")
         monkeypatch.delenv(BEACON_DIR_ENV, raising=False)
         settings = CampaignSettings(length=0.02, backend="statistical")
         campaign = Campaign(
