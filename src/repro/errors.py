@@ -45,6 +45,11 @@ class UnknownBenchmarkError(WorkloadError):
         hint = f" (known: {', '.join(known)})" if known else ""
         super().__init__(f"unknown benchmark {name!r}{hint}")
 
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not the formatted
+        # message, so the error crosses a worker pipe unchanged.
+        return type(self), (self.name, self.known)
+
 
 class PerfmonError(ReproError):
     """Misuse of the perfmon session API (e.g. reading a closed session)."""

@@ -17,7 +17,7 @@ from .campaign import (
     audit_cache_key,
     produce_summary,
 )
-from .executor import fan_out, resolve_jobs, run_many, run_specs
+from .executor import fan_out, resolve_jobs, run_specs
 from .faults import fault_sweep
 from .fleetchaos import chaos_frontier
 from .resilience import (
@@ -61,7 +61,6 @@ __all__ = [
     "produce_summary",
     "fan_out",
     "resolve_jobs",
-    "run_many",
     "run_specs",
     "run_specs_resilient",
     "RetryPolicy",

@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from ..caer.metrics import utilization_gained
 from ..config import MachineConfig
 from ..errors import ConfigError, ExperimentError
 from ..obs import MetricsRegistry, merge_snapshots
@@ -48,7 +47,6 @@ from ..runspec import (
     paper_run_spec,
     resolve_caer_config,
 )
-from ..sim.results import RunResult
 from .executor import TRACE_DIR_ENV, _execute_spec
 from .resilience import (
     CampaignJournal,
@@ -234,36 +232,6 @@ class RunSummary:
     #: before the observability layer existed.  Excluded from equality:
     #: tracing and telemetry must never make two runs compare different.
     telemetry: dict | None = field(default=None, compare=False)
-
-    @classmethod
-    def from_run(
-        cls, bench: str, config: str, result: RunResult,
-        keep_series: bool = True,
-    ) -> "RunSummary":
-        """Condense a full :class:`RunResult` into the cacheable summary.
-
-        ``keep_series`` controls whether the per-period miss and
-        instruction series are retained (Figure 3 needs them; the other
-        figures only use the scalars).
-        """
-        ls = result.latency_sensitive()
-        gained = (
-            utilization_gained(result) if result.batch_processes() else 0.0
-        )
-        return cls(
-            bench=bench,
-            config=config,
-            completion_periods=ls.completion_periods,
-            total_periods=result.total_periods,
-            ls_total_llc_misses=ls.total_llc_misses(),
-            utilization_gained=gained,
-            miss_series=ls.llc_miss_series() if keep_series else [],
-            instruction_series=(
-                [round(x, 1) for x in ls.instruction_series()]
-                if keep_series
-                else []
-            ),
-        )
 
     @classmethod
     def from_outcome(

@@ -5,14 +5,12 @@ self-contained :class:`~repro.runspec.RunSpec` — it builds its own
 chip, seeds its own RNG streams, and shares no mutable state with its
 neighbours.  :func:`fan_out` distributes such runs across the
 persistent worker pool of :mod:`repro.experiments.workerpool`; with
-``jobs=1`` it degrades to a plain in-process loop, which is the
-bit-identical reference the parallel path is tested against
-(determinism holds because each run's results depend only on its
-picklable arguments, never on scheduling order).
+``jobs=1`` it degrades to a plain in-process loop with the same
+result contract (determinism holds because each run's results depend
+only on its picklable arguments, never on scheduling order).
 
 :func:`run_specs` is the one spec-in/outcome-out fan-out every
-experiment driver uses; :func:`run_many` keeps the campaign's
-(benchmark, config-tag) vocabulary on top of it.
+experiment driver uses.
 
 The worker count comes from, in priority order: an explicit ``jobs``
 argument (the CLI's ``--jobs``), the ``REPRO_JOBS`` environment
@@ -27,9 +25,9 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from ..errors import ConfigError, ExperimentError, ReproError
+from ..errors import ConfigError, ExperimentError
 from ..obs import (
     SECONDS_BUCKETS,
     SPAN_SECONDS_BUCKETS,
@@ -38,10 +36,7 @@ from ..obs import (
     Tracer,
 )
 from ..runspec import RunOutcome, RunSpec, execute_run
-from .workerpool import WorkerFailure, get_pool
-
-if TYPE_CHECKING:
-    from .campaign import CampaignSettings, RunSummary
+from .workerpool import WorkerFailure, get_pool, map_inline
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -97,7 +92,8 @@ def fan_out(
 
     ``worker`` must be a module-level callable and every task and
     result picklable: with ``jobs > 1`` and at least two tasks, the
-    batch runs on the persistent worker pool (:func:`get_pool`).  A
+    batch runs on the persistent worker pool (:func:`get_pool`), and
+    otherwise in this process (:func:`map_inline`).  Either way a
     failing task does not abort its siblings: every task runs to
     completion or failure, then one :class:`ExperimentError` reports
     *which* tasks failed, via ``describe``.
@@ -110,39 +106,19 @@ def fan_out(
     Pool jobs also feed ``profile.worker_dispatch_seconds``.
     """
     jobs = resolve_jobs(jobs)
+    pooled = jobs > 1 and len(tasks) > 1
     batch_started = time.perf_counter()
     if metrics is not None:
         metrics.counter("executor.tasks").inc(len(tasks))
         span = metrics.histogram(
             "executor.job_seconds", buckets=SECONDS_BUCKETS
         )
-    if jobs == 1 or len(tasks) <= 1:
-        results: list[R] = []
-        for task in tasks:
-            started = time.perf_counter()
-            try:
-                results.append(worker(task))
-            except ExperimentError:
-                if metrics is not None:
-                    metrics.counter("executor.failures").inc()
-                raise
-            except Exception as exc:
-                if metrics is not None:
-                    metrics.counter("executor.failures").inc()
-                raise ExperimentError(
-                    f"run {describe(task)} failed: {exc!r}"
-                ) from exc
-            finally:
-                if metrics is not None:
-                    span.observe(time.perf_counter() - started)
-                    metrics.gauge("executor.batch_seconds").set(
-                        time.perf_counter() - batch_started
-                    )
-        return results
 
     def on_result(_key: object, _value: object, seconds: float) -> None:
-        if metrics is not None:
-            span.observe(seconds)
+        if metrics is None:
+            return
+        span.observe(seconds)
+        if pooled:
             # Dispatch-to-result wall clock of one pool task: the
             # worker-side leg of the span-profiling story (the engine
             # and kernel legs travel back on run telemetry).
@@ -151,10 +127,11 @@ def fan_out(
                 buckets=SPAN_SECONDS_BUCKETS,
             ).observe(seconds)
 
-    settled = get_pool(jobs).map_specs(
-        [(index, worker, task) for index, task in enumerate(tasks)],
-        on_result=on_result,
-    )
+    keyed = [(index, worker, task) for index, task in enumerate(tasks)]
+    if pooled:
+        settled = get_pool(jobs).map_specs(keyed, on_result=on_result)
+    else:
+        settled = map_inline(keyed, on_result=on_result)
     out = [settled[index] for index in range(len(tasks))]
     failures = [
         f"{describe(task)}: {value.describe()}"
@@ -219,44 +196,3 @@ def run_specs(
         describe=describe or RunSpec.describe,
         metrics=metrics,
     )
-
-
-def run_many(
-    settings: "CampaignSettings",
-    pairs: Iterable[tuple[str, str]],
-    jobs: int | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> list["RunSummary"]:
-    """Simulate every (bench, config) pair, fanned across processes.
-
-    ``config`` is ``"solo"`` or one of the co-location configurations;
-    summaries come back in ``pairs`` order.  Each pair is translated to
-    a :class:`RunSpec` up front (an unknown config therefore fails fast,
-    with the pair's identity in the message) and labelled by its digest,
-    so failure reports use the caller's vocabulary even though the
-    workers only ever see specs.
-    """
-    from .campaign import RunSummary
-
-    pairs = list(pairs)
-    specs: list[RunSpec] = []
-    labels: dict[str, str] = {}
-    for bench, config in pairs:
-        try:
-            spec = settings.run_spec(bench, config)
-        except ReproError as exc:
-            raise ExperimentError(
-                f"run ({bench}, {config}) failed: {exc}"
-            ) from exc
-        labels[spec.digest] = f"({bench}, {config})"
-        specs.append(spec)
-    outcomes = run_specs(
-        specs,
-        jobs=jobs,
-        metrics=metrics,
-        describe=lambda spec: labels.get(spec.digest, spec.describe()),
-    )
-    return [
-        RunSummary.from_outcome(bench, config, outcome)
-        for (bench, config), outcome in zip(pairs, outcomes)
-    ]

@@ -250,8 +250,8 @@ def _profiling_section(campaign: Campaign) -> str:
     Spans are metrics, not trace events, so they carry real seconds;
     the section renders the merged histograms (engine periods, vector
     classify/commit, worker dispatch) with bucket-resolution quantiles.
-    Absent when profiling was off (``REPRO_PROFILE_SPANS=0``) or no
-    cached run carries telemetry.
+    Absent when no cached run carries telemetry (entries cached before
+    the observability layer existed).
     """
     merged = merge_snapshots(
         s.get("metrics", {}) for s in campaign.telemetry_snapshots()

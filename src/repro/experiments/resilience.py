@@ -36,7 +36,7 @@ from ..faults.chaos import maybe_inject
 from ..obs import MetricsRegistry
 from ..runspec import RunOutcome, RunSpec
 from .executor import _execute_spec, resolve_jobs
-from .workerpool import WorkerFailure, get_pool
+from .workerpool import WorkerFailure, get_pool, map_inline
 
 #: Environment overrides for :meth:`RetryPolicy.from_env`.
 RETRIES_ENV = "REPRO_RETRIES"
@@ -162,15 +162,10 @@ def run_specs_resilient(
         delay = policy.delay_before(attempt)
         if delay:
             time.sleep(delay)
-        if jobs == 1 or len(pending) == 1:
-            failed = _serial_round(
-                pending, attempt, outcomes, errors, on_complete, metrics
-            )
-        else:
-            failed = _parallel_round(
-                pending, attempt, jobs, policy, outcomes, errors,
-                on_complete, metrics,
-            )
+        failed = _round(
+            pending, attempt, jobs, policy, outcomes, errors,
+            on_complete, metrics,
+        )
         if failed and attempt < policy.max_attempts and metrics is not None:
             metrics.counter("executor.retries").inc(len(failed))
         pending = failed
@@ -188,31 +183,7 @@ def run_specs_resilient(
     return outcomes, quarantined
 
 
-def _serial_round(
-    pending: list[RunSpec],
-    attempt: int,
-    outcomes: dict[str, RunOutcome],
-    errors: dict[str, str],
-    on_complete: Callable[[RunSpec, RunOutcome, int], None] | None,
-    metrics: MetricsRegistry | None,
-) -> list[RunSpec]:
-    failed: list[RunSpec] = []
-    for spec in pending:
-        if metrics is not None:
-            metrics.counter("executor.attempts").inc()
-        try:
-            outcome = _execute_spec_attempt((spec, attempt))
-        except Exception as exc:
-            errors[spec.digest] = repr(exc)
-            failed.append(spec)
-        else:
-            outcomes[spec.digest] = outcome
-            if on_complete is not None:
-                on_complete(spec, outcome, attempt)
-    return failed
-
-
-def _parallel_round(
+def _round(
     pending: list[RunSpec],
     attempt: int,
     jobs: int,
@@ -222,7 +193,8 @@ def _parallel_round(
     on_complete: Callable[[RunSpec, RunOutcome, int], None] | None,
     metrics: MetricsRegistry | None,
 ) -> list[RunSpec]:
-    """One retry round on the persistent pool.
+    """One retry round: in this process when ``jobs`` is 1 or a single
+    spec is left, otherwise on the persistent pool.
 
     Tasks are keyed by spec digest, so a worker's beacon names the spec
     it is running.  A timed-out spec fails as ``timed out after Ns``
@@ -243,14 +215,16 @@ def _parallel_round(
         if on_complete is not None:
             on_complete(spec, value, attempt)
 
-    results = get_pool(jobs).map_specs(
-        [
-            (spec.digest, _execute_spec_attempt, (spec, attempt))
-            for spec in pending
-        ],
-        timeout=policy.timeout,
-        on_result=on_result,
-    )
+    tasks = [
+        (spec.digest, _execute_spec_attempt, (spec, attempt))
+        for spec in pending
+    ]
+    if jobs == 1 or len(pending) == 1:
+        results = map_inline(tasks, on_result=on_result)
+    else:
+        results = get_pool(jobs).map_specs(
+            tasks, timeout=policy.timeout, on_result=on_result
+        )
     failed: list[RunSpec] = []
     for spec in pending:
         value = results[spec.digest]

@@ -22,7 +22,9 @@ executor's parallel rounds both dispatch here:
 Workers fork once, when the pool is built, so anything registered in
 the parent afterwards (a plugin detector, say) is unknown to them.
 One task is in flight per worker at a time, so dispatch-to-result
-spans are exact and a kill loses exactly one task.
+spans are exact and a kill loses exactly one task.  A serial batch
+runs through :func:`map_inline` instead, under the same result
+contract.
 """
 
 from __future__ import annotations
@@ -179,6 +181,33 @@ class WorkerFailure:
         if self.message:
             return self.message
         return repr(self.error)
+
+
+def map_inline(
+    tasks: Sequence[tuple[object, Callable[[object], object], object]],
+    on_result: Callable[[object, object, float], None] | None = None,
+) -> dict:
+    """Run ``(key, worker, arg)`` tasks in this process, in order.
+
+    The serial twin of :meth:`SpecWorkerPool.map_specs`, with the same
+    result contract: values are ``worker(arg)``, or a
+    :class:`WorkerFailure` carrying the :class:`Exception` it raised;
+    every task runs whatever its siblings do; and
+    ``on_result(key, value, span_seconds)`` fires as each settles.
+    Anything that is not an :class:`Exception` (``KeyboardInterrupt``)
+    abandons the batch, as it does on the pool.
+    """
+    results: dict = {}
+    for key, worker, arg in tasks:
+        started = time.perf_counter()
+        try:
+            value: object = worker(arg)
+        except Exception as exc:
+            value = WorkerFailure(error=exc)
+        results[key] = value
+        if on_result is not None:
+            on_result(key, value, time.perf_counter() - started)
+    return results
 
 
 @dataclass

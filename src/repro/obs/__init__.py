@@ -69,14 +69,11 @@ from .metrics import (
     merge_snapshots,
 )
 from .profiling import (
-    PROFILE_ENV,
     PROFILE_PREFIX,
     PROFILER,
     SPAN_SECONDS_BUCKETS,
-    ProfileSpan,
     SpanProfiler,
     activate_profiling,
-    spans_enabled,
 )
 from .tracer import (
     NULL_TRACER,
@@ -127,12 +124,9 @@ __all__ = [
     "beacon_field",
     "write_beacon",
     # span profiling
-    "PROFILE_ENV",
     "PROFILE_PREFIX",
     "PROFILER",
     "SPAN_SECONDS_BUCKETS",
-    "ProfileSpan",
     "SpanProfiler",
     "activate_profiling",
-    "spans_enabled",
 ]

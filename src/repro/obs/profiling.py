@@ -20,24 +20,19 @@ Sites check a process-global :data:`PROFILER` whose disabled state is
 one attribute read — the same price as a disabled tracer — so bare
 engine/kernel use (the throughput benchmarks) pays nothing.
 :func:`activate_profiling` arms the profiler around one run with that
-run's registry; :func:`execute_run` does this automatically unless
-``REPRO_PROFILE_SPANS=0``, so span histograms ride back on run
-telemetry and surface in the campaign report's profiling section.
+run's registry; :func:`execute_run` does this for every run, so span
+histograms ride back on run telemetry and surface in the campaign
+report's profiling section.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from .metrics import MetricsRegistry
-
-#: Gate (default on): ``0``/``false``/``off`` keeps the profiler
-#: dormant even when a run attaches a metrics registry.
-PROFILE_ENV = "REPRO_PROFILE_SPANS"
 
 #: Histogram bounds for span durations, in seconds.  Batches and
 #: periods are microsecond-to-millisecond scale; worker dispatches run
@@ -49,13 +44,6 @@ SPAN_SECONDS_BUCKETS = (
 
 #: Every profile-span histogram name starts with this.
 PROFILE_PREFIX = "profile."
-
-
-def spans_enabled() -> bool:
-    """Whether :func:`activate_profiling` should arm the profiler."""
-    return os.environ.get(PROFILE_ENV, "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 class SpanProfiler:
@@ -120,46 +108,15 @@ def activate_profiling(
 ) -> Iterator[SpanProfiler]:
     """Arm :data:`PROFILER` with ``registry`` for the enclosed run.
 
-    A no-op (profiler stays dormant) when ``registry`` is ``None`` or
-    ``REPRO_PROFILE_SPANS`` disables spans; always restores the prior
-    state, so nesting and exceptions are safe.
+    A no-op (profiler stays dormant) when ``registry`` is ``None``;
+    always restores the prior state, so nesting and exceptions are
+    safe.
     """
     prior = (PROFILER.enabled, PROFILER.registry)
-    if registry is not None and spans_enabled():
+    if registry is not None:
         PROFILER.enabled = True
         PROFILER.registry = registry
     try:
         yield PROFILER
     finally:
         PROFILER.enabled, PROFILER.registry = prior
-
-
-class ProfileSpan:
-    """An explicitly started span for call sites that cannot nest a
-    ``with`` block cleanly; pairs :meth:`start` with :meth:`stop`.
-
-    ``ProfileSpan("profile.x_seconds")`` records into the global
-    profiler's registry when armed, else drops the measurement.
-    """
-
-    __slots__ = ("name", "_started")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._started: float | None = None
-
-    def start(self) -> "ProfileSpan":
-        if PROFILER.enabled:
-            self._started = perf_counter()
-        return self
-
-    def stop(self) -> None:
-        if self._started is not None:
-            PROFILER.observe(self.name, perf_counter() - self._started)
-            self._started = None
-
-    def __enter__(self) -> "ProfileSpan":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -273,11 +273,12 @@ def execute_run(
     driven only by its picklable arguments, touching no shared state.
     A fresh :class:`MetricsRegistry` is attached per run; its snapshot
     (plus derived scalars and the spec identity) rides back on the
-    outcome's ``telemetry``.  Span profiling is armed around the run
-    (unless ``REPRO_PROFILE_SPANS=0``), so the wall-clock histograms —
-    engine periods, vector-kernel batches — ride back in the same
-    snapshot; they are excluded from outcome equality like every other
-    telemetry field.
+    outcome's ``telemetry``.  Span profiling is armed around every run,
+    so the wall-clock histograms — engine periods, vector-kernel
+    batches — ride back in the same snapshot; they are excluded from
+    outcome equality like every other telemetry field.  The pinned
+    outcomes of ``tests/golden`` hold with a tracer attached and with
+    live export serving, as well as bare.
     """
     from ..caer.metrics import utilization_gained
 

@@ -2,24 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.campaign import Campaign, CampaignSettings
-from repro.experiments.executor import fan_out, resolve_jobs, run_many
+from repro.experiments.executor import fan_out, resolve_jobs, run_specs
 from repro.experiments.workerpool import get_pool
 
 #: Short runs keep the fan-out suite fast while still spanning several
 #: probe periods.
 FAST = CampaignSettings(length=0.02)
-
-PAIRS = [
-    (bench, config)
-    for bench in ("429.mcf", "470.lbm", "444.namd")
-    for config in ("solo", "raw", "rule")
-]
 
 
 class TestResolveJobs:
@@ -115,12 +110,14 @@ class TestFanOut:
     def test_parallel_matches_input_order(self):
         assert fan_out(_failing_worker, [0, 2, 4], jobs=3) == [0, 20, 40]
 
-    def test_parallel_failure_names_every_failed_task(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parallel_failure_names_every_failed_task(self, jobs):
+        # Serial and pooled batches share one result contract.
         with pytest.raises(ExperimentError) as excinfo:
             fan_out(
                 _failing_worker,
                 [0, 1, 2, 3],
-                jobs=2,
+                jobs=jobs,
                 describe=lambda t: f"task<{t}>",
             )
         message = str(excinfo.value)
@@ -162,30 +159,16 @@ class TestFanOut:
                 _failing_worker, [1], jobs=1, describe=lambda t: f"task<{t}>"
             )
 
-
-class TestRunMany:
-    def test_parallel_and_serial_summaries_identical(self):
-        parallel = run_many(FAST, PAIRS, jobs=4)
-        serial = run_many(FAST, PAIRS, jobs=1)
-        assert parallel == serial  # wall_seconds excluded from equality
-        for summary, (bench, config) in zip(parallel, PAIRS):
-            assert (summary.bench, summary.config) == (bench, config)
-            assert summary.wall_seconds > 0.0
-
-    def test_failed_run_reports_bench_and_config(self):
+    def test_unknown_benchmark_named_once_from_the_pool(self):
+        # The worker's UnknownBenchmarkError crosses the pipe intact.
+        spec = FAST.run_spec("429.mcf", "raw")
+        bad = dataclasses.replace(spec, victim="no.such.bench")
         with pytest.raises(ExperimentError) as excinfo:
-            run_many(
-                FAST,
-                [("429.mcf", "solo"), ("no.such.bench", "raw")],
-                jobs=2,
-            )
-        assert "(no.such.bench, raw)" in str(excinfo.value)
-
-    def test_unknown_config_reports_identity(self):
-        with pytest.raises(ExperimentError) as excinfo:
-            run_many(FAST, [("429.mcf", "warp"), ("444.namd", "solo")],
-                     jobs=2)
-        assert "(429.mcf, warp)" in str(excinfo.value)
+            run_specs([spec, bad], jobs=2)
+        message = str(excinfo.value)
+        assert "1 of 2 runs failed — (no.such.bench, raw)" in message
+        assert "unknown benchmark 'no.such.bench'" in message
+        assert message.count("unknown benchmark") == 1
 
 
 class TestCampaignPrefetch:
@@ -197,18 +180,6 @@ class TestCampaignPrefetch:
         assert campaign.prefetch(["429.mcf"], ["solo", "raw"]) == 0
         assert campaign.solo("429.mcf").bench == "429.mcf"
         assert campaign.total_wall_seconds() > 0.0
-
-    def test_parallel_campaign_matches_serial(self, tmp_path):
-        parallel = Campaign(FAST, cache_dir=tmp_path / "p", jobs=4)
-        serial = Campaign(FAST, cache_dir=tmp_path / "s", jobs=1)
-        benches = ["429.mcf", "470.lbm"]
-        parallel.prefetch(benches, ["solo", "shutter"])
-        serial.prefetch(benches, ["solo", "shutter"])
-        for bench in benches:
-            assert parallel.solo(bench) == serial.solo(bench)
-            assert parallel.colocated(bench, "shutter") == serial.colocated(
-                bench, "shutter"
-            )
 
     def test_disk_cache_round_trips_wall_seconds(self, tmp_path):
         campaign = Campaign(FAST, cache_dir=tmp_path, jobs=1)

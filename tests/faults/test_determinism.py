@@ -1,9 +1,11 @@
-"""Determinism contract under faults (ISSUE 4 satellite).
+"""Determinism contract under faults.
 
-A faulted run is a pure function of its spec: bit-identical across
-repeats, across ``jobs=1`` vs ``jobs>1``, and with or without tracing;
-and a zero-intensity plan is bit-identical to running with no plan at
-all (only the digest moves).
+A faulted run is a pure function of its spec.  ``tests/golden`` pins
+faulted outcomes on both backends, and checks them across repeats,
+``--jobs``, tracing and retry.  This module checks the plan itself: a
+zero-intensity plan is bit-identical to running with no plan at all
+(only the digest moves), the fault seed moves the result, and a raw
+run ignores any plan.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.executor import run_specs
 from repro.faults import FaultPlan
-from repro.obs import RingBufferSink, Tracer
-from repro.runspec import execute, execute_run, paper_run_spec
+from repro.runspec import execute_run, paper_run_spec
 
 LENGTH = 0.02
 
@@ -34,10 +34,6 @@ def comparable(outcome):
 
 @pytest.mark.parametrize("backend", ["sim", "statistical"])
 class TestRepeatability:
-    def test_repeats_are_bit_identical(self, scaled_machine, backend):
-        spec = faulted_spec(scaled_machine, backend=backend)
-        assert execute_run(spec) == execute_run(spec)
-
     def test_zero_intensity_equals_no_faults(self, scaled_machine,
                                              backend):
         clean = paper_run_spec(
@@ -58,28 +54,12 @@ class TestRepeatability:
         assert comparable(a) != comparable(b)
 
 
-class TestParallelism:
-    def test_jobs1_matches_jobs2(self, scaled_machine):
-        specs = [
-            faulted_spec(scaled_machine, intensity=i)
-            for i in (0.4, 0.8)
-        ]
-        serial = run_specs(specs, jobs=1)
-        parallel = run_specs(specs, jobs=2)
-        assert serial == parallel
-
-
 class TestTracingNeutrality:
-    def test_traced_equals_untraced_under_faults(self, scaled_machine):
-        spec = faulted_spec(scaled_machine)
-        untraced = execute(spec)
-        ring = RingBufferSink()
-        traced = execute(spec, tracer=Tracer([ring]))
-        ls = untraced.latency_sensitive()
-        traced_ls = traced.latency_sensitive()
-        assert ls.llc_miss_series() == traced_ls.llc_miss_series()
-        assert ls.completion_periods == traced_ls.completion_periods
-        assert ring.by_kind("fault")  # faults really fired
+    """Faults only move what reads the PMU.
+
+    That a tracer leaves a faulted run unchanged is pinned in
+    ``tests/golden``.
+    """
 
     def test_raw_run_ignores_faults_bit_identically(self, scaled_machine):
         """No hook consumes observations in a raw run, so even an

@@ -28,13 +28,11 @@ from repro.obs import (
     read_beacons,
     render_prometheus,
     sanitize_metric_name,
-    spans_enabled,
     start_exporter,
     write_beacon,
 )
 from repro.obs.export import METRICS_PORT_ENV
 from repro.obs.heartbeat import BEACON_DIR_ENV, beacon_age, beacon_dir
-from repro.obs.profiling import PROFILE_ENV
 
 
 def _scrape(url: str) -> str:
@@ -238,17 +236,7 @@ class TestHeartbeats:
 
 
 class TestSpanProfiling:
-    def test_disabled_by_default_off_env(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "0")
-        assert not spans_enabled()
-        registry = MetricsRegistry()
-        with activate_profiling(registry):
-            assert not PROFILER.enabled
-        assert len(registry) == 0
-
-    def test_activation_is_scoped(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
-        assert spans_enabled()
+    def test_activation_is_scoped(self):
         registry = MetricsRegistry()
         assert not PROFILER.enabled
         with activate_profiling(registry):
@@ -259,13 +247,11 @@ class TestSpanProfiling:
         snap = registry.snapshot()
         assert snap["profile.test_seconds"]["count"] == 1
 
-    def test_activation_without_registry_is_noop(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_activation_without_registry_is_noop(self):
         with activate_profiling(None):
             assert not PROFILER.enabled
 
-    def test_nested_activation_restores_outer(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_nested_activation_restores_outer(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()
         with activate_profiling(outer):
             with activate_profiling(inner):

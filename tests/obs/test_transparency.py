@@ -1,10 +1,10 @@
-"""Trace transparency: observing a run must never change it.
+"""Trace and metrics shape: what observing a run records.
 
-The acceptance contract for the observability layer: attaching a tracer
-and a metrics registry to a simulation leaves the :class:`RunResult`
-(and the cached :class:`RunSummary` derived from it) bit-identical to
-an unobserved run, while the emitted trace itself satisfies the
-one-detection-event-per-period invariant.
+That observing a run never changes it is pinned in ``tests/golden``:
+its pinned outcomes hold with a tracer attached and with live export
+serving.  This module checks what the observers record — one
+detection event per governed period, and period counters that match
+the run.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.caer.runtime import caer_factory
 from repro.config import MachineConfig
-from repro.experiments.campaign import RunSummary, resolve_caer_config
+from repro.experiments.campaign import resolve_caer_config
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.sim import run_colocated
 from repro.workloads import benchmark
@@ -38,27 +38,6 @@ def _run(bench: str, config: str, seed: int, tracer=None, metrics=None):
 
 
 @given(
-    bench=st.sampled_from(["429.mcf", "462.libquantum"]),
-    config=st.sampled_from(["shutter", "rule"]),
-    seed=st.integers(min_value=0, max_value=3),
-)
-@settings(max_examples=8, deadline=None)
-def test_tracing_leaves_run_result_bit_identical(bench, config, seed):
-    untraced = _run(bench, config, seed)
-    ring = RingBufferSink(1 << 20)
-    traced = _run(
-        bench, config, seed,
-        tracer=Tracer([ring]),
-        metrics=MetricsRegistry(),
-    )
-    assert traced == untraced
-    assert RunSummary.from_run(bench, config, traced) == RunSummary.from_run(
-        bench, config, untraced
-    )
-    assert len(ring.events) > 0
-
-
-@given(
     config=st.sampled_from(["shutter", "rule"]),
     seed=st.integers(min_value=0, max_value=3),
 )
@@ -74,64 +53,9 @@ def test_detection_event_per_governed_period(config, seed):
     assert [e.period for e in detections] == list(range(result.total_periods))
 
 
-def test_metrics_alone_are_also_transparent():
-    baseline = _run("429.mcf", "shutter", seed=1)
+def test_metrics_count_every_period():
     metrics = MetricsRegistry()
-    observed = _run("429.mcf", "shutter", seed=1, metrics=metrics)
-    assert observed == baseline
+    result = _run("429.mcf", "shutter", seed=1, metrics=metrics)
     snap = metrics.snapshot()
-    assert snap["caer.periods"]["value"] == baseline.total_periods
-    assert snap["sim.periods"]["value"] == baseline.total_periods
-
-
-def test_live_export_leaves_runs_bit_identical(tmp_path, monkeypatch):
-    """The exporter-on world must equal the exporter-off world.
-
-    With the endpoint serving (and being scraped), beacons enabled,
-    and span profiling armed, executing the same spec must produce a
-    bit-identical :class:`RunOutcome` — live telemetry is read-only
-    over runs.
-    """
-    import urllib.request
-
-    from repro.obs import PROFILE_ENV, start_exporter
-    from repro.obs.heartbeat import BEACON_DIR_ENV
-    from repro.runspec import RunSpec, execute_run
-
-    spec = RunSpec(
-        victim="429.mcf",
-        contenders=(),
-        machine=MachineConfig.tiny(),
-        length=LENGTH,
-        backend="sim",
-    )
-    monkeypatch.delenv(BEACON_DIR_ENV, raising=False)
-    monkeypatch.setenv(PROFILE_ENV, "0")
-    off = execute_run(spec)
-
-    monkeypatch.setenv(BEACON_DIR_ENV, str(tmp_path / "beacons"))
-    monkeypatch.delenv(PROFILE_ENV, raising=False)
-    registry = MetricsRegistry()
-    exporter = start_exporter(registry.snapshot, port=0)
-    try:
-        registry.counter("campaign.runs_simulated").inc()
-        body = urllib.request.urlopen(exporter.url, timeout=5).read()
-        assert b"repro_campaign_runs_simulated_total 1" in body
-        on = execute_run(spec)
-    finally:
-        exporter.close()
-
-    # RunOutcome equality excludes wall_seconds/telemetry by design;
-    # the full bit-identity claim covers every compared field plus the
-    # series payloads.
-    assert on == off
-    assert on.miss_series == off.miss_series
-    assert on.instruction_series == off.instruction_series
-    # ...and the exporter-on run did carry profiling spans, proving
-    # the armed world was actually exercised.
-    assert any(
-        name.startswith("profile.") for name in on.telemetry["metrics"]
-    )
-    assert not any(
-        name.startswith("profile.") for name in off.telemetry["metrics"]
-    )
+    assert snap["caer.periods"]["value"] == result.total_periods
+    assert snap["sim.periods"]["value"] == result.total_periods

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 import repro
@@ -74,6 +76,13 @@ class TestErrorHierarchy:
         err = errors.UnknownBenchmarkError("foo", ("a", "b"))
         assert "foo" in str(err)
         assert "a, b" in str(err)
+
+    def test_unknown_benchmark_survives_pickling(self):
+        # Errors raised in a pool worker reach the parent pickled.
+        err = errors.UnknownBenchmarkError("nope", ("a", "b"))
+        back = pickle.loads(pickle.dumps(err))
+        assert str(back) == str(err)
+        assert (back.name, back.known) == ("nope", ("a", "b"))
 
     def test_library_failures_catchable_at_root(self):
         with pytest.raises(errors.ReproError):
