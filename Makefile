@@ -11,10 +11,12 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_simspeed.py --json BENCH_simspeed.json
+	$(PYTHON) bench/run.py --workload paper-serial --seconds 40 --trace 0
 
 simspeed:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_simspeed.py
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_simspeed.py --trace-overhead
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_simspeed.py --export-overhead
 
 figures:
 	$(PYTHON) -m repro.cli all

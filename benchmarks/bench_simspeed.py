@@ -1,8 +1,8 @@
-"""Simulator throughput across the execution tiers.
+"""Simulator throughput and observability-overhead gates.
 
-Measures raw access throughput (simulated memory accesses per wall
-second) of one core driving the scaled-Nehalem hierarchy for each
-execution tier:
+The throughput suite measures raw access throughput (simulated memory
+accesses per wall second) of one core driving the scaled-Nehalem
+hierarchy under each execution tier:
 
 * **generic** (``REPRO_FAST_LANE=0``) — the reference path: list sets,
   virtual policy dispatch and exception-based probing, one
@@ -24,32 +24,32 @@ and through ``access_many``, at the batch size one default budget buys
 on that workload.  It is an ordering check — the stream path must beat
 the dict kernel it bypasses — in smoke and full runs alike.
 
-Run standalone for the acceptance check::
+The two **overhead gates** time an "off" and an "on" unit of work in
+interleaved pairs and judge the median of the pair ratios by its
+distribution-free 95% confidence interval (:func:`judge`): the gate
+passes when the whole interval lies below the bound, fails when it
+lies at or above it, and otherwise reports ``UNRESOLVED`` and exits
+non-zero, because a spread too wide to decide proves nothing.
 
-    PYTHONPATH=src python benchmarks/bench_simspeed.py
-    PYTHONPATH=src python benchmarks/bench_simspeed.py --smoke  # CI
-    PYTHONPATH=src python benchmarks/bench_simspeed.py \
-        --json BENCH_simspeed.json --append
-    PYTHONPATH=src python benchmarks/bench_simspeed.py --profile
+Run::
 
-``--append`` accumulates a perf trajectory: the JSON file holds a
-``points`` list and every run appends one comparable point (a
-schema-1 single-point file is migrated in place).
-
-or through pytest (smoke-sized, sanity ordering only)::
-
-    pytest benchmarks/bench_simspeed.py
+    PYTHONPATH=src python benchmarks/bench_simspeed.py                   # full
+    PYTHONPATH=src python benchmarks/bench_simspeed.py --smoke           # CI
+    PYTHONPATH=src python benchmarks/bench_simspeed.py --trace-overhead
+    PYTHONPATH=src python benchmarks/bench_simspeed.py --export-overhead
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
-import platform
 import sys
 import time
+from math import comb, inf
 from pathlib import Path
+from statistics import median
+from typing import Callable, NamedTuple, Sequence
 
 try:
     import repro  # noqa: F401
@@ -59,11 +59,6 @@ except ImportError:  # running as a script without PYTHONPATH=src
 from repro.config import MachineConfig
 from repro.workloads import synthetic
 
-#: Version of the ``--json`` schema; bump when fields change meaning.
-#: Schema 2 turned the file into a trajectory: a ``points`` list of
-#: comparable measurement snapshots (schema 1 was one bare snapshot).
-SCHEMA_VERSION = 2
-
 #: Kernel gate, applied to the streaming benchmark (``stream-llc``).
 KERNEL_OVER_GENERIC_TARGET = 3.0
 
@@ -71,13 +66,34 @@ KERNEL_OVER_GENERIC_TARGET = 3.0
 #: sink) over an untraced one.
 TRACE_OVERHEAD_TARGET = 0.02
 
-#: Maximum allowed slowdown of the full live-export stack — span
-#: profiling armed, ``/metrics`` endpoint serving, a scraper hitting
-#: it — over a bare run of the same workload.
+#: Maximum allowed slowdown of stream-llc ``core.run`` calls with span
+#: profiling armed over the same calls unarmed, both under a served
+#: ``/metrics`` endpoint and a scraper hitting it.
 EXPORT_OVERHEAD_TARGET = 0.02
 
-#: Cycle budget of one ``core.run`` call in the main table.
+#: Cycle budget of one ``core.run`` call.
 DEFAULT_BUDGET = 40_000.0
+
+#: (warm-up calls, timed calls, best-of reps) of one throughput
+#: measurement, per mode.
+SMOKE_RUNS = (3, 10, 1)
+FULL_RUNS = (10, 40, 3)
+
+#: Off/on pairs an overhead gate times.  Host noise shifts whole units,
+#: so a pair's spread hardly shrinks with a longer unit: many short
+#: pairs narrow the interval more than a few long ones in the same
+#: time.  At 161 pairs the median's distribution-free interval runs
+#: from the 68th smallest to the 68th largest pair ratio.
+OVERHEAD_PAIRS = 161
+
+#: Confidence of the interval an overhead verdict is read from.
+CONFIDENCE = 0.95
+
+#: Run length of the mcf/shutter engine run the tracing gate times.
+TRACE_RUN_LENGTH = 0.05
+
+#: ``core.run`` calls in one timed unit of the export gate.
+EXPORT_RUN_CALLS = 150
 
 #: tier -> REPRO_FAST_LANE.
 TIERS = {"generic": "0", "kernel": "1"}
@@ -117,14 +133,7 @@ def _clear_tier() -> None:
     os.environ.pop("REPRO_FAST_LANE", None)
 
 
-def measure(
-    tier: str,
-    factory,
-    warm: int,
-    timed: int,
-    budget: float = DEFAULT_BUDGET,
-    reps: int = 3,
-) -> float:
+def measure(tier: str, factory, warm: int, timed: int, reps: int) -> float:
     """Best-of-``reps`` accesses/second for one execution tier.
 
     The tier flag is read at object construction, so the chip is built
@@ -134,14 +143,12 @@ def measure(
     slowdowns are spurious).
     """
     best = 0.0
-    for _ in range(max(1, reps)):
-        best = max(best, _measure_once(tier, factory, warm, timed, budget))
+    for _ in range(reps):
+        best = max(best, _measure_once(tier, factory, warm, timed))
     return best
 
 
-def _measure_once(
-    tier: str, factory, warm: int, timed: int, budget: float
-) -> float:
+def _measure_once(tier: str, factory, warm: int, timed: int) -> float:
     """One warm-up + timed measurement of one tier (accesses/second)."""
     _set_tier(tier)
     try:
@@ -152,13 +159,13 @@ def _measure_once(
         workload = spec.instantiate(seed=3, base=1 << 34)
         core = chip.core(0)
         for _ in range(warm):
-            core.run(workload, budget)
+            core.run(workload, DEFAULT_BUDGET)
             if workload.finished:
                 workload = spec.instantiate(seed=3, base=1 << 34)
         start = time.perf_counter()
         accesses_before = core.accesses_issued
         for _ in range(timed):
-            core.run(workload, budget)
+            core.run(workload, DEFAULT_BUDGET)
             if workload.finished:
                 workload = spec.instantiate(seed=3, base=1 << 34)
         elapsed = time.perf_counter() - start
@@ -167,8 +174,8 @@ def _measure_once(
         _clear_tier()
 
 
-def budget_batch(factory, budget: float = DEFAULT_BUDGET) -> int:
-    """Accesses one ``budget`` buys on a warm kernel-tier core."""
+def budget_batch(factory) -> int:
+    """Accesses one default budget buys on a warm kernel-tier core."""
     _set_tier("kernel")
     try:
         from repro.arch.chip import MulticoreChip
@@ -178,7 +185,7 @@ def budget_batch(factory, budget: float = DEFAULT_BUDGET) -> int:
         core = chip.core(0)
         for _ in range(3):
             before = core.accesses_issued
-            core.run(workload, budget)
+            core.run(workload, DEFAULT_BUDGET)
         return core.accesses_issued - before
     finally:
         _clear_tier()
@@ -224,8 +231,7 @@ def _serve_once(path: str, factory, warm: int, timed: int,
         _clear_tier()
 
 
-def measure_vector_gate(factory, warm: int, timed: int,
-                        reps: int = 3) -> dict:
+def measure_vector_gate(factory, warm: int, timed: int, reps: int) -> dict:
     """The stream path against the dict kernel on the same batches.
 
     Reps alternate between the two paths, so scheduler drift hits both
@@ -233,7 +239,7 @@ def measure_vector_gate(factory, warm: int, timed: int,
     """
     batch = budget_batch(factory)
     best = {"kernel": 0.0, "vector": 0.0}
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         for path in best:
             best[path] = max(
                 best[path], _serve_once(path, factory, warm, timed, batch)
@@ -246,12 +252,12 @@ def measure_vector_gate(factory, warm: int, timed: int,
     }
 
 
-def run_suite(warm: int, timed: int, reps: int = 3) -> list[dict]:
+def run_suite(warm: int, timed: int, reps: int) -> list[dict]:
     """One row per workload: tier throughputs, ratios, gate data."""
     rows = []
     for name, (factory, kernel_gated, vector_gated) in WORKLOADS.items():
         tiers = {
-            tier: measure(tier, factory, warm, timed, reps=reps)
+            tier: measure(tier, factory, warm, timed, reps)
             for tier in TIERS
         }
         rows.append({
@@ -323,115 +329,83 @@ def check_gates(rows: list[dict], smoke: bool) -> list[str]:
     return failures
 
 
-def build_point(rows: list[dict], warm: int, timed: int,
-                reps: int) -> dict:
-    """One comparable trajectory point (see docs/performance.md)."""
-    return {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "cpu_count": os.cpu_count(),
-        },
-        "config": {
-            "machine_config": "scaled_nehalem",
-            "budget_cycles": int(DEFAULT_BUDGET),
-            "warm": warm,
-            "timed": timed,
-            "reps": reps,
-        },
-        "targets": {
-            "kernel_over_generic": KERNEL_OVER_GENERIC_TARGET,
-        },
-        # Which REPRO_* tier flag each measured column ran under —
-        # without this, trajectory points from different builds are
-        # not comparable (a "kernel" column meant flat arrays without
-        # the numpy tier before the ordered-dict sets).
-        "kernel_gates": {
-            name: {"fast_lane": env == "1"}
-            for name, env in TIERS.items()
-        },
-        "workloads": {
-            row["workload"]: {
-                "kernel_gated": row["kernel_gated"],
-                "tiers": row["tiers"],
-                "ratios": row["ratios"],
-                "vector_gate": row.get("vector_gate"),
-            }
-            for row in rows
-        },
-    }
+class Verdict(NamedTuple):
+    """An overhead gate's decision and the numbers behind it."""
+
+    outcome: str  # "pass", "fail" or "UNRESOLVED"
+    n: int
+    median: float
+    low: float
+    high: float
 
 
-def build_report(points: list[dict]) -> dict:
-    """The ``--json`` payload: a trajectory of comparable points."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "benchmark": "bench_simspeed",
-        "points": points,
-    }
+def median_interval(values: Sequence[float]) -> tuple[float, float]:
+    """The median's distribution-free :data:`CONFIDENCE` interval.
 
-
-def migrate_points(report: dict) -> list[dict]:
-    """Existing-file contents -> its trajectory points.
-
-    Schema 1 was a single bare snapshot: it becomes point zero of the
-    trajectory, its fields carried over untouched (the tier and ratio
-    keys it lacks simply stay absent — consumers key off what is
-    present).  Schema 2 files return their ``points`` list as is.
+    With ``B ~ Binomial(n, 1/2)`` counting the values below the true
+    median, the k-th smallest to the k-th largest value cover it with
+    probability ``1 - 2 P(B < k)``; the interval uses the largest k
+    that keeps this at or above :data:`CONFIDENCE`.  Fewer than six
+    values admit no such k, and the interval is unbounded.
     """
-    if report.get("schema_version") == SCHEMA_VERSION:
-        return list(report["points"])
-    point = {
-        key: value for key, value in report.items()
-        if key not in ("schema_version", "benchmark")
-    }
-    return [point]
+    ordered = sorted(values)
+    n = len(ordered)
+    below = 0.0  # P(B < k)
+    k = 0
+    while below + comb(n, k) / 2 ** n <= (1.0 - CONFIDENCE) / 2:
+        below += comb(n, k) / 2 ** n
+        k += 1
+    if k == 0:
+        return -inf, inf
+    return ordered[k - 1], ordered[n - k]
 
 
-def write_report(path: Path, rows: list[dict], warm: int, timed: int,
-                 reps: int, append: bool) -> int:
-    """Write (or extend) the trajectory file; return its point count."""
-    point = build_point(rows, warm, timed, reps)
-    points = [point]
-    if append and path.exists():
-        points = migrate_points(json.loads(path.read_text())) + [point]
-    path.write_text(json.dumps(build_report(points), indent=2) + "\n")
-    return len(points)
+def judge(overheads: Sequence[float], bound: float) -> Verdict:
+    """Judge per-pair overheads (on/off - 1) against ``bound``.
+
+    Pass when the median's interval lies below the bound, fail when it
+    lies at or above it, and ``UNRESOLVED`` when it straddles the
+    bound — an interval whose upper end equals the bound never passes.
+    """
+    low, high = median_interval(overheads)
+    if high < bound:
+        outcome = "pass"
+    elif low >= bound:
+        outcome = "fail"
+    else:
+        outcome = "UNRESOLVED"
+    return Verdict(outcome, len(overheads), median(overheads), low, high)
 
 
-def profile_streaming_run(top: int = 20) -> None:
-    """cProfile one kernel-tier streaming run; print top ``top`` by
-    cumulative time — the shopping list for future hot-path work."""
-    import cProfile
-    import pstats
-
-    _set_tier("kernel")
-    try:
-        from repro.arch.chip import MulticoreChip
-
-        chip = MulticoreChip(MachineConfig.scaled_nehalem(), seed=7)
-        spec = WORKLOADS["stream-llc"][0]()
-        workload = spec.instantiate(seed=3, base=1 << 34)
-        core = chip.core(0)
-        for _ in range(5):  # warm imports and caches outside the profile
-            core.run(workload, 40_000.0)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        for _ in range(50):
-            core.run(workload, 40_000.0)
-            if workload.finished:
-                workload = spec.instantiate(seed=3, base=1 << 34)
-        profiler.disable()
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(top)
-    finally:
-        _clear_tier()
+def _cpu_seconds(work: Callable[[], object]) -> float:
+    """Process CPU seconds of ``work()``, from a collected heap."""
+    gc.collect()
+    start = time.process_time()
+    work()
+    return time.process_time() - start
 
 
-def _timed_engine_run(tracer=None, length: float = 0.05) -> float:
-    """Seconds for one traced or untraced mcf/shutter co-located run."""
+def paired_overheads(
+    off: Callable[[], float], on: Callable[[], float], pairs: int
+) -> list[float]:
+    """``on``/``off`` - 1 over ``pairs`` interleaved pairs of units.
+
+    Each unit returns its own CPU seconds.  Pairs alternate which side
+    runs first, so warm-up and drift within a pair favour neither.
+    """
+    overheads = []
+    for pair in range(pairs):
+        seconds = {}
+        for unit in ((off, on) if pair % 2 == 0 else (on, off)):
+            seconds[unit] = unit()
+        overheads.append(seconds[on] / seconds[off] - 1.0)
+    return overheads
+
+
+def _engine_unit(traced: bool, length: float) -> float:
+    """CPU seconds of one mcf/shutter co-located engine run."""
     from repro.caer.runtime import CaerConfig, caer_factory
+    from repro.obs import RingBufferSink, Tracer
     from repro.sim import run_colocated
     from repro.workloads import benchmark
 
@@ -439,58 +413,34 @@ def _timed_engine_run(tracer=None, length: float = 0.05) -> float:
     l3 = machine.l3.capacity_lines
     ls = benchmark("429.mcf", l3, length=length)
     batch = benchmark("470.lbm", l3, length=length)
-    start = time.perf_counter()
-    run_colocated(
+    tracer = Tracer([RingBufferSink(1 << 20)]) if traced else None
+    return _cpu_seconds(lambda: run_colocated(
         ls, batch, machine,
         caer_factory=caer_factory(CaerConfig.shutter()),
         tracer=tracer,
-    )
-    return time.perf_counter() - start
+    ))
 
 
-def measure_trace_overhead(
-    repeats: int = 9, length: float = 0.05
-) -> tuple[float, float, float]:
-    """(untraced_s, traced_s, overhead_fraction), best-of-``repeats``.
+def measure_trace_overhead() -> list[float]:
+    """Per-pair overhead of a fully traced engine run.
 
     Tracing emits a handful of events per probe period against ~40 K
-    simulated cycles of simulation work, so the true overhead is well
-    under the 2% budget — but single-run wall times on a busy host
-    jitter by far more than that.  Two noise defences: runs are
-    interleaved (untraced, traced, untraced, ...) so scheduler and
-    thermal drift hit both sides alike, and the reported overhead is
-    the *lower* of two estimators — best-of-N ratio and median paired
-    ratio.  Either alone can be inflated a few percent by one noisy
-    window; a genuine emission-cost regression inflates both, so the
-    gate still catches it.
+    simulated cycles of simulation work: about 1% on a 2-vCPU VM, under
+    the 2% budget.  The pairs and the median's interval keep the host's
+    jitter from deciding the gate either way.
     """
-    from statistics import median
-
-    from repro.obs import RingBufferSink, Tracer
-
-    _timed_engine_run(None, length)  # warm caches and imports
-    untraced_times = []
-    traced_times = []
-    for _ in range(repeats):
-        untraced_times.append(_timed_engine_run(None, length))
-        traced_times.append(
-            _timed_engine_run(Tracer([RingBufferSink(1 << 20)]), length)
-        )
-    untraced = min(untraced_times)
-    traced = min(traced_times)
-    min_ratio = traced / untraced - 1.0
-    median_pair = median(
-        t / u for t, u in zip(traced_times, untraced_times)
-    ) - 1.0
-    return untraced, traced, min(min_ratio, median_pair)
+    _engine_unit(False, TRACE_RUN_LENGTH)  # warm caches and imports
+    return paired_overheads(
+        lambda: _engine_unit(False, TRACE_RUN_LENGTH),
+        lambda: _engine_unit(True, TRACE_RUN_LENGTH),
+        OVERHEAD_PAIRS,
+    )
 
 
-def _timed_stream_run(
-    registry=None, runs: int = 150, budget: float = DEFAULT_BUDGET
-) -> float:
-    """Seconds for ``runs`` kernel-tier stream-llc ``core.run`` calls.
+def _stream_unit(registry=None) -> float:
+    """CPU seconds of kernel-tier stream-llc ``core.run`` calls.
 
-    With ``registry`` the run executes inside ``activate_profiling``,
+    With ``registry`` the calls execute inside ``activate_profiling``,
     so the stream path's classify/commit spans are live — the
     per-batch cost the export gate must bound.
     """
@@ -503,45 +453,40 @@ def _timed_stream_run(
     spec = WORKLOADS["stream-llc"][0]()
     workload = spec.instantiate(seed=3, base=1 << 34)
     core = chip.core(0)
-    for _ in range(3):
-        core.run(workload, budget)
-        if workload.finished:
-            workload = spec.instantiate(seed=3, base=1 << 34)
+
+    def calls(count: int) -> None:
+        nonlocal workload
+        for _ in range(count):
+            core.run(workload, DEFAULT_BUDGET)
+            if workload.finished:
+                workload = spec.instantiate(seed=3, base=1 << 34)
+
+    calls(3)
     scope = (
         activate_profiling(registry) if registry is not None
         else nullcontext()
     )
     with scope:
-        start = time.perf_counter()
-        for _ in range(runs):
-            core.run(workload, budget)
-            if workload.finished:
-                workload = spec.instantiate(seed=3, base=1 << 34)
-        return time.perf_counter() - start
+        return _cpu_seconds(lambda: calls(EXPORT_RUN_CALLS))
 
 
-def measure_export_overhead(
-    repeats: int = 9, runs: int = 150
-) -> tuple[float, float, float]:
-    """(off_s, on_s, overhead_fraction) for the live-export stack.
+def measure_export_overhead() -> list[float]:
+    """Per-pair overhead of span profiling under live export.
 
-    The "on" world is the whole subsystem at once: span profiling
-    armed over the kernel tier (classify/commit spans firing every
-    batch), a ``/metrics`` endpoint serving the registry, and a
-    background scraper polling it throughout — the worst realistic
-    cost of watching a campaign live.  Noise defences as in
-    :func:`measure_trace_overhead`: interleaved runs and the lower of
-    the best-of-N and median-paired estimators.
+    Both sides run on the kernel tier while a ``/metrics`` endpoint
+    serves the registry and a background scraper polls it every 50 ms;
+    the "on" side also arms span profiling, so classify/commit spans
+    fire on every stream-path batch.  CPU time counts every thread of
+    the process, the endpoint's and the scraper's included.
     """
     import threading
     import urllib.request
-    from statistics import median
 
     from repro.obs import MetricsExporter, MetricsRegistry
 
     _set_tier("kernel")
     try:
-        _timed_stream_run(runs=runs)  # warm caches and imports
+        _stream_unit()  # warm caches and imports
         registry = MetricsRegistry()
         stop = threading.Event()
         with MetricsExporter(registry.snapshot, port=0) as exporter:
@@ -559,173 +504,74 @@ def measure_export_overhead(
             thread = threading.Thread(target=scraper, daemon=True)
             thread.start()
             try:
-                off_times = []
-                on_times = []
-                for _ in range(repeats):
-                    off_times.append(_timed_stream_run(runs=runs))
-                    on_times.append(
-                        _timed_stream_run(registry, runs=runs)
-                    )
+                return paired_overheads(
+                    _stream_unit, lambda: _stream_unit(registry),
+                    OVERHEAD_PAIRS,
+                )
             finally:
                 stop.set()
                 thread.join(timeout=2.0)
-        off = min(off_times)
-        on = min(on_times)
-        min_ratio = on / off - 1.0
-        median_pair = median(
-            t / u for t, u in zip(on_times, off_times)
-        ) - 1.0
-        return off, on, min(min_ratio, median_pair)
     finally:
         _clear_tier()
 
 
-def record_export_overhead(path: Path, payload: dict) -> bool:
-    """Attach the export-overhead result to the trajectory's last point.
-
-    The measurement annotates the most recent throughput point (it
-    describes the same build) rather than appending a tier-less point
-    of its own.  Returns ``False`` when the file is absent or empty.
-    """
-    if not path.exists():
-        return False
-    report = json.loads(path.read_text())
-    points = migrate_points(report)
-    if not points:
-        return False
-    points[-1]["export_overhead"] = payload
-    path.write_text(json.dumps(build_report(points), indent=2) + "\n")
-    return True
-
-
-def bench_simspeed_smoke():
-    """Pytest entry: tier ordering must hold (no absolute thresholds)."""
-    rows = run_suite(warm=3, timed=10, reps=1)
-    print(render(rows))
-    failures = check_gates(rows, smoke=True)
-    assert not failures, "; ".join(failures)
+def report_overhead(what: str, overheads: list[float],
+                    bound: float) -> int:
+    """Print an overhead gate's verdict; the exit status is 0 on pass."""
+    verdict = judge(overheads, bound)
+    print(
+        f"{what} overhead: {verdict.outcome} — n={verdict.n} pairs, "
+        f"median {verdict.median:+.2%}, "
+        f"{CONFIDENCE:.0%} interval [{verdict.low:+.2%}, "
+        f"{verdict.high:+.2%}], bound {bound:.0%}"
+    )
+    return 0 if verdict.outcome == "pass" else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="simulator hot-path throughput benchmark"
+        description="simulator throughput and observability-overhead "
+                    "gates"
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--smoke",
         action="store_true",
         help="short run: tier-ordering sanity only, no absolute gates",
     )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the results as JSON to PATH "
-             "(format: docs/performance.md)",
-    )
-    parser.add_argument(
-        "--append",
-        action="store_true",
-        help="append this run as a new point to the --json trajectory "
-             "instead of overwriting it (schema-1 files are migrated)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="instead of the suite, cProfile one kernel-tier streaming "
-             "run and print the top-20 cumulative functions",
-    )
-    parser.add_argument(
+    mode.add_argument(
         "--trace-overhead",
         action="store_true",
         help=(
-            "instead of the throughput suite, measure the tracing "
+            "instead of the throughput suite, judge the tracing "
             f"overhead of a full engine run (must be < "
-            f"{TRACE_OVERHEAD_TARGET:.0%})"
+            f"{TRACE_OVERHEAD_TARGET * 100:.0f}%%)"
         ),
     )
-    parser.add_argument(
+    mode.add_argument(
         "--export-overhead",
         action="store_true",
         help=(
-            "instead of the throughput suite, measure the live-export "
-            "overhead (span profiling + served + scraped /metrics) on "
-            f"stream-llc (must be < {EXPORT_OVERHEAD_TARGET:.0%}); "
-            "with --json, the result annotates the trajectory's last "
-            "point"
+            "instead of the throughput suite, judge the overhead of "
+            "span profiling under a served and scraped /metrics "
+            f"endpoint on stream-llc (must be < "
+            f"{EXPORT_OVERHEAD_TARGET * 100:.0f}%%)"
         ),
     )
-    parser.add_argument("--warm", type=int, default=None,
-                        help="warm-up run() calls per measurement")
-    parser.add_argument("--timed", type=int, default=None,
-                        help="timed run() calls per measurement")
-    parser.add_argument("--reps", type=int, default=None,
-                        help="repetitions per measurement (best-of)")
     args = parser.parse_args(argv)
 
-    if args.profile:
-        profile_streaming_run()
-        return 0
-
     if args.trace_overhead:
-        untraced, traced, overhead = measure_trace_overhead()
-        print(
-            f"engine run: untraced {untraced * 1000:.1f} ms, traced "
-            f"{traced * 1000:.1f} ms, overhead {overhead:+.2%}"
+        return report_overhead(
+            "tracing", measure_trace_overhead(), TRACE_OVERHEAD_TARGET
         )
-        if overhead >= TRACE_OVERHEAD_TARGET:
-            print(
-                f"FAIL: tracing overhead {overhead:.2%} >= "
-                f"{TRACE_OVERHEAD_TARGET:.0%} budget"
-            )
-            return 1
-        print(f"OK: tracing overhead < {TRACE_OVERHEAD_TARGET:.0%}")
-        return 0
-
     if args.export_overhead:
-        off, on, overhead = measure_export_overhead()
-        print(
-            f"stream-llc kernel tier: bare {off * 1000:.1f} ms, "
-            f"live-export {on * 1000:.1f} ms, overhead {overhead:+.2%}"
+        return report_overhead(
+            "live-export", measure_export_overhead(),
+            EXPORT_OVERHEAD_TARGET,
         )
-        if args.json:
-            recorded = record_export_overhead(Path(args.json), {
-                "workload": "stream-llc",
-                "tier": "kernel",
-                "bare_seconds": off,
-                "exported_seconds": on,
-                "overhead_fraction": overhead,
-                "target": EXPORT_OVERHEAD_TARGET,
-            })
-            print(
-                f"annotated last point of {args.json}"
-                if recorded
-                else f"no trajectory at {args.json} to annotate"
-            )
-        if overhead >= EXPORT_OVERHEAD_TARGET:
-            print(
-                f"FAIL: live-export overhead {overhead:.2%} >= "
-                f"{EXPORT_OVERHEAD_TARGET:.0%} budget"
-            )
-            return 1
-        print(
-            f"OK: live-export overhead < {EXPORT_OVERHEAD_TARGET:.0%}"
-        )
-        return 0
 
-    warm = args.warm if args.warm is not None else (3 if args.smoke else 10)
-    timed = (
-        args.timed if args.timed is not None else (10 if args.smoke else 40)
-    )
-    reps = args.reps if args.reps is not None else (1 if args.smoke else 3)
-    rows = run_suite(warm, timed, reps)
+    rows = run_suite(*(SMOKE_RUNS if args.smoke else FULL_RUNS))
     print(render(rows))
-
-    if args.json:
-        count = write_report(
-            Path(args.json), rows, warm, timed, reps, args.append
-        )
-        print(f"wrote {args.json} ({count} point(s))")
-
     failures = check_gates(rows, smoke=args.smoke)
     if failures:
         print("FAIL: " + "; ".join(failures))

@@ -214,7 +214,7 @@ class RunSummary:
     """The per-run quantities the figures consume (JSON-serialisable)."""
 
     bench: str
-    config: str  # "solo" or one of CONFIGS
+    config: str  # "solo" or a co-located config tag
     completion_periods: int
     total_periods: int
     ls_total_llc_misses: int
@@ -261,7 +261,7 @@ def produce_summary(
     Builds the run's :class:`RunSpec` and executes it on the settings'
     backend — the same path the parallel executor fans out, so serial
     and parallel campaigns are bit-identical.  ``config`` is ``"solo"``
-    or one of :data:`CONFIGS`.
+    or any co-located tag :meth:`CampaignSettings.run_spec` accepts.
     """
     spec = settings.run_spec(bench, config)
     return RunSummary.from_outcome(bench, config, _execute_spec(spec))
@@ -294,7 +294,7 @@ class Campaign:
         #: with ``REPRO_RETRIES``/``REPRO_RUN_TIMEOUT`` applied)
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         #: campaign-level telemetry: cache hit/miss counters and the
-        #: executor's per-job span histogram
+        #: resilient executor's attempt/retry/quarantine counts
         self.metrics = MetricsRegistry()
         #: specs given up on, by digest (persisted through the journal)
         self.quarantined: dict[str, QuarantineRecord] = {}
@@ -529,10 +529,17 @@ class Campaign:
         return summary
 
     def colocated(self, bench: str, config: str) -> RunSummary:
-        """The benchmark co-located with lbm under ``config``."""
-        if config not in CONFIGS:
+        """The benchmark co-located with lbm under ``config``.
+
+        ``config`` is any co-located tag :meth:`CampaignSettings.run_spec`
+        accepts — a paper config or a registry tag such as
+        ``proactive-analytic`` — so every run :meth:`prefetch` cached
+        reads back here.
+        """
+        if config == "solo":
             raise ExperimentError(
-                f"config must be one of {CONFIGS}, got {config!r}"
+                "colocated() takes a co-located config; use "
+                f"solo({bench!r}) for the benchmark alone"
             )
         cached = self._load(bench, config)
         if cached is not None:

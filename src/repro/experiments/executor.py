@@ -23,18 +23,11 @@ unsupported.
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..errors import ConfigError, ExperimentError
-from ..obs import (
-    SECONDS_BUCKETS,
-    SPAN_SECONDS_BUCKETS,
-    JSONLSink,
-    MetricsRegistry,
-    Tracer,
-)
+from ..obs import JSONLSink, Tracer
 from ..runspec import RunOutcome, RunSpec, execute_run
 from .workerpool import WorkerFailure, get_pool, map_inline
 
@@ -86,7 +79,6 @@ def fan_out(
     tasks: Sequence[T],
     jobs: int | None = None,
     describe: Callable[[T], str] = repr,
-    metrics: MetricsRegistry | None = None,
 ) -> list[R]:
     """Run ``worker`` over ``tasks``, results in task order.
 
@@ -97,52 +89,19 @@ def fan_out(
     failing task does not abort its siblings: every task runs to
     completion or failure, then one :class:`ExperimentError` reports
     *which* tasks failed, via ``describe``.
-
-    ``metrics``, when given, receives per-job spans: the
-    ``executor.job_seconds`` histogram (dispatch-to-result for pool
-    jobs — the pool dispatches a task only to an idle worker, so no
-    queueing time is included), plus ``executor.tasks`` /
-    ``executor.failures`` counters and the batch's total wall time.
-    Pool jobs also feed ``profile.worker_dispatch_seconds``.
     """
     jobs = resolve_jobs(jobs)
-    pooled = jobs > 1 and len(tasks) > 1
-    batch_started = time.perf_counter()
-    if metrics is not None:
-        metrics.counter("executor.tasks").inc(len(tasks))
-        span = metrics.histogram(
-            "executor.job_seconds", buckets=SECONDS_BUCKETS
-        )
-
-    def on_result(_key: object, _value: object, seconds: float) -> None:
-        if metrics is None:
-            return
-        span.observe(seconds)
-        if pooled:
-            # Dispatch-to-result wall clock of one pool task: the
-            # worker-side leg of the span-profiling story (the engine
-            # and kernel legs travel back on run telemetry).
-            metrics.histogram(
-                "profile.worker_dispatch_seconds",
-                buckets=SPAN_SECONDS_BUCKETS,
-            ).observe(seconds)
-
     keyed = [(index, worker, task) for index, task in enumerate(tasks)]
-    if pooled:
-        settled = get_pool(jobs).map_specs(keyed, on_result=on_result)
+    if jobs > 1 and len(tasks) > 1:
+        settled = get_pool(jobs).map_specs(keyed)
     else:
-        settled = map_inline(keyed, on_result=on_result)
+        settled = map_inline(keyed)
     out = [settled[index] for index in range(len(tasks))]
     failures = [
         f"{describe(task)}: {value.describe()}"
         for task, value in zip(tasks, out)
         if isinstance(value, WorkerFailure)
     ]
-    if metrics is not None:
-        metrics.counter("executor.failures").inc(len(failures))
-        metrics.gauge("executor.batch_seconds").set(
-            time.perf_counter() - batch_started
-        )
     if failures:
         raise ExperimentError(
             f"{len(failures)} of {len(tasks)} runs failed — "
@@ -179,7 +138,6 @@ def _execute_spec(spec: RunSpec) -> RunOutcome:
 def run_specs(
     specs: Iterable[RunSpec],
     jobs: int | None = None,
-    metrics: MetricsRegistry | None = None,
     describe: Callable[[RunSpec], str] | None = None,
 ) -> list[RunOutcome]:
     """Execute every spec on its named backend, fanned across processes.
@@ -194,5 +152,4 @@ def run_specs(
         list(specs),
         jobs=jobs,
         describe=describe or RunSpec.describe,
-        metrics=metrics,
     )

@@ -249,7 +249,7 @@ def _profiling_section(campaign: Campaign) -> str:
 
     Spans are metrics, not trace events, so they carry real seconds;
     the section renders the merged histograms (engine periods, vector
-    classify/commit, worker dispatch) with bucket-resolution quantiles.
+    classify/commit) with bucket-resolution quantiles.
     Absent when no cached run carries telemetry (entries cached before
     the observability layer existed).
     """

@@ -3,7 +3,7 @@
 Trace events must never carry wall-clock values (the determinism
 contract in :mod:`repro.obs.events`); profiling spans do nothing *but*
 carry wall-clock, so they live entirely in the metrics registry, whose
-snapshots already admit host-time measurements (executor job spans).
+snapshots admit host-time measurements.
 
 The instrumented sites are the hot structural seams of a run:
 
@@ -12,9 +12,7 @@ The instrumented sites are the hot structural seams of a run:
 * ``profile.vector_classify_seconds`` / ``profile.vector_commit_seconds``
   — one batch through the stream path
   (:meth:`repro.arch.hierarchy.CacheHierarchy.vector_classify` /
-  ``vector_commit``);
-* ``profile.worker_dispatch_seconds`` — one warm-pool task,
-  dispatch-to-result, observed parent-side.
+  ``vector_commit``).
 
 Sites check a process-global :data:`PROFILER` whose disabled state is
 one attribute read — the same price as a disabled tracer — so bare
@@ -35,8 +33,7 @@ if TYPE_CHECKING:
     from .metrics import MetricsRegistry
 
 #: Histogram bounds for span durations, in seconds.  Batches and
-#: periods are microsecond-to-millisecond scale; worker dispatches run
-#: to seconds.
+#: periods are microsecond-to-millisecond scale.
 SPAN_SECONDS_BUCKETS = (
     1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4,
     1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1.0, 5.0, 30.0,

@@ -83,6 +83,25 @@ class TestRuns:
         with pytest.raises(ExperimentError):
             campaign.colocated("444.namd", "bogus")
 
+    def test_colocated_points_solo_at_solo(self, tmp_path):
+        campaign = Campaign(FAST, cache_dir=tmp_path)
+        with pytest.raises(ExperimentError, match=r"solo\('444.namd'\)"):
+            campaign.colocated("444.namd", "solo")
+        assert "campaign.runs_simulated" not in campaign.metrics.snapshot()
+
+    def test_colocated_reads_back_prefetched_registry_tag(self, tmp_path):
+        campaign = Campaign(FAST, cache_dir=tmp_path, jobs=1)
+        assert campaign.prefetch(["429.mcf"], ["proactive-analytic"]) == 1
+
+        def simulated() -> float:
+            snapshot = campaign.metrics.snapshot()
+            return snapshot["campaign.runs_simulated"]["value"]
+
+        before = simulated()
+        summary = campaign.colocated("429.mcf", "proactive-analytic")
+        assert summary.config == "proactive-analytic"
+        assert simulated() == before
+
     def test_slowdown_at_least_one_ish(self, tmp_path):
         campaign = Campaign(FAST, cache_dir=tmp_path)
         slowdown = campaign.slowdown("444.namd", "raw")

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ChaosError
 from repro.experiments.campaign import CampaignSettings
-from repro.experiments.executor import _execute_spec, run_specs
+from repro.experiments.executor import _execute_spec
 from repro.experiments.resilience import (
     RetryPolicy,
     _execute_spec_attempt,
@@ -47,25 +47,6 @@ def _fresh_pool(monkeypatch):
     shutdown_pool()
     yield
     shutdown_pool()
-
-
-class TestFanOutOnPool:
-    """run_specs (fan_out of _execute_spec) on the pool."""
-
-    def test_metrics_instruments(self):
-        specs = [
-            FAST.run_spec(bench, config)
-            for bench in ("444.namd", "429.mcf")
-            for config in ("solo", "rule")
-        ]
-        metrics = MetricsRegistry()
-        run_specs(specs, jobs=2, metrics=metrics)
-        snap = metrics.snapshot()
-        assert snap["executor.tasks"]["value"] == 4.0
-        assert snap["executor.failures"]["value"] == 0.0
-        assert snap["executor.job_seconds"]["count"] == 4
-        assert snap["profile.worker_dispatch_seconds"]["count"] == 4
-        assert snap["executor.batch_seconds"]["value"] > 0.0
 
 
 class TestPoolFailureHandling:

@@ -393,9 +393,9 @@ def test_pinned_after_journal_resume(tmp_path, monkeypatch, pinned):
     """An interrupted campaign resumes to the pinned answers.
 
     The runs finished before the interrupt come back from the journal
-    and the cache; a fresh campaign then reads every summary from disk,
-    and each one, relabelled with its spec's identity, hashes to its
-    pin.
+    and the cache; a fresh campaign then reads every summary back from
+    disk through ``Campaign.colocated``, and each one, relabelled with
+    its spec's identity, hashes to its pin.
     """
     def campaigns() -> list:
         return [
@@ -430,7 +430,7 @@ def test_pinned_after_journal_resume(tmp_path, monkeypatch, pinned):
     outcomes = []
     for campaign, (_, victim, config) in zip(campaigns(), JOURNAL_RUNS):
         spec = campaign.spec_for(victim, config)
-        fields = dataclasses.asdict(campaign._load(victim, config))
+        fields = dataclasses.asdict(campaign.colocated(victim, config))
         del fields["bench"], fields["config"]
         outcomes.append(RunOutcome(
             digest=spec.digest, backend=spec.backend, victim=spec.victim,

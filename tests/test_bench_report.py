@@ -1,18 +1,21 @@
-"""The bench_simspeed ``--json`` report: schema and gate logic.
+"""The bench_simspeed gates: throughput gate logic and the paired judge.
 
-``BENCH_simspeed.json`` is a perf *trajectory*: each full bench run
-appends one comparable point (schema 2), and pre-trajectory schema-1
-snapshots are migrated as point zero.  These tests pin the point
-schema, the v1 -> v2 migration, the append semantics, and the gate
-logic — including the stream-path (vector) ordering gate — without running
-full-length measurements.
+These tests pin what each gate decides from its measurements — the
+tier and stream-path orderings, the kernel target, and the overhead
+gates' verdict from the median pair ratio's confidence interval —
+without running full-length measurements, and that the frozen
+``BENCH_simspeed.json`` history keeps its points.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
+import re
 from pathlib import Path
+
+import pytest
 
 BENCH_PATH = (
     Path(__file__).resolve().parent.parent / "benchmarks"
@@ -22,8 +25,7 @@ _spec = importlib.util.spec_from_file_location("bench_simspeed", BENCH_PATH)
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
-TIER_NAMES = {"generic", "kernel"}
-RATIO_NAMES = {"kernel_over_generic"}
+BOUND = 0.02
 
 
 def fake_rows(kg: float = 4.0, gate_vk: float = 1.6):
@@ -35,31 +37,19 @@ def fake_rows(kg: float = 4.0, gate_vk: float = 1.6):
     rows = []
     for name, (_f, gated, vgated) in bench.WORKLOADS.items():
         generic = 100_000.0
-        row = {
+        rows.append({
             "workload": name,
             "kernel_gated": gated,
-            "tiers": {
-                "generic": generic,
-                "kernel": generic * kg,
-            },
-            "ratios": {
-                "kernel_over_generic": kg,
-            },
-            "vector_gate": None,
-        }
-        if vgated:
-            row["vector_gate"] = {
+            "tiers": {"generic": generic, "kernel": generic * kg},
+            "ratios": {"kernel_over_generic": kg},
+            "vector_gate": {
                 "batch": 2048,
                 "kernel": generic * kg,
                 "vector": generic * kg * gate_vk,
                 "vector_over_kernel": gate_vk,
-            }
-        rows.append(row)
+            } if vgated else None,
+        })
     return rows
-
-
-def fake_point():
-    return bench.build_point(fake_rows(), warm=1, timed=2, reps=1)
 
 
 def vector_gated():
@@ -67,132 +57,26 @@ def vector_gated():
 
 
 class TestPointSchema:
-    def test_point_has_contract_fields(self):
-        point = fake_point()
-        for key in ("platform", "python", "implementation", "cpu_count"):
-            assert key in point["machine"]
-        assert point["config"]["machine_config"] == "scaled_nehalem"
-        for name in bench.WORKLOADS:
-            wl = point["workloads"][name]
-            assert set(wl["tiers"]) == TIER_NAMES
-            assert set(wl["ratios"]) == RATIO_NAMES
-        assert point["targets"] == {
-            "kernel_over_generic": bench.KERNEL_OVER_GENERIC_TARGET,
-        }
-
-    def test_point_records_kernel_gates_per_tier(self):
-        # A trajectory point must say which REPRO_* tier flag each
-        # measured column ran under.
-        gates = fake_point()["kernel_gates"]
-        assert set(gates) == set(bench.TIERS)
-        for column in gates.values():
-            assert set(column) == {"fast_lane"}
-            assert all(isinstance(v, bool) for v in column.values())
-        assert not gates["generic"]["fast_lane"]
-        assert gates["kernel"]["fast_lane"]
-
-    def test_gated_workloads_record_their_gate_measurement(self):
-        point = fake_point()
-        # The stream-shaped acceptance benchmark carries the gate.
-        assert vector_gated() == ["stream-llc"]
-        for name in bench.WORKLOADS:
-            gate = point["workloads"][name]["vector_gate"]
-            if name in vector_gated():
-                assert set(gate) == {
-                    "batch", "kernel", "vector", "vector_over_kernel"
-                }
-                assert gate["vector_over_kernel"] > 1.0
-            else:
-                assert gate is None
-
-    def test_report_wraps_points(self):
-        report = bench.build_report([fake_point()])
-        assert report["schema_version"] == bench.SCHEMA_VERSION
-        assert report["benchmark"] == "bench_simspeed"
-        assert len(report["points"]) == 1
-
-    def test_report_is_json_serialisable(self):
-        report = bench.build_report([fake_point()])
-        assert json.loads(json.dumps(report)) == report
-
     def test_checked_in_seed_matches_schema(self):
+        # BENCH_simspeed.json is frozen history that nothing writes: it
+        # keeps the six schema-2 points the script last appended.
         seed_path = BENCH_PATH.parent.parent / "BENCH_simspeed.json"
         report = json.loads(seed_path.read_text())
-        assert report["schema_version"] == bench.SCHEMA_VERSION
-        assert report["points"]
-        # Every point names the same workload set the suite runs.
+        assert report["schema_version"] == 2
+        assert report["benchmark"] == "bench_simspeed"
+        assert len(report["points"]) == 6
         for point in report["points"]:
             assert set(point["workloads"]) == set(bench.WORKLOADS)
 
 
-class TestTrajectory:
-    def test_migrate_v1_snapshot_becomes_point_zero(self):
-        v1 = {
-            "schema_version": 1,
-            "benchmark": "bench_simspeed",
-            "timestamp": "2026-08-06T00:00:00",
-            "machine": {},
-            "config": {},
-            "targets": {},
-            "workloads": {},
-        }
-        points = bench.migrate_points(v1)
-        assert len(points) == 1
-        assert "schema_version" not in points[0]
-        assert "benchmark" not in points[0]
-        assert points[0]["timestamp"] == "2026-08-06T00:00:00"
-
-    def test_migrate_v2_returns_points_as_is(self):
-        report = bench.build_report([fake_point(), fake_point()])
-        assert bench.migrate_points(report) == report["points"]
-
-    def test_write_fresh_file_has_one_point(self, tmp_path):
-        path = tmp_path / "bench.json"
-        count = bench.write_report(
-            path, fake_rows(), warm=1, timed=2, reps=1, append=True
-        )
-        assert count == 1
-        report = json.loads(path.read_text())
-        assert report["schema_version"] == bench.SCHEMA_VERSION
-        assert len(report["points"]) == 1
-
-    def test_append_accumulates_points(self, tmp_path):
-        path = tmp_path / "bench.json"
-        for expected in (1, 2, 3):
-            count = bench.write_report(
-                path, fake_rows(), warm=1, timed=2, reps=1, append=True
-            )
-            assert count == expected
-        assert len(json.loads(path.read_text())["points"]) == 3
-
-    def test_append_migrates_v1_file_in_place(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({
-            "schema_version": 1,
-            "benchmark": "bench_simspeed",
-            "timestamp": "t0",
-            "workloads": {},
-        }))
-        count = bench.write_report(
-            path, fake_rows(), warm=1, timed=2, reps=1, append=True
-        )
-        assert count == 2
-        report = json.loads(path.read_text())
-        assert report["schema_version"] == bench.SCHEMA_VERSION
-        assert report["points"][0]["timestamp"] == "t0"
-        assert set(report["points"][1]["workloads"]) == \
-            set(bench.WORKLOADS)
-
-    def test_overwrite_without_append_keeps_one_point(self, tmp_path):
-        path = tmp_path / "bench.json"
-        bench.write_report(
-            path, fake_rows(), warm=1, timed=2, reps=1, append=True
-        )
-        count = bench.write_report(
-            path, fake_rows(), warm=1, timed=2, reps=1, append=False
-        )
-        assert count == 1
-        assert len(json.loads(path.read_text())["points"]) == 1
+def test_three_options_and_a_working_help(capsys):
+    with pytest.raises(SystemExit) as exited:
+        bench.main(["--help"])
+    assert exited.value.code == 0
+    options = capsys.readouterr().out.split("options:")[1]
+    assert re.findall(r"^  (--[a-z-]+)", options, re.M) == [
+        "--smoke", "--trace-overhead", "--export-overhead",
+    ]
 
 
 class TestGateLogic:
@@ -206,12 +90,14 @@ class TestGateLogic:
         gated = [
             name for name, (_f, g, _v) in bench.WORKLOADS.items() if g
         ]
+        assert gated == ["stream-llc"]
         assert [f.split(":")[0] for f in failures] == gated
         assert all("over-generic" in f for f in failures)
 
     def test_vector_below_gate_target_fails_each_gated_workload(self):
         # The gate's target is the dict kernel itself: parity fails in
         # full runs as in smoke runs.
+        assert vector_gated() == ["stream-llc"]
         for smoke in (False, True):
             failures = bench.check_gates(fake_rows(gate_vk=1.0),
                                          smoke=smoke)
@@ -223,9 +109,9 @@ class TestGateLogic:
         rows = fake_rows(kg=1.3, gate_vk=1.1)
         assert bench.check_gates(rows, smoke=True) == []
         assert bench.check_gates(rows, smoke=False) != []
-        # An inversion fails even the smoke run.
-        inverted = fake_rows(kg=0.8, gate_vk=0.9)
-        assert bench.check_gates(inverted, smoke=True) != []
+        # An inversion fails even the smoke run, on every workload.
+        inverted = bench.check_gates(fake_rows(kg=0.8), smoke=True)
+        assert [f.split(":")[0] for f in inverted] == list(bench.WORKLOADS)
 
     def test_smoke_vector_ordering_applies_to_gated_rows_only(self):
         # Only the rows carrying the gate measurement are checked for
@@ -241,3 +127,67 @@ class TestGateLogic:
         for row in rows:
             row["vector_gate"] = None
         assert bench.check_gates(rows, smoke=True) == []
+
+
+def spread(centre: float, step: float = 0.001, n: int = 41) -> list:
+    """``n`` pair overheads evenly spaced around ``centre``."""
+    return [centre + (i - n // 2) * step for i in range(n)]
+
+
+class TestJudge:
+    def test_interval_is_distribution_free_order_statistics(self):
+        # 41 pairs: P(B < 14) = 1.4% <= 2.5% < P(B < 15) for
+        # B ~ Binomial(41, 1/2), so the 14th smallest to the 14th
+        # largest value.
+        values = list(range(41))
+        assert bench.median_interval(values[::-1]) == (13, 27)
+        # Six values are the fewest with a 95% interval: the extremes.
+        assert bench.median_interval([3, 1, 2, 6, 5, 4]) == (1, 6)
+        assert bench.median_interval([1, 2, 3, 4, 5]) == (
+            -math.inf, math.inf
+        )
+
+    def test_interval_below_the_bound_passes(self):
+        verdict = bench.judge(spread(0.0), BOUND)
+        assert verdict.outcome == "pass"
+        assert verdict.n == 41
+        assert verdict.median == 0.0
+        assert verdict.low < verdict.median < verdict.high < BOUND
+
+    def test_interval_at_or_above_the_bound_fails(self):
+        assert bench.judge(spread(0.05), BOUND).outcome == "fail"
+        # A lower end exactly at the bound is a failure too.
+        verdict = bench.judge([BOUND - 0.01] * 13 + [BOUND] * 28, BOUND)
+        assert verdict.low == BOUND
+        assert verdict.outcome == "fail"
+
+    def test_interval_straddling_the_bound_is_unresolved(self):
+        # A median under the bound is not enough when the interval
+        # reaches past it.
+        verdict = bench.judge(spread(0.015, step=0.01), BOUND)
+        assert verdict.median < BOUND < verdict.high
+        assert verdict.outcome == "UNRESOLVED"
+        # Too few pairs to bound the median decide nothing.
+        assert bench.judge([0.0] * 5, BOUND).outcome == "UNRESOLVED"
+
+    def test_upper_end_at_the_bound_does_not_pass(self):
+        values = spread(0.0)
+        values[27:] = [BOUND] * 14
+        verdict = bench.judge(values, BOUND)
+        assert verdict.high == BOUND
+        assert verdict.outcome == "UNRESOLVED"
+
+    def test_pairs_alternate_order_and_report_on_over_off(self):
+        calls = []
+
+        def off():
+            calls.append("off")
+            return 2.0
+
+        def on():
+            calls.append("on")
+            return 2.1
+
+        overheads = bench.paired_overheads(off, on, pairs=4)
+        assert calls == ["off", "on", "on", "off"] * 2
+        assert overheads == [2.1 / 2.0 - 1.0] * 4
