@@ -6,9 +6,9 @@ samples into the shared communication table, while the main CAER engine
 under the batch applications reads the table, runs the detection
 heuristic, and writes reaction directives that *all* batch layers obey.
 
-Here the whole runtime is one period hook attached to the simulation
-engine (the engine's period boundary is the paper's 1 ms timer
-interrupt).  Each period it:
+Here the whole runtime is one period hook attached to the engine's
+period loop (:class:`~repro.sim.engine.PeriodEngine`, whose period
+boundary is the paper's 1 ms timer interrupt), on either backend.  Each period it:
 
 1. publishes every application's PMU sample into the table (the CAER-M
    role);
@@ -29,14 +29,13 @@ from ..arch.pmu import PMUSample
 from ..config import MachineConfig
 from ..errors import ConfigError
 from ..obs import (
-    NULL_TRACER,
     DetectionEvent,
     MetricsRegistry,
     PhaseEvent,
     ResponseEvent,
     Tracer,
 )
-from ..sim.engine import SimulationEngine
+from ..sim.engine import PeriodEngine
 from ..sim.process import AppClass
 from . import registry
 from .detector import ContentionDetector, Observation
@@ -268,25 +267,19 @@ class CaerRuntime:
 
     def __init__(
         self,
-        engine: SimulationEngine,
+        engine: PeriodEngine,
         config: CaerConfig,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        machine = engine.chip.machine
+        machine = engine.machine
         self.config = config
         #: registry name the detector was resolved under — emitted in
         #: trace events so timeline/stats tooling keys on the config's
         #: vocabulary even for plugins whose class name differs.
         self.detector_name = config.detector
-        self.tracer = (
-            tracer if tracer is not None
-            else getattr(engine, "tracer", NULL_TRACER)
-        )
-        self.metrics = (
-            metrics if metrics is not None
-            else getattr(engine, "metrics", None)
-        )
+        self.tracer = tracer if tracer is not None else engine.tracer
+        self.metrics = metrics if metrics is not None else engine.metrics
         self.detector = config.build_detector(machine)
         self.response = config.build_response(machine)
         self.table = CommunicationTable(window_size=config.window_size)
@@ -310,7 +303,7 @@ class CaerRuntime:
 
     def __call__(
         self,
-        engine: SimulationEngine,
+        engine: PeriodEngine,
         period: int,
         samples: dict[str, PMUSample],
     ) -> None:
@@ -420,7 +413,7 @@ class CaerRuntime:
 
 def caer_factory(
     config: CaerConfig,
-) -> Callable[[SimulationEngine], CaerRuntime]:
+) -> Callable[[PeriodEngine], CaerRuntime]:
     """Adapter for :func:`repro.sim.scenario.run_colocated`.
 
     Returns a factory that, given the engine, attaches a fully-wired

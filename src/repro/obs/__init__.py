@@ -60,7 +60,6 @@ from .heartbeat import (
 )
 from .metrics import (
     POW2_BUCKETS,
-    SECONDS_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -106,7 +105,6 @@ __all__ = [
     "merge_snapshots",
     "histogram_quantile",
     "POW2_BUCKETS",
-    "SECONDS_BUCKETS",
     # live export
     "METRICS_PORT_ENV",
     "MetricsExporter",

@@ -23,11 +23,6 @@ from ..errors import ObservabilityError
 #: distributions such as misses-per-period.
 POW2_BUCKETS = tuple(2.0 ** i for i in range(0, 15))
 
-#: Default boundaries for wall-clock spans, in seconds.
-SECONDS_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0,
-)
-
 
 class Counter:
     """A monotonically increasing count."""

@@ -7,8 +7,9 @@ snapshots admit host-time measurements.
 
 The instrumented sites are the hot structural seams of a run:
 
-* ``profile.engine_period_seconds`` — one engine probe period's slice
-  execution (:meth:`repro.sim.engine.SimulationEngine._step_period`);
+* ``profile.engine_period_seconds`` — one probe period's execution on
+  either backend (:meth:`repro.sim.engine.PeriodEngine._execute_period`,
+  timed by ``PeriodEngine._step_period``);
 * ``profile.vector_classify_seconds`` / ``profile.vector_commit_seconds``
   — one batch through the stream path
   (:meth:`repro.arch.hierarchy.CacheHierarchy.vector_classify` /

@@ -1,22 +1,25 @@
-"""Quantum-driven execution engine.
+"""Quantum-driven execution: the period loop and the trace engine.
 
-The engine advances the chip one CAER probe period at a time; within a
-period, runnable processes are interleaved at sub-period *slice*
-granularity so their accesses contend fairly in the shared L3.  At every
-period boundary the engine plays the role of the paper's 1 ms timer
-interrupt: it probes each core's PMU through a perfmon session and hands
-the samples to registered period hooks — the CAER runtime is such a
-hook, and reacts by pausing/resuming batch processes.
+:class:`PeriodEngine` advances a run one CAER probe period at a time.
+At every period boundary it plays the role of the paper's 1 ms timer
+interrupt: it records each process's PMU sample for the period and
+hands the samples to registered period hooks — the CAER runtime is
+such a hook, and reacts by pausing/resuming batch processes.  How a
+period executes is the backend's: :class:`SimulationEngine` advances a
+simulated chip, interleaving runnable processes at sub-period *slice*
+granularity so their accesses contend fairly in the shared L3, and
+probes each core's PMU through a perfmon session;
+:class:`repro.statistical.StatisticalEngine` steps the period in
+closed form.
 """
 
-from .clock import SimClock
-from .engine import SimulationEngine
+from .engine import PeriodEngine, SimulationEngine
 from .process import AppClass, ProcessState, SimProcess
 from .results import ProcessResult, RunResult
 from .scenario import run_colocated, run_multi_colocated, run_solo
 
 __all__ = [
-    "SimClock",
+    "PeriodEngine",
     "SimulationEngine",
     "AppClass",
     "ProcessState",

@@ -1,18 +1,27 @@
-"""The quantum-driven simulation engine.
+"""The period loop, and the quantum-driven simulation engine.
 
-One engine step is one CAER probe period (§3.2's 1 ms quantum):
+One engine step is one CAER probe period (§3.2's 1 ms quantum).
+:class:`PeriodEngine` is that loop, shared by every execution backend:
 
 1. processes whose ``launch_period`` arrived are launched;
-2. the period is executed in ``slices_per_period`` sub-slices, each
-   runnable process getting an equal cycle budget per slice, with the
-   service order rotated every slice so no core systematically wins the
-   shared-L3 race;
-3. processes that ran to completion are recorded (and immediately
-   relaunched if they are relaunching batch apps, as in §6.1);
-4. the "timer interrupt" fires: every process's perfmon session is
-   probed and the per-period samples handed to the period hooks — the
-   CAER runtime lives here and may pause/resume batch processes, which
-   takes effect from the next period.
+2. the backend executes the period (:meth:`PeriodEngine._execute_period`)
+   and returns each process's true PMU sample and the one monitoring
+   observes (they differ only under a fault plan);
+3. the period is recorded: the true samples go into the
+   :class:`~repro.sim.results.RunResult`, the observed ones into the
+   trace;
+4. the "timer interrupt" fires: the observed samples are handed to the
+   period hooks — the CAER runtime lives here and may pause/resume,
+   slow down or cap batch processes, which takes effect from the next
+   period.
+
+:class:`SimulationEngine` executes a period on a simulated chip, in
+``slices_per_period`` sub-slices, each runnable process getting an
+equal cycle budget per slice, with the service order rotated every
+slice so no core systematically wins the shared-L3 race; processes that
+ran to completion are recorded (and immediately relaunched if they are
+relaunching batch apps, as in §6.1), and every process's perfmon
+session is probed at the period's end.
 
 The run ends when every non-relaunching process has completed (or
 ``max_periods`` elapses, which is reported as an error unless the caller
@@ -21,67 +30,68 @@ opted out).
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Protocol
 
 from ..arch.cache import fast_lane_enabled
 from ..arch.chip import MulticoreChip
 from ..arch.pmu import PMUSample
+from ..config import MachineConfig
 from ..errors import SchedulingError, SimulationError
 from ..faults import FaultInjector, FaultPlan, FaultyPerfmonSession
 from ..obs import NULL_TRACER, MetricsRegistry, PhaseEvent, PMUSampleEvent, Tracer
 from ..obs.profiling import PROFILER
 from ..perfmon.session import PerfmonSession
-from .clock import SimClock
 from .process import ProcessState, SimProcess
 from .results import ProcessResult, RunResult
+
+#: One period's PMU samples by process name.
+Samples = dict[str, PMUSample]
 
 
 class PeriodHook(Protocol):
     """Callback invoked at every period boundary.
 
     ``samples`` maps process name to that period's PMU deltas; the hook
-    may call :meth:`SimulationEngine.set_paused` to throttle batch
+    may call :meth:`PeriodEngine.set_paused` to throttle batch
     processes from the next period on.
     """
 
     def __call__(
         self,
-        engine: "SimulationEngine",
+        engine: "PeriodEngine",
         period: int,
-        samples: dict[str, PMUSample],
+        samples: Samples,
     ) -> None: ...
 
 
-class SimulationEngine:
-    """Drives a chip and a set of processes period by period."""
+class PeriodEngine(ABC):
+    """Drives a set of processes period by period.
+
+    Everything the CAER runtime and the run record touch lives here:
+    ``machine``, ``processes``, ``tracer``/``metrics``, the directive
+    methods and ``run``.  A backend supplies how one period executes
+    (:meth:`_execute_period`) and how an L3 quota takes hold
+    (:meth:`_apply_quota`).
+    """
 
     def __init__(
         self,
-        chip: MulticoreChip,
+        machine: MachineConfig,
+        machine_name: str,
         processes: Iterable[SimProcess],
-        period_hooks: Iterable[PeriodHook] = (),
-        slices_per_period: int = 8,
-        max_periods: int = 200_000,
-        probe_overhead_cycles: float | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        faults: FaultPlan | None = None,
+        period_hooks: Iterable[PeriodHook],
+        max_periods: int,
+        tracer: Tracer | None,
+        metrics: MetricsRegistry | None,
+        faults: FaultPlan | None,
     ):
         # Observability is strictly passive: the tracer and registry
         # receive period-boundary events/observations and must never
-        # influence the simulation (enforced by the trace-transparency
-        # property tests).
+        # influence the run (the golden pins hold traced).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        if self.metrics is not None:
-            # Record which execution tier served this run (generic or
-            # fast) so perf profiles are attributable; the per-core
-            # ``sim.path.*`` counters say which path served each
-            # access.  Telemetry only — never part of RunResult, which
-            # must hash identically across both tiers.
-            fast = fast_lane_enabled()
-            self.metrics.gauge("sim.fast_lane").set(1.0 if fast else 0.0)
-        self.chip = chip
+        self.machine = machine
         self.processes: dict[str, SimProcess] = {}
         used_cores: set[int] = set()
         for proc in processes:
@@ -91,54 +101,31 @@ class SimulationEngine:
                 raise SchedulingError(
                     f"core {proc.core_id} already has a process"
                 )
-            if proc.core_id >= chip.num_cores:
+            if not 0 <= proc.core_id < machine.num_cores:
                 raise SchedulingError(
                     f"process {proc.name!r} wants core {proc.core_id} but "
-                    f"the chip has {chip.num_cores} cores"
+                    f"the machine has {machine.num_cores} cores"
                 )
             used_cores.add(proc.core_id)
             self.processes[proc.name] = proc
         if not self.processes:
             raise SchedulingError("no processes to run")
-        if slices_per_period < 1:
-            raise SimulationError(
-                f"slices_per_period must be >= 1: {slices_per_period}"
-            )
         self.period_hooks = list(period_hooks)
-        self.slices_per_period = slices_per_period
         self.max_periods = max_periods
-        self.clock = SimClock(chip.machine.period_cycles)
-        session_kwargs = {}
-        if probe_overhead_cycles is not None:
-            session_kwargs["probe_overhead_cycles"] = probe_overhead_cycles
-        self.sessions: dict[str, PerfmonSession | FaultyPerfmonSession] = {
-            name: PerfmonSession(
-                chip.pmu(proc.core_id), chip.core(proc.core_id),
-                **session_kwargs,
-            )
-            for name, proc in self.processes.items()
-        }
-        # A non-null fault plan interposes the faulty-session wrapper:
-        # probes still charge their overhead and the physical record
-        # keeps the true samples, but everything downstream of probe()
-        # (the period hooks, so CAER) observes the perturbed signal.
+        self.period = 0
+        # A non-null fault plan perturbs what monitoring observes; the
+        # physical record keeps the true samples.
         self.fault_injector: FaultInjector | None = None
         if faults is not None and not faults.is_null():
             self.fault_injector = FaultInjector(
-                faults, tracer=self.tracer, metrics=self.metrics
+                faults, tracer=self.tracer, metrics=metrics
             )
-            self.sessions = {
-                name: FaultyPerfmonSession(
-                    session, self.fault_injector.channel(name)
-                )
-                for name, session in self.sessions.items()
-            }
         self._pending_pause: dict[str, bool] = {}
         self._pending_speed: dict[str, float] = {}
         self._pending_quota: dict[str, float | None] = {}
         self.result = RunResult(
-            machine_name=chip.machine.name,
-            period_cycles=chip.machine.period_cycles,
+            machine_name=machine_name,
+            period_cycles=machine.period_cycles,
         )
         for name, proc in self.processes.items():
             self.result.processes[name] = ProcessResult(
@@ -147,25 +134,42 @@ class SimulationEngine:
                 core_id=proc.core_id,
                 launch_period=proc.launch_period,
             )
+        # Resolved once: a registry lookup per period costs more than
+        # the observation itself.
+        self._period_counter = None
+        self._miss_histograms = None
+        if metrics is not None:
+            self._period_counter = metrics.counter("sim.periods")
+            self._miss_histograms = {
+                name: metrics.histogram(f"sim.llc_misses_per_period.{name}")
+                for name in self.processes
+            }
+
+    # -- what a backend supplies -----------------------------------------
+
+    @abstractmethod
+    def _execute_period(self, period: int) -> tuple[Samples, Samples]:
+        """Execute one period; return the true and the observed samples."""
+
+    @abstractmethod
+    def _apply_quota(self, name: str, fraction: float | None) -> None:
+        """Cap process ``name``'s L3 occupancy (``None`` lifts the cap)."""
 
     # -- control interface exposed to hooks ------------------------------
 
     def set_paused(self, name: str, paused: bool) -> None:
         """Request a throttle state change, effective next period."""
-        if name not in self.processes:
-            raise SchedulingError(f"no process named {name!r}")
+        self.process(name)
         self._pending_pause[name] = paused
 
     def set_speed(self, name: str, factor: float) -> None:
         """Request a frequency-scaling change, effective next period."""
-        if name not in self.processes:
-            raise SchedulingError(f"no process named {name!r}")
+        self.process(name)
         self._pending_speed[name] = factor
 
     def set_l3_quota(self, name: str, fraction: float | None) -> None:
         """Request an L3 occupancy cap, effective next period."""
-        if name not in self.processes:
-            raise SchedulingError(f"no process named {name!r}")
+        self.process(name)
         self._pending_quota[name] = fraction
 
     def process(self, name: str) -> SimProcess:
@@ -181,7 +185,7 @@ class SimulationEngine:
 
     # -- main loop --------------------------------------------------------
 
-    def run(self, stop_when: Callable[["SimulationEngine"], bool]
+    def run(self, stop_when: Callable[["PeriodEngine"], bool]
             | None = None) -> RunResult:
         """Run to completion and return the result record.
 
@@ -189,21 +193,19 @@ class SimulationEngine:
         non-relaunching process finished").
         """
         done = stop_when or _all_primary_finished
-        while True:
-            if done(self):
-                break
-            if self.clock.period >= self.max_periods:
+        while not done(self):
+            if self.period >= self.max_periods:
                 raise SimulationError(
                     f"run exceeded max_periods={self.max_periods}; "
                     "workloads may be mis-sized for this machine"
                 )
             self._step_period()
-        self.result.total_periods = self.clock.period
+        self.result.total_periods = self.period
         self._finalise()
         return self.result
 
     def _step_period(self) -> None:
-        period = self.clock.period
+        period = self.period
         self._apply_launches(period)
         states_at_start = {
             name: proc.state for name, proc in self.processes.items()
@@ -212,13 +214,14 @@ class SimulationEngine:
         # free of host time).  Disabled, this is one attribute read.
         if PROFILER.enabled:
             with PROFILER.span("profile.engine_period_seconds"):
-                self._execute_slices(period)
+                true, observed = self._execute_period(period)
         else:
-            self._execute_slices(period)
-        self.chip.memory.end_period(self.chip.machine.period_cycles)
-        self._probe_and_record(period, states_at_start)
-        self._apply_pending_pauses()
-        self.clock.advance_period()
+            true, observed = self._execute_period(period)
+        self._record(period, states_at_start, true, observed)
+        for hook in self.period_hooks:
+            hook(self, period, observed)
+        self._apply_pending()
+        self.period += 1
 
     def _apply_launches(self, period: int) -> None:
         for proc in self.processes.values():
@@ -231,10 +234,141 @@ class SimulationEngine:
                         subject=proc.name, phase="launched",
                     ))
 
-    def _execute_slices(self, period: int) -> None:
+    def _record(
+        self,
+        period: int,
+        states_at_start: dict[str, ProcessState],
+        true: Samples,
+        observed: Samples,
+    ) -> None:
+        histograms = self._miss_histograms
+        for name, proc in self.processes.items():
+            # The physical record and the histogram profile physical
+            # behaviour, so they get the true reading; the trace is the
+            # signal-path view and keeps the observed one.
+            sample = true[name]
+            state = states_at_start[name]
+            self.result.processes[name].record(
+                state, sample, speed=proc.speed_factor
+            )
+            if proc.state is ProcessState.RUNNING:
+                proc.periods_running += 1
+            elif proc.state is ProcessState.PAUSED:
+                proc.periods_paused += 1
+            if self.tracer.enabled:
+                seen = observed[name]
+                self.tracer.emit(PMUSampleEvent(
+                    period=period,
+                    process=name,
+                    state=state.name.lower(),
+                    cycles=seen.cycles,
+                    instructions=seen.instructions,
+                    llc_misses=seen.llc_misses,
+                    llc_references=seen.llc_references,
+                ))
+                if proc.state is ProcessState.FINISHED and \
+                        state is not ProcessState.FINISHED:
+                    self.tracer.emit(PhaseEvent(
+                        period=period, scope="process",
+                        subject=name, phase="completed",
+                    ))
+            if histograms is not None:
+                histograms[name].observe(sample.llc_misses)
+        if self._period_counter is not None:
+            self._period_counter.inc()
+
+    def _apply_pending(self) -> None:
+        for name, paused in self._pending_pause.items():
+            self.processes[name].set_paused(paused)
+        self._pending_pause.clear()
+        for name, factor in self._pending_speed.items():
+            self.processes[name].set_speed(factor)
+        self._pending_speed.clear()
+        for name, fraction in self._pending_quota.items():
+            self._apply_quota(name, fraction)
+        self._pending_quota.clear()
+
+    def _finalise(self) -> None:
+        for name, proc in self.processes.items():
+            record = self.result.processes[name]
+            record.completions = proc.completions
+            record.first_completion_period = proc.first_completion_period
+            record.instructions_retired = (
+                proc.workload.instructions_retired
+                + proc.completions * proc.spec.total_instructions
+                if proc.relaunch
+                else proc.workload.instructions_retired
+            )
+
+
+def _all_primary_finished(engine: PeriodEngine) -> bool:
+    """Default stop test: every non-relaunching process completed."""
+    primaries = [p for p in engine.processes.values() if not p.relaunch]
+    if not primaries:
+        raise SimulationError(
+            "all processes relaunch forever; pass an explicit stop_when"
+        )
+    return all(p.state is ProcessState.FINISHED for p in primaries)
+
+
+class SimulationEngine(PeriodEngine):
+    """Executes each period on a simulated chip, access by access."""
+
+    def __init__(
+        self,
+        chip: MulticoreChip,
+        processes: Iterable[SimProcess],
+        period_hooks: Iterable[PeriodHook] = (),
+        slices_per_period: int = 8,
+        max_periods: int = 200_000,
+        probe_overhead_cycles: float | None = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+        faults: FaultPlan | None = None,
+    ):
+        if slices_per_period < 1:
+            raise SimulationError(
+                f"slices_per_period must be >= 1: {slices_per_period}"
+            )
+        super().__init__(
+            chip.machine, chip.machine.name, processes, period_hooks,
+            max_periods, tracer, metrics, faults,
+        )
+        if self.metrics is not None:
+            # Record which execution tier served this run (generic or
+            # fast) so perf profiles are attributable; the per-core
+            # ``sim.path.*`` counters say which path served each
+            # access.  Telemetry only — never part of RunResult, which
+            # must hash identically across both tiers.
+            fast = fast_lane_enabled()
+            self.metrics.gauge("sim.fast_lane").set(1.0 if fast else 0.0)
+        self.chip = chip
+        self.slices_per_period = slices_per_period
+        session_kwargs = {}
+        if probe_overhead_cycles is not None:
+            session_kwargs["probe_overhead_cycles"] = probe_overhead_cycles
+        self.sessions: dict[str, PerfmonSession | FaultyPerfmonSession] = {
+            name: PerfmonSession(
+                chip.pmu(proc.core_id), chip.core(proc.core_id),
+                **session_kwargs,
+            )
+            for name, proc in self.processes.items()
+        }
+        # Under a fault plan the faulty-session wrapper interposes:
+        # probes still charge their overhead and keep the true sample,
+        # but what probe() returns is the perturbed signal.
+        if self.fault_injector is not None:
+            self.sessions = {
+                name: FaultyPerfmonSession(
+                    session, self.fault_injector.channel(name)
+                )
+                for name, session in self.sessions.items()
+            }
+
+    def _execute_period(self, period: int) -> tuple[Samples, Samples]:
         # The periodic PMU probe consumes core cycles (charged by the
         # perfmon session); the work budget shrinks accordingly.
-        period_cycles = self.chip.machine.period_cycles
+        period_cycles = self.machine.period_cycles
         budgets = {
             name: max(
                 0.0,
@@ -257,66 +391,21 @@ class SimulationEngine:
                 core.run(proc, budgets[name] * proc.speed_factor)
                 if proc.finished:
                     proc.note_completion(period)
+        self.chip.memory.end_period(period_cycles)
+        observed = {
+            name: session.probe() for name, session in self.sessions.items()
+        }
+        if self.fault_injector is None:
+            return observed, observed
+        true = {
+            name: session.true_sample
+            for name, session in self.sessions.items()
+        }
+        return true, observed
 
-    def _probe_and_record(
-        self, period: int, states_at_start: dict[str, ProcessState]
-    ) -> None:
-        samples: dict[str, PMUSample] = {}
-        faulty = self.fault_injector is not None
-        for name, proc in self.processes.items():
-            session = self.sessions[name]
-            # ``sample`` is what monitoring observes; the physical
-            # record always keeps the true reading (identical unless a
-            # fault plan interposed the faulty-session wrapper).
-            sample = session.probe()
-            true = session.true_sample if faulty else sample
-            samples[name] = sample
-            record = self.result.processes[name]
-            record.record(states_at_start[name], true,
-                          speed=proc.speed_factor)
-            if proc.state is ProcessState.RUNNING:
-                proc.periods_running += 1
-            elif proc.state is ProcessState.PAUSED:
-                proc.periods_paused += 1
-            if self.tracer.enabled:
-                self.tracer.emit(PMUSampleEvent(
-                    period=period,
-                    process=name,
-                    state=states_at_start[name].name.lower(),
-                    cycles=sample.cycles,
-                    instructions=sample.instructions,
-                    llc_misses=sample.llc_misses,
-                    llc_references=sample.llc_references,
-                ))
-                if proc.state is ProcessState.FINISHED and \
-                        states_at_start[name] is not ProcessState.FINISHED:
-                    self.tracer.emit(PhaseEvent(
-                        period=period, scope="process",
-                        subject=name, phase="completed",
-                    ))
-            if self.metrics is not None:
-                # The histogram profiles physical behaviour, so it gets
-                # the true reading; the trace above is the signal-path
-                # view and keeps the observed one.
-                self.metrics.histogram(
-                    f"sim.llc_misses_per_period.{name}"
-                ).observe(true.llc_misses)
-        if self.metrics is not None:
-            self.metrics.counter("sim.periods").inc()
-        for hook in self.period_hooks:
-            hook(self, period, samples)
-
-    def _apply_pending_pauses(self) -> None:
-        for name, paused in self._pending_pause.items():
-            self.processes[name].set_paused(paused)
-        self._pending_pause.clear()
-        for name, factor in self._pending_speed.items():
-            self.processes[name].set_speed(factor)
-        self._pending_speed.clear()
-        for name, fraction in self._pending_quota.items():
-            core = self.processes[name].core_id
-            self.chip.hierarchy.set_l3_quota(core, fraction)
-        self._pending_quota.clear()
+    def _apply_quota(self, name: str, fraction: float | None) -> None:
+        core = self.processes[name].core_id
+        self.chip.hierarchy.set_l3_quota(core, fraction)
 
     def _finalise(self) -> None:
         if self.metrics is not None:
@@ -328,23 +417,4 @@ class SimulationEngine:
                 counts = self.chip.core(core_id).path_counts()
                 for key, count in counts.items():
                     self.metrics.counter(f"sim.{key}").inc(count)
-        for name, proc in self.processes.items():
-            record = self.result.processes[name]
-            record.completions = proc.completions
-            record.first_completion_period = proc.first_completion_period
-            record.instructions_retired = (
-                proc.workload.instructions_retired
-                + proc.completions * proc.spec.total_instructions
-                if proc.relaunch
-                else proc.workload.instructions_retired
-            )
-
-
-def _all_primary_finished(engine: SimulationEngine) -> bool:
-    """Default stop test: every non-relaunching process completed."""
-    primaries = [p for p in engine.processes.values() if not p.relaunch]
-    if not primaries:
-        raise SimulationError(
-            "all processes relaunch forever; pass an explicit stop_when"
-        )
-    return all(p.state is ProcessState.FINISHED for p in primaries)
+        super()._finalise()

@@ -4,7 +4,10 @@ The trace engine simulates every memory access; this engine advances
 whole probe periods in closed form using the same models the analytic
 package cross-validates: per-phase miss-rate curves, a proportional
 LRU occupancy state that evolves period by period, and the M/D/1 memory
-channel.  It exposes the same period-hook interface, so the unmodified
+channel.  Only that step is its own: the period loop around it —
+launches, the run record, per-period trace events and metrics, period
+hooks and their directives — is :class:`repro.sim.engine.PeriodEngine`,
+shared with the trace engine, so the unmodified
 :class:`repro.caer.runtime.CaerRuntime` runs on top of it — at two to
 three orders of magnitude less cost per simulated period.
 

@@ -17,8 +17,10 @@ Each period, for every runnable process:
    plus a small occupancy leak, so an idle footprint still decays over
    tens of periods — giving CAER's detectors realistic transients
    (a paused contender's lines drain as the victim reclaims them);
-5. per-process PMU samples are assembled and handed to the period
-   hooks, exactly as the trace engine does.
+5. per-process PMU samples are assembled (and perturbed for
+   monitoring under a fault plan); :class:`~repro.sim.engine.PeriodEngine`
+   records them and hands them to the period hooks, exactly as for the
+   trace engine.
 
 Occupancy quotas (the cache-partition response) cap step 4's insertion
 for the quota'd process.  Probe overhead shrinks the cycle budget as in
@@ -27,31 +29,22 @@ the trace engine.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..analytic.mrc import MissRateCurve, profile_patterns
 from ..arch.memory import MAX_RHO
 from ..arch.pmu import PMUSample
 from ..config import MachineConfig
-from ..errors import SchedulingError, SimulationError
-from ..faults import FaultInjector, FaultPlan
-from ..obs import NULL_TRACER, PROFILER, MetricsRegistry, Tracer
-from ..sim.engine import PeriodHook
-from ..sim.process import ProcessState, SimProcess
-from ..sim.results import ProcessResult, RunResult
+from ..faults import FaultPlan
+from ..obs import MetricsRegistry, Tracer
+from ..sim.engine import PeriodEngine, PeriodHook, Samples
+from ..sim.process import SimProcess
 
 #: Accesses sampled per phase when building miss-rate curves.
 PROFILE_SAMPLES = 40_000
 
 #: Default per-probe cost, matching the perfmon layer.
 DEFAULT_PROBE_OVERHEAD_CYCLES = 20.0
-
-
-class _MachineView:
-    """The minimal chip surface CAER needs (``engine.chip.machine``)."""
-
-    def __init__(self, machine: MachineConfig):
-        self.machine = machine
 
 
 class _ProcessModel:
@@ -132,14 +125,12 @@ class _ProcessModel:
         return cost, reference_fraction, miss_fraction
 
 
-class StatisticalEngine:
-    """Drives processes period by period in closed form.
+class StatisticalEngine(PeriodEngine):
+    """Executes each period in closed form.
 
-    API-compatible with :class:`repro.sim.engine.SimulationEngine` for
-    everything the CAER runtime and the metrics touch: ``processes``,
-    ``chip.machine``, ``set_paused``/``set_speed``/``set_l3_quota``,
-    ``log_decision``, ``run(stop_when)``, and the resulting
-    :class:`~repro.sim.results.RunResult`.
+    The period loop, the directive interface CAER drives and the run
+    record are :class:`~repro.sim.engine.PeriodEngine`'s, shared with
+    the trace engine; this class supplies only the period itself.
     """
 
     def __init__(
@@ -154,130 +145,29 @@ class StatisticalEngine:
         metrics: MetricsRegistry | None = None,
         faults: FaultPlan | None = None,
     ):
-        # Same passive-observability seam as the trace engine: the CAER
-        # runtime reads ``engine.tracer``/``engine.metrics`` via getattr,
-        # so attaching them here makes statistical runs traceable too.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self._fault_injector: FaultInjector | None = None
-        if faults is not None and not faults.is_null():
-            self._fault_injector = FaultInjector(
-                faults, tracer=self.tracer, metrics=metrics
-            )
-        self.machine = machine
-        self.chip = _MachineView(machine)
-        self.processes: dict[str, SimProcess] = {}
-        self._models: dict[str, _ProcessModel] = {}
-        used_cores: set[int] = set()
-        for proc in processes:
-            if proc.name in self.processes:
-                raise SchedulingError(
-                    f"duplicate process name {proc.name!r}"
-                )
-            if proc.core_id in used_cores:
-                raise SchedulingError(
-                    f"core {proc.core_id} already has a process"
-                )
-            used_cores.add(proc.core_id)
-            self.processes[proc.name] = proc
-            self._models[proc.name] = _ProcessModel(proc, machine)
-        if not self.processes:
-            raise SchedulingError("no processes to run")
-        self.period_hooks = list(period_hooks)
-        self.max_periods = max_periods
+        super().__init__(
+            machine, f"{machine.name}/statistical", processes,
+            period_hooks, max_periods, tracer, metrics, faults,
+        )
+        self._models = {
+            name: _ProcessModel(proc, machine)
+            for name, proc in self.processes.items()
+        }
         self.probe_overhead_cycles = probe_overhead_cycles
         self.service_cycles = service_cycles
-        self.period = 0
         self._queue_delay = 0.0
         self._rho = 0.0
-        self._pending_pause: dict[str, bool] = {}
-        self._pending_speed: dict[str, float] = {}
-        self._pending_quota: dict[str, float | None] = {}
         self._quotas: dict[str, float | None] = {
             name: None for name in self.processes
         }
-        self.result = RunResult(
-            machine_name=f"{machine.name}/statistical",
-            period_cycles=machine.period_cycles,
-        )
-        for name, proc in self.processes.items():
-            self.result.processes[name] = ProcessResult(
-                name=name,
-                app_class=proc.app_class,
-                core_id=proc.core_id,
-                launch_period=proc.launch_period,
-            )
 
-    # -- directive interface (CAER-compatible) ---------------------------
-
-    def set_paused(self, name: str, paused: bool) -> None:
-        """Request a throttle state change, effective next period."""
-        if name not in self.processes:
-            raise SchedulingError(f"no process named {name!r}")
-        self._pending_pause[name] = paused
-
-    def set_speed(self, name: str, factor: float) -> None:
-        """Request a frequency-scaling change, effective next period."""
-        if name not in self.processes:
-            raise SchedulingError(f"no process named {name!r}")
-        self._pending_speed[name] = factor
-
-    def set_l3_quota(self, name: str, fraction: float | None) -> None:
-        """Request an L3 occupancy cap, effective next period."""
-        if name not in self.processes:
-            raise SchedulingError(f"no process named {name!r}")
-        self._pending_quota[name] = fraction
-
-    def log_decision(self, record: dict) -> None:
-        """Append a CAER decision record to the run log."""
-        self.result.caer_log.append(record)
-
-    def process(self, name: str) -> SimProcess:
-        """Look up a live process by name."""
-        try:
-            return self.processes[name]
-        except KeyError:
-            raise SchedulingError(f"no process named {name!r}") from None
-
-    # -- main loop --------------------------------------------------------
-
-    def run(
-        self,
-        stop_when: Callable[["StatisticalEngine"], bool] | None = None,
-    ) -> RunResult:
-        """Run to completion and return the result record."""
-        done = stop_when or _all_primary_finished
-        while True:
-            if done(self):
-                break
-            if self.period >= self.max_periods:
-                raise SimulationError(
-                    f"run exceeded max_periods={self.max_periods}"
-                )
-            if PROFILER.enabled:
-                with PROFILER.span("profile.engine_period_seconds"):
-                    self._step_period()
-            else:
-                self._step_period()
-        self.result.total_periods = self.period
-        self._finalise()
-        return self.result
-
-    def _step_period(self) -> None:
-        period = self.period
-        for proc in self.processes.values():
-            if proc.state is ProcessState.WAITING and \
-                    proc.launch_period <= period:
-                proc.launch()
-        states_at_start = {
-            name: proc.state for name, proc in self.processes.items()
-        }
+    def _execute_period(self, period: int) -> tuple[Samples, Samples]:
         budget = max(
             0.0,
             self.machine.period_cycles - self.probe_overhead_cycles,
         )
 
-        samples: dict[str, PMUSample] = {}
+        samples: Samples = {}
         insertions: dict[str, float] = {}
         total_misses = 0.0
         for name, proc in self.processes.items():
@@ -323,43 +213,17 @@ class StatisticalEngine:
                 lines_stolen=0,
             )
             if proc.finished:
+                # A relaunched instance reuses the same phase profiles.
                 proc.note_completion(period)
-                if proc.relaunch:
-                    # A fresh instance reuses the same phase profiles.
-                    pass
 
         self._advance_occupancy(insertions)
         self._advance_memory(total_misses)
+        if self.fault_injector is None:
+            return samples, samples
+        return samples, self.fault_injector.observe_all(period, samples)
 
-        for name, proc in self.processes.items():
-            record = self.result.processes[name]
-            record.record(
-                states_at_start[name],
-                samples[name],
-                speed=proc.speed_factor,
-            )
-            if proc.state is ProcessState.RUNNING:
-                proc.periods_running += 1
-            elif proc.state is ProcessState.PAUSED:
-                proc.periods_paused += 1
-        # The physical records above always keep the true samples; the
-        # hooks (CAER) observe the fault channel's perturbation of them.
-        observed = samples
-        if self._fault_injector is not None:
-            observed = self._fault_injector.observe_all(period, samples)
-        for hook in self.period_hooks:
-            hook(self, period, observed)
-
-        for name, paused in self._pending_pause.items():
-            self.processes[name].set_paused(paused)
-        self._pending_pause.clear()
-        for name, factor in self._pending_speed.items():
-            self.processes[name].set_speed(factor)
-        self._pending_speed.clear()
-        for name, fraction in self._pending_quota.items():
-            self._quotas[name] = fraction
-        self._pending_quota.clear()
-        self.period += 1
+    def _apply_quota(self, name: str, fraction: float | None) -> None:
+        self._quotas[name] = fraction
 
     @staticmethod
     def _account_instructions(proc: SimProcess, instructions: float) -> None:
@@ -435,26 +299,3 @@ class StatisticalEngine:
         self._queue_delay = (
             self.service_cycles * self._rho / (2.0 * (1.0 - self._rho))
         )
-
-    def _finalise(self) -> None:
-        for name, proc in self.processes.items():
-            record = self.result.processes[name]
-            record.completions = proc.completions
-            record.first_completion_period = proc.first_completion_period
-            record.instructions_retired = (
-                proc.workload.instructions_retired
-                + proc.completions * proc.spec.total_instructions
-                if proc.relaunch
-                else proc.workload.instructions_retired
-            )
-
-
-def _all_primary_finished(engine: StatisticalEngine) -> bool:
-    primaries = [
-        p for p in engine.processes.values() if not p.relaunch
-    ]
-    if not primaries:
-        raise SimulationError(
-            "all processes relaunch forever; pass an explicit stop_when"
-        )
-    return all(p.state is ProcessState.FINISHED for p in primaries)

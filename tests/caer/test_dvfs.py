@@ -66,7 +66,7 @@ class TestEngineSpeedDirective:
                 engine.set_speed("p", factor)
 
             engine = SimulationEngine(chip, [proc], period_hooks=[hook])
-            result = engine.run(stop_when=lambda e: e.clock.period >= 10)
+            result = engine.run(stop_when=lambda e: e.period >= 10)
             return result.process("p").samples[-1].instructions
 
         full = run_at(1.0)
@@ -97,7 +97,7 @@ class TestEngineSpeedDirective:
                 engine.set_speed("p", 0.5)
 
         engine = SimulationEngine(chip, [proc], period_hooks=[hook])
-        result = engine.run(stop_when=lambda e: e.clock.period >= 4)
+        result = engine.run(stop_when=lambda e: e.period >= 4)
         assert result.process("p").speeds == [1.0, 1.0, 0.5, 0.5]
 
 

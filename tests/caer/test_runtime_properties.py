@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.arch.pmu import PMUSample
 from repro.caer.runtime import CaerConfig, CaerRuntime
 from repro.config import MachineConfig
+from repro.obs import NULL_TRACER
 from repro.sim.process import AppClass
 
 
@@ -22,9 +23,9 @@ class StubEngine:
     """Just enough engine surface for the runtime: processes + sinks."""
 
     def __init__(self):
-        self.chip = type(
-            "chip", (), {"machine": MachineConfig.scaled_nehalem()}
-        )()
+        self.machine = MachineConfig.scaled_nehalem()
+        self.tracer = NULL_TRACER
+        self.metrics = None
         self.processes = {
             "ls": StubProcess("ls", 0, AppClass.LATENCY_SENSITIVE),
             "batch": StubProcess("batch", 1, AppClass.BATCH),

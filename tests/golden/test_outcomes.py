@@ -343,7 +343,11 @@ def test_pinned_when_traced(label, pinned):
     assert outcome_sha256(outcome) == pinned[label], (
         f"traced, the outcome of {label} differs from its pin"
     )
-    assert ring.events
+    # Both backends record every process in every period.
+    processes = 1 + len(spec.contenders)
+    assert len(ring.by_kind("pmu_sample")) == (
+        outcome.total_periods * processes
+    )
     if spec.faults is not None:
         assert ring.by_kind("fault")
     if spec.caer is not None:

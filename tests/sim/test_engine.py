@@ -1,4 +1,10 @@
-"""Engine behaviour: quantum loop, directives, conservation laws."""
+"""Engine behaviour: quantum loop, directives, conservation laws.
+
+The period loop is shared by both backends, so its contract
+(``TestDirectives``, ``TestValidation``, ``TestRecording``) runs on the
+trace engine and, through the ``...OnStatistical`` subclasses at the
+end, on the closed-form engine.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +13,28 @@ import pytest
 from repro.arch.chip import MulticoreChip
 from repro.config import MachineConfig
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import PeriodEngine, SimulationEngine
 from repro.sim.process import AppClass, ProcessState, SimProcess
+from repro.statistical import StatisticalEngine
 from repro.workloads import synthetic
 
 
-def make_engine(processes, machine=None, **kwargs) -> SimulationEngine:
-    chip = MulticoreChip(machine or MachineConfig.tiny())
-    return SimulationEngine(chip, processes, **kwargs)
+def make_engine(
+    processes, machine=None, engine=SimulationEngine, **kwargs
+) -> PeriodEngine:
+    machine = machine or MachineConfig.tiny()
+    if engine is SimulationEngine:
+        return SimulationEngine(MulticoreChip(machine), processes, **kwargs)
+    return engine(machine, processes, **kwargs)
+
+
+class EngineContract:
+    """Builds the engine under test (the trace engine unless overridden)."""
+
+    engine = SimulationEngine
+
+    def make_engine(self, processes, **kwargs) -> PeriodEngine:
+        return make_engine(processes, engine=self.engine, **kwargs)
 
 
 def simple_process(instructions=5_000.0, core_id=0, **kwargs):
@@ -71,7 +91,7 @@ class TestBasicRuns:
         assert result.process("batch").completions > 1
 
 
-class TestDirectives:
+class TestDirectives(EngineContract):
     def test_pause_takes_effect_next_period(self):
         proc = simple_process(instructions=1e9)
         captured = []
@@ -83,8 +103,8 @@ class TestDirectives:
             if period == 5:
                 engine.set_paused(proc.name, False)
 
-        engine = make_engine([proc], period_hooks=[hook])
-        engine.run(stop_when=lambda e: e.clock.period >= 8)
+        engine = self.make_engine([proc], period_hooks=[hook])
+        engine.run(stop_when=lambda e: e.period >= 8)
         # The directive issued at period 2 governs periods 3..5; the
         # resume issued at period 5 restores execution from period 6.
         assert captured[2] > 0
@@ -100,8 +120,8 @@ class TestDirectives:
             if period == 1:
                 engine.set_paused(proc.name, True)
 
-        engine = make_engine([proc], period_hooks=[hook])
-        result = engine.run(stop_when=lambda e: e.clock.period >= 6)
+        engine = self.make_engine([proc], period_hooks=[hook])
+        result = engine.run(stop_when=lambda e: e.period >= 6)
         record = result.process(proc.name)
         # Periods 2+ are paused: zero instruction samples.
         for state, sample in zip(record.states, record.samples):
@@ -110,15 +130,15 @@ class TestDirectives:
         assert ProcessState.PAUSED in record.states
 
     def test_unknown_process_directive_rejected(self):
-        engine = make_engine([simple_process()])
+        engine = self.make_engine([simple_process()])
         with pytest.raises(SchedulingError):
             engine.set_paused("nope", True)
 
 
-class TestValidation:
+class TestValidation(EngineContract):
     def test_duplicate_cores_rejected(self):
         with pytest.raises(SchedulingError, match="already has"):
-            make_engine(
+            self.make_engine(
                 [
                     simple_process(core_id=0, name="a"),
                     simple_process(core_id=0, name="b"),
@@ -130,19 +150,19 @@ class TestValidation:
         b = simple_process(core_id=1)
         b.name = a.name
         with pytest.raises(SchedulingError, match="duplicate"):
-            make_engine([a, b])
+            self.make_engine([a, b])
 
     def test_core_out_of_range_rejected(self):
         with pytest.raises(SchedulingError, match="cores"):
-            make_engine([simple_process(core_id=7)])
+            self.make_engine([simple_process(core_id=7)])
 
     def test_no_processes_rejected(self):
         with pytest.raises(SchedulingError):
-            make_engine([])
+            self.make_engine([])
 
     def test_max_periods_guard(self):
         proc = simple_process(instructions=1e12)
-        engine = make_engine([proc], max_periods=5)
+        engine = self.make_engine([proc], max_periods=5)
         with pytest.raises(SimulationError, match="max_periods"):
             engine.run()
 
@@ -152,14 +172,14 @@ class TestValidation:
             core_id=0,
             relaunch=True,
         )
-        engine = make_engine([batch])
+        engine = self.make_engine([batch])
         with pytest.raises(SimulationError, match="relaunch"):
             engine.run()
 
 
-class TestRecording:
+class TestRecording(EngineContract):
     def test_series_lengths_match_periods(self):
-        engine = make_engine([simple_process()])
+        engine = self.make_engine([simple_process()])
         result = engine.run()
         record = result.latency_sensitive()
         assert len(record.states) == result.total_periods
@@ -167,14 +187,26 @@ class TestRecording:
 
     def test_cycle_samples_bounded_by_period(self):
         machine = MachineConfig.tiny()
-        engine = make_engine([simple_process(instructions=1e9)],
-                             machine=machine, max_periods=10)
-        result = engine.run(stop_when=lambda e: e.clock.period >= 5)
+        engine = self.make_engine([simple_process(instructions=1e9)],
+                                  machine=machine, max_periods=10)
+        result = engine.run(stop_when=lambda e: e.period >= 5)
         for sample in result.latency_sensitive().samples:
             # Probe overhead is charged on top of execution cycles.
             assert sample.cycles <= machine.period_cycles * 1.1
 
     def test_custom_stop_condition(self):
-        engine = make_engine([simple_process(instructions=1e9)])
-        result = engine.run(stop_when=lambda e: e.clock.period >= 4)
+        engine = self.make_engine([simple_process(instructions=1e9)])
+        result = engine.run(stop_when=lambda e: e.period >= 4)
         assert result.total_periods == 4
+
+
+class TestDirectivesOnStatistical(TestDirectives):
+    engine = StatisticalEngine
+
+
+class TestValidationOnStatistical(TestValidation):
+    engine = StatisticalEngine
+
+
+class TestRecordingOnStatistical(TestRecording):
+    engine = StatisticalEngine

@@ -33,7 +33,7 @@ def test_conservation_under_arbitrary_throttling(pause_schedule, seed):
 
     engine = SimulationEngine(chip, [proc], period_hooks=[hook])
     horizon = len(pause_schedule) + 2
-    result = engine.run(stop_when=lambda e: e.clock.period >= horizon)
+    result = engine.run(stop_when=lambda e: e.period >= horizon)
     record = result.process("p")
 
     assert len(record.states) == horizon
