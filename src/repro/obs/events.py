@@ -141,14 +141,16 @@ class FaultEvent:
 @dataclass(frozen=True)
 class PhaseEvent:
     """A lifecycle edge: ``scope`` names the state machine, ``subject``
-    the instance, ``phase`` the state entered at ``period``."""
+    the instance, ``phase`` the state entered at ``period``.  A process
+    that does not relaunch ends with ``completed``; a relaunching one
+    emits ``relaunched`` once per run it completes."""
 
     kind: ClassVar[str] = "phase"
 
     period: int
     scope: str  # "process" or "caer"
     subject: str  # process name, or the runtime's detector name
-    phase: str  # "launched", "completed", "detect", "respond"
+    phase: str  # "launched", "completed", "relaunched", "detect", "respond"
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}

@@ -23,6 +23,7 @@ change a result is in the cache key by construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -254,9 +255,15 @@ class RunSpec:
 
     # -- identity ---------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
-        """SHA-256 content digest of the canonical JSON form."""
+        """SHA-256 content digest of the canonical JSON form.
+
+        Computed once per spec object: every field, nested configs
+        included, is immutable, so the first answer stays right.  A
+        pickled copy carries it; ``dataclasses.replace`` builds a new
+        object, which computes its own.
+        """
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
     @property

@@ -120,6 +120,9 @@ class PeriodEngine(ABC):
             self.fault_injector = FaultInjector(
                 faults, tracer=self.tracer, metrics=metrics
             )
+        #: completions already traced, per process (the trace emits one
+        #: ``relaunched`` phase per completion of a relaunching process)
+        self._traced_completions = dict.fromkeys(self.processes, 0)
         self._pending_pause: dict[str, bool] = {}
         self._pending_speed: dict[str, float] = {}
         self._pending_quota: dict[str, float | None] = {}
@@ -272,6 +275,16 @@ class PeriodEngine(ABC):
                         period=period, scope="process",
                         subject=name, phase="completed",
                     ))
+                # A relaunching process stays RUNNING through each
+                # completion: trace every run it completed this period.
+                if proc.relaunch:
+                    traced = self._traced_completions[name]
+                    for _ in range(traced, proc.completions):
+                        self.tracer.emit(PhaseEvent(
+                            period=period, scope="process",
+                            subject=name, phase="relaunched",
+                        ))
+                    self._traced_completions[name] = proc.completions
             if histograms is not None:
                 histograms[name].observe(sample.llc_misses)
         if self._period_counter is not None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytic import stack_distance
 from repro.analytic.stack_distance import (
     COLD,
     reuse_distance_histogram,
@@ -15,6 +16,7 @@ from repro.analytic.stack_distance import (
     singleton_count,
 )
 from repro.errors import WorkloadError
+from repro.statistical.engine import PROFILE_SAMPLES
 from repro.workloads.patterns import (
     HotColdSpec,
     MixtureSpec,
@@ -38,6 +40,51 @@ def naive_reuse_distances(trace):
             out.append(len(set(trace[last[addr] + 1:t])))
         last[addr] = t
     return out
+
+
+def fenwick_reuse_distances(trace):
+    """Independent O(N log N) reference: a Fenwick tree marks each
+    line's last access so far, and the distance of a re-access is the
+    number of marks strictly between the line's last access and now."""
+    size = len(trace)
+    tree = [0] * (size + 1)
+    last = {}
+    out = []
+    for t, line in enumerate(trace):
+        p = last.get(line)
+        if p is None:
+            out.append(COLD)
+        else:
+            # Marks in (p, t): prefix(t) - prefix(p + 1).
+            count = 0
+            i = t
+            while i > 0:
+                count += tree[i]
+                i &= i - 1
+            i = p + 1
+            while i > 0:
+                count -= tree[i]
+                i &= i - 1
+            out.append(count)
+            i = p + 1
+            while i <= size:
+                tree[i] -= 1
+                i += i & -i
+        i = t + 1
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+        last[line] = t
+    return out
+
+
+def histogram_of(distances):
+    """(histogram, cold) as :func:`reuse_distance_histogram` gives it."""
+    histogram = {}
+    for d in distances:
+        if d != COLD:
+            histogram[d] = histogram.get(d, 0) + 1
+    return histogram, distances.count(COLD)
 
 
 class TestKnownTraces:
@@ -86,6 +133,19 @@ class TestAgainstReference:
         warm = [d for d in expected if d != COLD]
         assert histogram == {d: warm.count(d) for d in set(warm)}
 
+    @pytest.mark.parametrize("span", [2**8, 2**21, 2**22])
+    def test_earlier_greater_at_every_packing_width(self, span):
+        """About 1,500 keys need 11 credit bits, so keys and credits
+        pack into 32 bits up to a 2**21 span and into 64 bits beyond;
+        the count is the pairwise one either way."""
+        rng = np.random.default_rng(span)
+        keys = np.unique(rng.integers(0, span, size=1_500))
+        rng.shuffle(keys)
+        earlier_larger = np.tril(keys[None, :] > keys[:, None], -1)
+        assert stack_distance._earlier_greater(keys).tolist() == (
+            earlier_larger.sum(axis=1).tolist()
+        )
+
 
 #: One spec per pattern family the profiler samples.  The mixture's
 #: 40K draws span ten choice batches, and its buffered parts refill
@@ -107,6 +167,53 @@ SAMPLED_SPECS = [
         )
     ),
 ]
+
+
+class TestAgainstFenwick:
+    """The bitwise kernel against the Fenwick-tree reference, at the
+    statistical engine's sample size on every sampled family."""
+
+    @pytest.mark.parametrize(
+        "spec", SAMPLED_SPECS, ids=lambda s: type(s).__name__
+    )
+    def test_profile_sized_sample(self, spec):
+        sample = sample_trace(
+            spec.instantiate(np.random.default_rng(3), 0), PROFILE_SAMPLES
+        )
+        expected = fenwick_reuse_distances(sample.tolist())
+        assert reuse_distances(sample) == expected
+        assert reuse_distance_histogram(sample) == histogram_of(expected)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [[], [7], [3] * 40, [-5, 3, -5, 9, 3], [0, 2**60] * 20 + [5, 0]],
+        ids=["empty", "one-access", "one-line", "negative", "wide-span"],
+    )
+    def test_edge_traces(self, trace):
+        expected = fenwick_reuse_distances(trace)
+        assert reuse_distances(trace) == expected
+        assert reuse_distance_histogram(trace) == histogram_of(expected)
+
+    @pytest.mark.parametrize(
+        "span, argsorts", [(2**58 - 1, 0), (2**58, 1), (2**60, 1)]
+    )
+    def test_argsort_only_when_packing_overflows(
+        self, span, argsorts, monkeypatch
+    ):
+        """32 accesses need 5 position bits, so a line span of 58 bits
+        packs into int64 exactly and one more bit takes the argsort."""
+        calls = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(stack_distance.np, "argsort", counting)
+        trace = [0, span, 0, 1] * 8
+        expected = fenwick_reuse_distances(trace)
+        assert reuse_distances(trace) == expected
+        assert len(calls) == argsorts
 
 
 def dict_singleton_count(trace):

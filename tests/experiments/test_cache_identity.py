@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -11,8 +12,10 @@ from repro.experiments.campaign import (
     _AUDIT_PERTURBATIONS,
     Campaign,
     CampaignSettings,
+    RunSummary,
     audit_cache_key,
 )
+from repro.runspec import RunSpec
 
 FAST = CampaignSettings(length=0.02)
 
@@ -107,3 +110,108 @@ class TestCacheKeyAudit:
         )
         with pytest.raises(ConfigError, match="backend"):
             Campaign(FAST, cache_dir=tmp_path)
+
+
+def _histogram(buckets, counts, total, count, low, high) -> dict:
+    return {
+        "type": "histogram", "buckets": buckets, "counts": counts,
+        "sum": total, "count": count, "min": low, "max": high,
+    }
+
+
+#: Shaped like a statistical ``429.mcf`` shutter entry at length 0.01
+#: (plus a ``None`` and booleans, so every JSON type is written), with
+#: its host-timed values (``wall_seconds``, the period-span histogram)
+#: fixed so the written bytes are too.
+PINNED_SUMMARY = RunSummary(
+    bench="429.mcf",
+    config="shutter",
+    completion_periods=11,
+    total_periods=14,
+    ls_total_llc_misses=2887,
+    utilization_gained=0.45454545454545453,
+    miss_series=[0, 0, 0, 333, 326, 316, 309, 283, 264, 255, 252, 249,
+                 278, 22],
+    instruction_series=[0.0, 0.0, 0.0, 1785.4, 1820.0, 1982.5, 2107.6,
+                        2057.7, 2016.8, 2028.3, 2075.8, 2132.1, 2455.9,
+                        5537.9],
+    wall_seconds=0.088,
+    telemetry={
+        "metrics": {
+            "caer.batch_paused_periods": {"type": "counter", "value": 9.0},
+            "caer.periods": {"type": "counter", "value": 14.0},
+            "profile.engine_period_seconds": _histogram(
+                [1e-06, 5e-06, 1e-05, 5e-05, 0.0001, 0.0005, 0.001],
+                [0, 0, 0, 4, 9, 1, 0, 0], 0.000917515000764979, 14,
+                3.38079989887774e-05, 0.00013710300117963925,
+            ),
+            "sim.llc_misses_per_period.429.mcf": _histogram(
+                [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
+                 512.0],
+                [3, 0, 0, 0, 0, 1, 0, 0, 3, 7, 0], 2887.0, 14, 0, 333,
+            ),
+        },
+        "derived": {
+            "detector_trigger_rate": 1.0,
+            "batch_run_fraction": 0.3571428571428571,
+            "verdicts": 1.0,
+            "speedup": None,
+        },
+        "spec_digest": (
+            "da53c1e25d22e34d87f99feab8ae96592bd8723d5439269726ba37257548c346"
+        ),
+        "backend": "statistical",
+        "flags": [True, False],
+    },
+)
+
+#: sha256 of the cache entry :meth:`Campaign._store` writes for it.
+PINNED_ENTRY_SHA256 = (
+    "7b7a74a264541706d40f65de06a97b11946dd44a8db56d4ce9c1395e41a60b4c"
+)
+
+
+class TestBookkeeping:
+    """Per-run bookkeeping pays once and writes what it always wrote."""
+
+    def test_cache_entry_bytes_are_pinned(self, tmp_path):
+        campaign = Campaign(
+            dataclasses.replace(FAST, backend="statistical"),
+            cache_dir=tmp_path,
+        )
+        campaign._store(PINNED_SUMMARY)
+        data = campaign._cache_path("429.mcf", "shutter").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PINNED_ENTRY_SHA256
+        assert campaign._load("429.mcf", "shutter") is PINNED_SUMMARY
+        fresh = Campaign(campaign.settings, cache_dir=tmp_path)
+        loaded = fresh._load("429.mcf", "shutter")
+        assert loaded == PINNED_SUMMARY
+        assert loaded.telemetry == PINNED_SUMMARY.telemetry
+        assert loaded.wall_seconds == PINNED_SUMMARY.wall_seconds
+
+    def test_one_serialisation_per_distinct_spec(self, tmp_path, monkeypatch):
+        """A cold serial campaign serialises each spec once, plus the
+        fresh specs of the cache-key audit."""
+        calls = []
+        to_json = RunSpec.to_json
+
+        def counting(spec):
+            calls.append(spec)
+            return to_json(spec)
+
+        monkeypatch.setattr(RunSpec, "to_json", counting)
+        settings = CampaignSettings(length=0.01, backend="statistical")
+        audit_cache_key(settings)
+        audit_calls = len(calls)
+        assert audit_calls == len(_AUDIT_PERTURBATIONS) + 1
+        calls.clear()
+
+        benches = ["429.mcf", "470.lbm"]
+        configs = ["solo", "raw", "shutter", "rule"]
+        campaign = Campaign(settings, cache_dir=tmp_path, jobs=1)
+        assert campaign.prefetch(benches, configs) == 8
+        for bench in benches:
+            campaign.solo(bench)
+            campaign.colocated(bench, "shutter")
+        assert len(calls) == audit_calls + 8
+        assert len({spec.digest for spec in calls[audit_calls:]}) == 8

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -163,6 +164,22 @@ class TestDigest:
         flipped = spec.with_backend("statistical")
         assert flipped.backend == "statistical"
         assert dataclasses.replace(flipped, backend="sim") == spec
+
+    def test_copies_report_a_fresh_specs_digest(self):
+        """The digest is computed once per object; a pickled copy and a
+        ``dataclasses.replace``d one still report what a freshly built
+        equal spec computes, and a replaced field moves it."""
+        spec = colocated_spec()
+        digest = spec.digest
+        pickled = pickle.loads(pickle.dumps(spec))
+        replaced = dataclasses.replace(spec, seed=0)
+        assert pickled.digest == replaced.digest == digest
+        assert digest == colocated_spec().digest
+        reseeded = dataclasses.replace(spec, seed=1)
+        assert reseeded.digest == colocated_spec(seed=1).digest != digest
+        moved = spec.with_backend("statistical")
+        assert moved.digest == colocated_spec(backend="statistical").digest
+        assert pickle.loads(pickle.dumps(moved)).digest == moved.digest
 
 
 class TestPaperSpecs:

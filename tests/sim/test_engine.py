@@ -13,6 +13,7 @@ import pytest
 from repro.arch.chip import MulticoreChip
 from repro.config import MachineConfig
 from repro.errors import SchedulingError, SimulationError
+from repro.obs import RingBufferSink, Tracer
 from repro.sim.engine import PeriodEngine, SimulationEngine
 from repro.sim.process import AppClass, ProcessState, SimProcess
 from repro.statistical import StatisticalEngine
@@ -198,6 +199,32 @@ class TestRecording(EngineContract):
         engine = self.make_engine([simple_process(instructions=1e9)])
         result = engine.run(stop_when=lambda e: e.period >= 4)
         assert result.total_periods == 4
+
+    def test_every_relaunch_is_traced(self):
+        """A relaunching batch app stays RUNNING through its completions;
+        the trace carries one ``relaunched`` phase per completed run."""
+        ring = RingBufferSink()
+        batch = SimProcess(
+            synthetic.compute_bound(instructions=500.0),
+            core_id=1,
+            app_class=AppClass.BATCH,
+            name="batch",
+            relaunch=True,
+        )
+        primary = simple_process(instructions=20_000.0, core_id=0)
+        engine = self.make_engine([primary, batch], tracer=Tracer([ring]))
+        result = engine.run()
+        phases = [
+            (event.subject, event.phase)
+            for event in ring.by_kind("phase")
+            if event.scope == "process"
+        ]
+        completions = result.process("batch").completions
+        assert completions > 1
+        assert phases.count(("batch", "relaunched")) == completions
+        assert phases.count((primary.name, "completed")) == 1
+        assert ("batch", "completed") not in phases
+        assert (primary.name, "relaunched") not in phases
 
 
 class TestDirectivesOnStatistical(TestDirectives):
