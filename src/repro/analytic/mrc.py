@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import WorkloadError
-from .stack_distance import (
-    _as_addresses,
-    reuse_distance_histogram,
-    sample_trace,
-    singleton_count,
-)
+from .stack_distance import reuse_distance_histogram, sample_trace
 
 if TYPE_CHECKING:
     from ..workloads.base import PatternSpec
@@ -55,7 +51,7 @@ class MissRateCurve:
         to lines never revisited within the profiled window; those miss
         in steady state too, while the rest are transient warm-up.
         """
-        if cold < 0 or any(v < 0 for v in histogram.values()):
+        if cold < 0 or min(histogram.values(), default=0) < 0:
             raise WorkloadError("negative counts in reuse histogram")
         if not 0 <= singletons <= cold:
             raise WorkloadError(
@@ -69,19 +65,15 @@ class MissRateCurve:
         # Sorted distances with cumulative counts for O(log n) queries,
         # as tuples: a cached curve is shared by every run that uses it.
         self._distances = tuple(sorted(histogram))
-        cumulative = []
-        running = 0
-        for d in self._distances:
-            running += histogram[d]
-            cumulative.append(running)
-        self._cumulative = tuple(cumulative)
+        self._cumulative = tuple(
+            itertools.accumulate(map(histogram.__getitem__, self._distances))
+        )
 
     @classmethod
     def from_trace(cls, trace: Iterable[int]) -> "MissRateCurve":
         """Profile a concrete address trace."""
-        trace = _as_addresses(trace)
-        histogram, cold = reuse_distance_histogram(trace)
-        return cls(histogram, cold, singletons=singleton_count(trace))
+        histogram, cold, singletons = reuse_distance_histogram(trace)
+        return cls(histogram, cold, singletons=singletons)
 
     @classmethod
     def from_pattern(

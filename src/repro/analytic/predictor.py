@@ -46,7 +46,7 @@ class PhaseProfile:
 
     @property
     def compute_cycles_per_access(self) -> float:
-        return self.spec.base_cpi / self.spec.mem_ratio
+        return self.spec.compute_cycles_per_access
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ numpy passes over its keys instead of a Python loop per access.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,12 +107,14 @@ def _as_addresses(trace: Iterable[int]) -> np.ndarray:
 
 def _warm_distances(
     trace: Iterable[int],
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Trace length, re-access positions, and their reuse distances."""
+) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """Trace length, re-access positions, their reuse distances, and
+    the number of lines touched exactly once."""
     addrs = _as_addresses(trace)
     n = addrs.shape[0]
     # prev[t]: the previous access to the same line (-1 if none).
     prev = np.full(n, -1, dtype=np.int64)
+    singletons = n
     if n > 1:
         # Accesses ordered by (line, position): one sort of packed
         # codes, or a stable argsort when the line span is too wide to
@@ -131,7 +134,14 @@ def _warm_distances(
         same = lines[1:] == lines[:-1]
         del lines
         prev[order[1:][same]] = order[:-1][same]
-        del order, same
+        del order
+        # In this order a line touched once differs from both
+        # neighbours.
+        np.logical_not(same, out=same)
+        alone = np.concatenate(([True], same))
+        alone[:-1] &= same
+        singletons = int(np.count_nonzero(alone))
+        del same, alone
     warm = np.flatnonzero(prev >= 0)
     keys = prev[warm]
     del prev
@@ -141,30 +151,41 @@ def _warm_distances(
     # (first touches never qualify, so only re-accesses are counted).
     keys += _earlier_greater(keys)
     keys += 1
-    return n, warm, warm - keys
+    return n, warm, warm - keys, singletons
 
 
 def reuse_distances(trace: Iterable[int]) -> list[int]:
     """Per-access reuse distances (:data:`COLD` for first touches)."""
-    n, warm, distances = _warm_distances(trace)
+    n, warm, distances, _ = _warm_distances(trace)
     out = np.full(n, COLD, dtype=np.int64)
     out[warm] = distances
     return out.tolist()
 
 
-def reuse_distance_histogram(
-    trace: Iterable[int],
-) -> tuple[dict[int, int], int]:
-    """Histogram of reuse distances plus the cold-miss count.
+class ReuseHistogram(NamedTuple):
+    """A trace's reuse-distance histogram and its first touches."""
 
-    Returns ``(histogram, cold)`` where ``histogram[d]`` counts accesses
-    with reuse distance ``d`` and ``cold`` counts first touches.
+    #: accesses per reuse distance (re-accesses only)
+    histogram: dict[int, int]
+    #: first touches: one per distinct line
+    cold: int
+    #: lines touched exactly once (see :func:`singleton_count`)
+    singletons: int
+
+
+def reuse_distance_histogram(trace: Iterable[int]) -> ReuseHistogram:
+    """Histogram of reuse distances, the cold-miss count and the count
+    of lines touched once, from one pass over the trace.
+
+    ``histogram[d]`` counts accesses with reuse distance ``d``; ``cold``
+    counts first touches; ``singletons`` counts the first touches never
+    followed by another access to their line.
     """
-    n, _, distances = _warm_distances(trace)
+    n, _, distances, singletons = _warm_distances(trace)
     counts = np.bincount(distances)
     seen = np.flatnonzero(counts)
     histogram = dict(zip(seen.tolist(), counts[seen].tolist()))
-    return histogram, n - distances.shape[0]
+    return ReuseHistogram(histogram, n - distances.shape[0], singletons)
 
 
 def singleton_count(trace: Iterable[int]) -> int:

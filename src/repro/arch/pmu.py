@@ -12,8 +12,8 @@ restarts* them, yielding per-period deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class PMUEvent(str, Enum):
@@ -29,13 +29,13 @@ class PMUEvent(str, Enum):
     LINES_STOLEN = "L3_LINES_EVICTED_BY_OTHER_CORE"
 
 
-@dataclass(frozen=True)
-class PMUSample:
+class PMUSample(NamedTuple):
     """One period's worth of counter deltas for one core.
 
     This is the unit of information CAER's communication table stores:
     everything the runtime knows about an application, it knows through
-    a stream of these samples.
+    a stream of these samples.  An immutable named tuple: every run
+    builds one per process per period.
     """
 
     cycles: float

@@ -12,16 +12,16 @@ a contention assertion that the runtime feeds to the response policy
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """What one period's table state looks like to the batch-side engine.
 
     ``own_*`` aggregates the batch applications' LLC misses,
     ``neighbor_*`` the latency-sensitive applications'.  ``last`` values
     are this period's counts, ``mean`` values are windowed averages.
+    An immutable named tuple, built once per period.
     """
 
     own_misses: float
@@ -31,8 +31,7 @@ class Observation:
     period: int
 
 
-@dataclass(frozen=True)
-class DetectorStep:
+class DetectorStep(NamedTuple):
     """Detector output for one period.
 
     ``pause_self`` is the Algorithm 1 signal of the same name: "whether

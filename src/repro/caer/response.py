@@ -24,14 +24,13 @@ phase (Figure 5's respond → detect transition).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigError, DetectorError
 from .detector import Observation
 
 
-@dataclass(frozen=True)
-class ResponseStep:
+class ResponseStep(NamedTuple):
     """Response output for one period.
 
     ``speed`` is the DVFS-style frequency fraction applied to the batch

@@ -300,6 +300,10 @@ class CaerRuntime:
         self._state = "detect"
         #: the assertion the active response is acting on (trace only)
         self._response_verdict: bool | None = None
+        # Counters resolved at their first increment, so a run's
+        # telemetry holds only the ones that fired.
+        self._period_counter = None
+        self._paused_counter = None
 
     def __call__(
         self,
@@ -308,14 +312,15 @@ class CaerRuntime:
         samples: dict[str, PMUSample],
     ) -> None:
         """One timer tick: publish, observe, decide, direct."""
+        table = self.table
         for name, sample in samples.items():
-            self.table.publish(name, sample)
+            table.publish(name, sample)
         obs = Observation(
-            own_misses=self.table.batch_misses(),
-            neighbor_misses=self.table.latency_sensitive_misses(),
-            own_mean=self.table.batch_mean(),
-            neighbor_mean=self.table.latency_sensitive_mean(),
-            period=period,
+            table.batch_misses(),
+            table.latency_sensitive_misses(),
+            table.batch_mean(),
+            table.latency_sensitive_mean(),
+            period,
         )
         assertion: bool | None = None
         speed = 1.0
@@ -352,14 +357,21 @@ class CaerRuntime:
                 quota = rstep.l3_quota
                 reason = "c-positive" if assertion else "c-negative"
                 self._state = "detect" if rstep.done else "respond"
-        if self.metrics is not None:
-            self.metrics.counter("caer.periods").inc()
+        metrics = self.metrics
+        if metrics is not None:
+            if self._period_counter is None:
+                self._period_counter = metrics.counter("caer.periods")
+            self._period_counter.inc()
             if assertion is True:
-                self.metrics.counter("caer.verdicts_positive").inc()
+                metrics.counter("caer.verdicts_positive").inc()
             elif assertion is False:
-                self.metrics.counter("caer.verdicts_negative").inc()
+                metrics.counter("caer.verdicts_negative").inc()
             if pause:
-                self.metrics.counter("caer.batch_paused_periods").inc()
+                if self._paused_counter is None:
+                    self._paused_counter = metrics.counter(
+                        "caer.batch_paused_periods"
+                    )
+                self._paused_counter.inc()
         if self.tracer.enabled:
             self.tracer.emit(DetectionEvent(
                 period=period,
@@ -388,9 +400,10 @@ class CaerRuntime:
                     period=period, scope="caer",
                     subject=self.detector_name, phase=self._state,
                 ))
-        self.table.directives.pause_batch = pause
-        self.table.directives.batch_speed = speed
-        self.table.directives.reason = reason
+        directives = table.directives
+        directives.pause_batch = pause
+        directives.batch_speed = speed
+        directives.reason = reason
         for name in self.batch_names:
             engine.set_paused(name, pause)
             engine.set_speed(name, speed)

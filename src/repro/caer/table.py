@@ -22,6 +22,9 @@ from .window import SampleWindow
 
 DEFAULT_WINDOW_SIZE = 20
 
+_last = SampleWindow.last
+_mean = SampleWindow.mean
+
 
 @dataclass
 class TableRow:
@@ -55,6 +58,10 @@ class CommunicationTable:
         self.window_size = window_size
         self.rows: dict[str, TableRow] = {}
         self.directives = Directives()
+        # Each class's LLC-miss windows in registration order, kept by
+        # register(): the per-period aggregates read only these.
+        self._ls_windows: list[SampleWindow] = []
+        self._batch_windows: list[SampleWindow] = []
 
     def register(self, name: str, app_class: AppClass) -> TableRow:
         """Add an application's row (idempotent per name)."""
@@ -67,11 +74,15 @@ class CommunicationTable:
             instructions=SampleWindow(self.window_size),
         )
         self.rows[name] = row
+        if app_class is AppClass.LATENCY_SENSITIVE:
+            self._ls_windows.append(row.llc_misses)
+        elif app_class is AppClass.BATCH:
+            self._batch_windows.append(row.llc_misses)
         return row
 
     def publish(self, name: str, sample: PMUSample) -> None:
         """Record one period's sample for ``name``."""
-        row = self.row(name)
+        row = self.rows.get(name) or self.row(name)
         row.llc_misses.push(float(sample.llc_misses))
         row.instructions.push(sample.instructions)
         row.last_sample = sample
@@ -98,26 +109,16 @@ class CommunicationTable:
         with several, their miss counts add because they press on the
         same shared cache.
         """
-        return sum(
-            r.llc_misses.last()
-            for r in self.rows_by_class(AppClass.LATENCY_SENSITIVE)
-        )
+        return sum(map(_last, self._ls_windows))
 
     def latency_sensitive_mean(self) -> float:
         """Combined windowed mean of latency-sensitive LLC misses."""
-        return sum(
-            r.llc_misses.mean()
-            for r in self.rows_by_class(AppClass.LATENCY_SENSITIVE)
-        )
+        return sum(map(_mean, self._ls_windows))
 
     def batch_misses(self) -> float:
         """Combined LLC misses of batch apps, last period."""
-        return sum(
-            r.llc_misses.last() for r in self.rows_by_class(AppClass.BATCH)
-        )
+        return sum(map(_last, self._batch_windows))
 
     def batch_mean(self) -> float:
         """Combined windowed mean of batch LLC misses."""
-        return sum(
-            r.llc_misses.mean() for r in self.rows_by_class(AppClass.BATCH)
-        )
+        return sum(map(_mean, self._batch_windows))

@@ -31,6 +31,7 @@ opted out).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from time import perf_counter
 from typing import Callable, Iterable, Protocol
 
 from ..arch.cache import fast_lane_enabled
@@ -140,13 +141,28 @@ class PeriodEngine(ABC):
         # Resolved once: a registry lookup per period costs more than
         # the observation itself.
         self._period_counter = None
-        self._miss_histograms = None
         if metrics is not None:
             self._period_counter = metrics.counter("sim.periods")
-            self._miss_histograms = {
-                name: metrics.histogram(f"sim.llc_misses_per_period.{name}")
-                for name in self.processes
-            }
+        #: per process, in order: its name, the process, the appends of
+        #: its record's state, sample and speed series, and its miss
+        #: histogram (None without metrics).  The appends are
+        #: ProcessResult.record's, bound once: a call per process per
+        #: period would cost as much as the appends themselves.
+        self._slots = []
+        for name, proc in self.processes.items():
+            record = self.result.processes[name]
+            self._slots.append((
+                name, proc,
+                record.states.append,
+                record.samples.append,
+                record.speeds.append,
+                None if metrics is None else metrics.histogram(
+                    f"sim.llc_misses_per_period.{name}"
+                ),
+            ))
+        self._procs = list(self.processes.values())
+        #: processes not yet seen launched, in order
+        self._waiting = list(self._procs)
 
     # -- what a backend supplies -----------------------------------------
 
@@ -162,17 +178,20 @@ class PeriodEngine(ABC):
 
     def set_paused(self, name: str, paused: bool) -> None:
         """Request a throttle state change, effective next period."""
-        self.process(name)
+        if name not in self.processes:
+            self.process(name)  # raises
         self._pending_pause[name] = paused
 
     def set_speed(self, name: str, factor: float) -> None:
         """Request a frequency-scaling change, effective next period."""
-        self.process(name)
+        if name not in self.processes:
+            self.process(name)  # raises
         self._pending_speed[name] = factor
 
     def set_l3_quota(self, name: str, fraction: float | None) -> None:
         """Request an L3 occupancy cap, effective next period."""
-        self.process(name)
+        if name not in self.processes:
+            self.process(name)  # raises
         self._pending_quota[name] = fraction
 
     def process(self, name: str) -> SimProcess:
@@ -195,7 +214,7 @@ class PeriodEngine(ABC):
         ``stop_when`` overrides the default termination test ("every
         non-relaunching process finished").
         """
-        done = stop_when or _all_primary_finished
+        done = stop_when or _default_stop(self)
         while not done(self):
             if self.period >= self.max_periods:
                 raise SimulationError(
@@ -209,86 +228,108 @@ class PeriodEngine(ABC):
 
     def _step_period(self) -> None:
         period = self.period
-        self._apply_launches(period)
-        states_at_start = {
-            name: proc.state for name, proc in self.processes.items()
-        }
+        if self._waiting:
+            self._apply_launches(period)
+        states_at_start = [proc.state for proc in self._procs]
         # Wall-clock span profiling (metrics-only; trace events stay
         # free of host time).  Disabled, this is one attribute read.
         if PROFILER.enabled:
-            with PROFILER.span("profile.engine_period_seconds"):
-                true, observed = self._execute_period(period)
+            started = perf_counter()
+            true, observed = self._execute_period(period)
+            PROFILER.observe(
+                "profile.engine_period_seconds", perf_counter() - started
+            )
         else:
             true, observed = self._execute_period(period)
         self._record(period, states_at_start, true, observed)
         for hook in self.period_hooks:
             hook(self, period, observed)
-        self._apply_pending()
+        if self._pending_pause or self._pending_speed or \
+                self._pending_quota:
+            self._apply_pending()
         self.period += 1
 
     def _apply_launches(self, period: int) -> None:
-        for proc in self.processes.values():
-            if proc.state is ProcessState.WAITING and \
-                    proc.launch_period <= period:
-                proc.launch()
-                if self.tracer.enabled:
-                    self.tracer.emit(PhaseEvent(
-                        period=period, scope="process",
-                        subject=proc.name, phase="launched",
-                    ))
+        waiting = []
+        for proc in self._waiting:
+            if proc.state is not ProcessState.WAITING:
+                continue
+            if proc.launch_period > period:
+                waiting.append(proc)
+                continue
+            proc.launch()
+            if self.tracer.enabled:
+                self.tracer.emit(PhaseEvent(
+                    period=period, scope="process",
+                    subject=proc.name, phase="launched",
+                ))
+        self._waiting = waiting
 
     def _record(
         self,
         period: int,
-        states_at_start: dict[str, ProcessState],
+        states_at_start: list[ProcessState],
         true: Samples,
         observed: Samples,
     ) -> None:
-        histograms = self._miss_histograms
-        for name, proc in self.processes.items():
+        running = ProcessState.RUNNING
+        paused = ProcessState.PAUSED
+        tracing = self.tracer.enabled
+        for slot, state in zip(self._slots, states_at_start):
+            name, proc, add_state, add_sample, add_speed, histogram = slot
             # The physical record and the histogram profile physical
             # behaviour, so they get the true reading; the trace is the
             # signal-path view and keeps the observed one.
             sample = true[name]
-            state = states_at_start[name]
-            self.result.processes[name].record(
-                state, sample, speed=proc.speed_factor
-            )
-            if proc.state is ProcessState.RUNNING:
+            add_state(state)
+            add_sample(sample)
+            add_speed(proc.speed_factor)
+            now = proc.state
+            if now is running:
                 proc.periods_running += 1
-            elif proc.state is ProcessState.PAUSED:
+            elif now is paused:
                 proc.periods_paused += 1
-            if self.tracer.enabled:
-                seen = observed[name]
-                self.tracer.emit(PMUSampleEvent(
-                    period=period,
-                    process=name,
-                    state=state.name.lower(),
-                    cycles=seen.cycles,
-                    instructions=seen.instructions,
-                    llc_misses=seen.llc_misses,
-                    llc_references=seen.llc_references,
-                ))
-                if proc.state is ProcessState.FINISHED and \
-                        state is not ProcessState.FINISHED:
-                    self.tracer.emit(PhaseEvent(
-                        period=period, scope="process",
-                        subject=name, phase="completed",
-                    ))
-                # A relaunching process stays RUNNING through each
-                # completion: trace every run it completed this period.
-                if proc.relaunch:
-                    traced = self._traced_completions[name]
-                    for _ in range(traced, proc.completions):
-                        self.tracer.emit(PhaseEvent(
-                            period=period, scope="process",
-                            subject=name, phase="relaunched",
-                        ))
-                    self._traced_completions[name] = proc.completions
-            if histograms is not None:
-                histograms[name].observe(sample.llc_misses)
+            if tracing:
+                self._trace_process(period, proc, state, observed[name])
+            if histogram is not None:
+                histogram.observe(sample.llc_misses)
         if self._period_counter is not None:
             self._period_counter.inc()
+
+    def _trace_process(
+        self,
+        period: int,
+        proc: SimProcess,
+        state: ProcessState,
+        seen: PMUSample,
+    ) -> None:
+        """Emit one process's sample and lifecycle events of a period."""
+        name = proc.name
+        self.tracer.emit(PMUSampleEvent(
+            period=period,
+            process=name,
+            state=state.name.lower(),
+            cycles=seen.cycles,
+            instructions=seen.instructions,
+            llc_misses=seen.llc_misses,
+            llc_references=seen.llc_references,
+        ))
+        if proc.state is ProcessState.FINISHED and \
+                state is not ProcessState.FINISHED:
+            self.tracer.emit(PhaseEvent(
+                period=period, scope="process",
+                subject=name, phase="completed",
+            ))
+        # A relaunching process stays RUNNING through each
+        # completion: trace every run it completed this period.
+        if proc.relaunch:
+            traced = self._traced_completions[name]
+            for _ in range(traced, proc.completions):
+                self.tracer.emit(PhaseEvent(
+                    period=period, scope="process",
+                    subject=name, phase="relaunched",
+                ))
+            self._traced_completions[name] = proc.completions
 
     def _apply_pending(self) -> None:
         for name, paused in self._pending_pause.items():
@@ -314,14 +355,23 @@ class PeriodEngine(ABC):
             )
 
 
-def _all_primary_finished(engine: PeriodEngine) -> bool:
-    """Default stop test: every non-relaunching process completed."""
+def _default_stop(engine: PeriodEngine) -> Callable[[PeriodEngine], bool]:
+    """The default stop test of one run: every non-relaunching process
+    completed.  Its primaries are resolved once, when the run starts."""
     primaries = [p for p in engine.processes.values() if not p.relaunch]
     if not primaries:
         raise SimulationError(
             "all processes relaunch forever; pass an explicit stop_when"
         )
-    return all(p.state is ProcessState.FINISHED for p in primaries)
+    finished = ProcessState.FINISHED
+
+    def done(_: PeriodEngine) -> bool:
+        for proc in primaries:
+            if proc.state is not finished:
+                return False
+        return True
+
+    return done
 
 
 class SimulationEngine(PeriodEngine):

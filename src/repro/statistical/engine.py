@@ -22,6 +22,13 @@ Each period, for every runnable process:
    records them and hands them to the period hooks, exactly as for the
    trace engine.
 
+Only step 1's L3 hit rate depends on the period: everything else a
+period reads — the private-level hit rates, the cold and singleton
+fractions, the footprint and its residency threshold, the phase's
+cost parameters, the capacities and the cycle budget — is fixed per
+process and phase, and is computed once when the engine is built.  So
+a period costs one bisect of a miss-rate curve per runnable process.
+
 Occupancy quotas (the cache-partition response) cap step 4's insertion
 for the quota'd process.  Probe overhead shrinks the cycle budget as in
 the trace engine.
@@ -29,7 +36,8 @@ the trace engine.
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Iterable, NamedTuple
 
 from ..analytic.mrc import MissRateCurve, profile_patterns
 from ..arch.memory import MAX_RHO
@@ -38,7 +46,8 @@ from ..config import MachineConfig
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, Tracer
 from ..sim.engine import PeriodEngine, PeriodHook, Samples
-from ..sim.process import SimProcess
+from ..sim.process import ProcessState, SimProcess
+from ..workloads.base import PhaseSpec, WorkloadInstance
 
 #: Accesses sampled per phase when building miss-rate curves.
 PROFILE_SAMPLES = 40_000
@@ -46,82 +55,142 @@ PROFILE_SAMPLES = 40_000
 #: Default per-probe cost, matching the perfmon layer.
 DEFAULT_PROBE_OVERHEAD_CYCLES = 20.0
 
+#: The sample of a period a process did not run.
+_IDLE = PMUSample.zero()
+
+
+class _PhaseModel(NamedTuple):
+    """What a period needs of one phase, derived once per run."""
+
+    mrc: MissRateCurve
+    #: hit rate at the L2's size (at least the L1's)
+    hit_l2: float
+    #: the L2-hit stall per access, before the phase's overlap
+    l2_stall: float
+    #: the MRC's transient cold and singleton fractions
+    transient: float
+    singleton: float
+    #: the lines the MRC holds exempt once the cold budget is spent and
+    #: the singletons are resident
+    transient_singleton: float
+    #: occupancy from which the phase's singletons stay resident
+    #: (infinite when its footprint exceeds the L3)
+    resident_at: float
+    compute_cycles_per_access: float
+    overlap: float
+    instructions_per_access: float
+
+    @classmethod
+    def build(
+        cls, spec: PhaseSpec, mrc: MissRateCurve, machine: MachineConfig
+    ) -> "_PhaseModel":
+        lat = machine.latencies
+        l3_lines = machine.l3.capacity_lines
+        h1 = mrc.hit_rate(machine.l1.capacity_lines)
+        h2 = max(h1, mrc.hit_rate(machine.l2.capacity_lines))
+        footprint = float(mrc.footprint())
+        transient = mrc.transient_cold_fraction
+        singleton = mrc.singleton_fraction
+        return cls(
+            mrc=mrc,
+            hit_l2=h2,
+            l2_stall=max(0.0, (h2 - h1)) * (lat.l2 - lat.l1),
+            transient=transient,
+            singleton=singleton,
+            transient_singleton=transient + singleton,
+            resident_at=(
+                0.95 * min(footprint, float(l3_lines))
+                if footprint <= l3_lines
+                else math.inf
+            ),
+            compute_cycles_per_access=spec.compute_cycles_per_access,
+            overlap=spec.overlap,
+            instructions_per_access=spec.instructions_per_access,
+        )
+
 
 class _ProcessModel:
-    """Analytic state of one process: phase profiles + L3 occupancy.
+    """Analytic state of one process: phase models + L3 occupancy.
 
-    ``mrcs[i]`` is phase ``i``'s miss-rate curve.  The curves come from
+    ``phases[i]`` holds phase ``i``'s miss-rate curve and every constant
+    a period derives from it.  The curves come from
     :func:`~repro.analytic.mrc.profile_patterns`, keyed by the phases'
     pattern specs and the process seed, so every run of the same
     workload and seed in a process shares one build (the statistical
-    engine's only expensive step).
+    engine's only expensive step).  A relaunched batch instance runs
+    the same spec, so the phase models outlive it.
     """
 
     def __init__(self, proc: SimProcess, machine: MachineConfig):
-        self.proc = proc
-        self.machine = machine
         self.occupancy = 0.0
+        #: the L3 occupancy cap of the partition response (None = none)
+        self.quota: float | None = None
+        spec = proc.spec
+        footprint = spec.footprint_lines()
+        capacity = float(machine.l3.capacity_lines)
         #: first-touch (compulsory) misses still owed; unlike the MRC's
         #: constant cold fraction these happen once per footprint.
-        self.cold_remaining = float(proc.spec.footprint_lines() or 0)
-        self.mrcs = profile_patterns(
-            tuple(phase.pattern for phase in proc.spec.phases),
+        self.cold_remaining = float(footprint or 0)
+        #: occupancy beyond the footprint cannot be held (the L3's
+        #: size bounds an unknown footprint)
+        self.occupancy_cap = float(footprint or capacity)
+        #: A footprint small enough to be re-referenced every few
+        #: periods is LRU-protected against streaming insertions (hits
+        #: keep its lines at MRU); only occupancy beyond it leaks.
+        self.protected = (
+            self.cold_remaining
+            if self.cold_remaining <= 0.25 * capacity
+            else 0.0
+        )
+        mrcs = profile_patterns(
+            tuple(phase.pattern for phase in spec.phases),
             proc.seed,
             PROFILE_SAMPLES,
         )
+        self.phases = tuple(
+            _PhaseModel.build(phase, mrc, machine)
+            for phase, mrc in zip(spec.phases, mrcs)
+        )
+        self._l2_lines = machine.l2.capacity_lines
+        self._l3_lines = machine.l3.capacity_lines
+        lat = machine.latencies
+        self._l3_extra = lat.l3 - lat.l1
 
-    def current_mrc(self) -> MissRateCurve:
-        index = self.proc.workload._phase_index
-        return self.mrcs[index]
-
-    def step_cost(self, queue_delay: float) -> tuple[float, float, float]:
+    def step_cost(
+        self, phase: _PhaseModel, miss_latency: float
+    ) -> tuple[float, float, float]:
         """(cycles/access, L3-reference fraction, miss fraction).
 
-        The MRC's compulsory floor is removed from the steady miss
-        fraction — first touches are charged from ``cold_remaining``
-        instead, once — and added back while the cold budget lasts.
+        ``miss_latency`` is this period's memory latency beyond an L1
+        hit, queueing delay included.  The MRC's compulsory floor is
+        removed from the steady miss fraction — first touches are
+        charged from ``cold_remaining`` instead, once — and added back
+        while the cold budget lasts.
         """
-        machine = self.machine
-        lat = machine.latencies
-        phase = self.proc.current_phase()
-        mrc = self.current_mrc()
+        occupancy = self.occupancy
+        cold = self.cold_remaining > 0
         # Only the transient portion of the cold misses is exempt from
         # steady state.  Single-touch lines (the MRC cannot see their
         # revisits) keep missing exactly while the cache does not hold
         # the whole footprint: a zipf tail is safe once resident, a
         # beyond-cache walk never is.
-        transient = (
-            mrc.transient_cold_fraction
-            if self.cold_remaining > 0
-            else 0.0
-        )
-        footprint = float(mrc.footprint())
-        singles_resident = self.occupancy >= 0.95 * min(
-            footprint, float(machine.l3.capacity_lines)
-        ) and footprint <= machine.l3.capacity_lines
-        h1 = mrc.hit_rate(machine.l1.capacity_lines)
-        h2 = max(h1, mrc.hit_rate(machine.l2.capacity_lines))
-        l3_reach = max(
-            machine.l2.capacity_lines,
-            min(self.occupancy, machine.l3.capacity_lines),
-        )
-        h3 = max(h2, mrc.hit_rate(l3_reach))
-        exempt = mrc.transient_cold_fraction - transient
-        if singles_resident:
-            exempt += mrc.singleton_fraction
+        if occupancy >= phase.resident_at:
+            exempt = phase.singleton if cold else phase.transient_singleton
+        else:
+            exempt = 0.0 if cold else phase.transient
+        h2 = phase.hit_l2
+        l3_reach = max(self._l2_lines, min(occupancy, self._l3_lines))
+        h3 = max(h2, phase.mrc.hit_rate(l3_reach))
         miss_fraction = max(0.0, (1.0 - h3) - exempt)
         reference_fraction = max(
             miss_fraction, max(0.0, (1.0 - h2) - exempt)
         )
         stall = (
-            max(0.0, reference_fraction - miss_fraction)
-            * (lat.l3 - lat.l1)
-            + max(0.0, (h2 - h1)) * (lat.l2 - lat.l1)
-            + miss_fraction * (lat.memory + queue_delay - lat.l1)
+            max(0.0, reference_fraction - miss_fraction) * self._l3_extra
+            + phase.l2_stall
+            + miss_fraction * miss_latency
         )
-        cost = (
-            phase.compute_cycles_per_access + stall / phase.overlap
-        )
+        cost = phase.compute_cycles_per_access + stall / phase.overlap
         return cost, reference_fraction, miss_fraction
 
 
@@ -153,37 +222,47 @@ class StatisticalEngine(PeriodEngine):
             name: _ProcessModel(proc, machine)
             for name, proc in self.processes.items()
         }
+        self._entries = [
+            (name, proc, self._models[name])
+            for name, proc in self.processes.items()
+        ]
         self.probe_overhead_cycles = probe_overhead_cycles
         self.service_cycles = service_cycles
+        #: cycles a process may spend per period at full speed
+        self._budget = max(
+            0.0, machine.period_cycles - probe_overhead_cycles
+        )
+        self._l3_lines = float(machine.l3.capacity_lines)
+        lat = machine.latencies
+        self._memory_latency = lat.memory
+        self._l1_latency = lat.l1
         self._queue_delay = 0.0
         self._rho = 0.0
-        self._quotas: dict[str, float | None] = {
-            name: None for name in self.processes
-        }
 
     def _execute_period(self, period: int) -> tuple[Samples, Samples]:
-        budget = max(
-            0.0,
-            self.machine.period_cycles - self.probe_overhead_cycles,
+        budget = self._budget
+        miss_latency = (
+            self._memory_latency + self._queue_delay - self._l1_latency
         )
-
+        running = ProcessState.RUNNING
         samples: Samples = {}
-        insertions: dict[str, float] = {}
+        insertions: list[float] = []
         total_misses = 0.0
-        for name, proc in self.processes.items():
-            if not proc.runnable:
-                samples[name] = PMUSample.zero()
-                insertions[name] = 0.0
+        for name, proc, model in self._entries:
+            if proc.state is not running:
+                samples[name] = _IDLE
+                insertions.append(0.0)
                 continue
-            model = self._models[name]
+            workload = proc.workload
+            phase = model.phases[workload._phase_index]
             cost, reference_fraction, miss_fraction = model.step_cost(
-                self._queue_delay
+                phase, miss_latency
             )
             cycles = budget * proc.speed_factor
             accesses = cycles / cost
-            phase = proc.current_phase()
-            instructions = accesses * phase.instructions_per_access
-            remaining = proc.workload.instructions_remaining
+            per_access = phase.instructions_per_access
+            instructions = accesses * per_access
+            remaining = workload.instructions_remaining
             if instructions >= remaining:
                 fraction = remaining / instructions
                 accesses *= fraction
@@ -193,27 +272,24 @@ class StatisticalEngine(PeriodEngine):
             # priced at the period-start phase, so a boundary crossed
             # mid-period is attributed one period late — the same
             # granularity CAER itself observes at.
-            self._account_instructions(proc, instructions)
+            self._account_instructions(workload, instructions, per_access)
             misses = accesses * miss_fraction
+            # The cold budget drains at the rate of the phase the
+            # accounting left current.
             cold_spent = min(
                 model.cold_remaining,
-                accesses * model.current_mrc().transient_cold_fraction,
+                accesses * model.phases[workload._phase_index].transient,
             )
             model.cold_remaining -= cold_spent
             total_misses += misses
-            insertions[name] = misses
+            insertions.append(misses)
+            references = int(accesses * reference_fraction)
             samples[name] = PMUSample(
-                cycles=cycles,
-                instructions=instructions,
-                llc_misses=int(misses),
-                llc_references=int(accesses * reference_fraction),
-                l2_misses=int(accesses * reference_fraction),
-                l1_misses=int(accesses * reference_fraction),
-                back_invalidations=0,
-                lines_stolen=0,
+                cycles, instructions, int(misses), references,
+                references, references, 0, 0,
             )
-            if proc.finished:
-                # A relaunched instance reuses the same phase profiles.
+            if workload.finished:
+                # A relaunched instance reuses the same phase models.
                 proc.note_completion(period)
 
         self._advance_occupancy(insertions)
@@ -223,21 +299,25 @@ class StatisticalEngine(PeriodEngine):
         return samples, self.fault_injector.observe_all(period, samples)
 
     def _apply_quota(self, name: str, fraction: float | None) -> None:
-        self._quotas[name] = fraction
+        self._models[name].quota = fraction
 
     @staticmethod
-    def _account_instructions(proc: SimProcess, instructions: float) -> None:
-        """Advance the workload by a fractional instruction count."""
-        workload = proc.workload
-        phase = workload.current_phase()
-        accesses = instructions / phase.instructions_per_access
+    def _account_instructions(
+        workload: WorkloadInstance, instructions: float, per_access: float
+    ) -> None:
+        """Advance the workload by a fractional instruction count.
+
+        ``per_access`` is the instructions per access of the phase the
+        period started in.
+        """
+        accesses = instructions / per_access
         # account() is integer-access based; emulate fractional progress
         # by adjusting the remaining counters directly through repeated
         # whole-access accounting plus a remainder carried in-place.
         whole = int(accesses)
         if whole:
             workload.account(whole)
-        remainder = (accesses - whole) * phase.instructions_per_access
+        remainder = (accesses - whole) * per_access
         if remainder and not workload.finished:
             workload.instructions_retired += remainder
             workload._phase_remaining -= remainder
@@ -250,43 +330,33 @@ class StatisticalEngine(PeriodEngine):
     #: protected but idle ones still leak.
     OCCUPANCY_LEAK = 0.25
 
-    def _advance_occupancy(self, insertions: dict[str, float]) -> None:
-        capacity = float(self.machine.l3.capacity_lines)
-        for name, inserted in insertions.items():
-            model = self._models[name]
-            quota = self._quotas[name]
+    def _advance_occupancy(self, insertions: list[float]) -> None:
+        """Insert each process's misses, then evict any overflow.
+
+        ``insertions`` is in process order.
+        """
+        capacity = self._l3_lines
+        models = self._models.values()
+        for model, inserted in zip(models, insertions):
+            quota = model.quota
             cap = capacity if quota is None else quota * capacity
-            footprint = float(
-                self.processes[name].spec.footprint_lines() or capacity
-            )
             model.occupancy = min(
-                model.occupancy + inserted, cap, footprint
+                model.occupancy + inserted, cap, model.occupancy_cap
             )
-        total = sum(m.occupancy for m in self._models.values())
+        total = sum(model.occupancy for model in models)
         overflow = total - capacity
         if overflow <= 0:
             return
-        weights: dict[str, float] = {}
-        for name, model in self._models.items():
-            # A footprint small enough to be re-referenced every few
-            # periods is LRU-protected against streaming insertions
-            # (hits keep its lines at MRU); only occupancy beyond that
-            # floor leaks.
-            footprint = float(
-                self.processes[name].spec.footprint_lines() or 0
-            )
-            protected = (
-                footprint if footprint <= 0.25 * capacity else 0.0
-            )
-            leakable = max(0.0, model.occupancy - protected)
-            weights[name] = (
-                insertions[name] + self.OCCUPANCY_LEAK * leakable
-            )
-        weight_sum = sum(weights.values())
+        leak = self.OCCUPANCY_LEAK
+        weights = [
+            inserted + leak * max(0.0, model.occupancy - model.protected)
+            for model, inserted in zip(models, insertions)
+        ]
+        weight_sum = sum(weights)
         if weight_sum <= 0:
             return
-        for name, model in self._models.items():
-            evicted = overflow * weights[name] / weight_sum
+        for model, weight in zip(models, weights):
+            evicted = overflow * weight / weight_sum
             model.occupancy = max(0.0, model.occupancy - evicted)
 
     def _advance_memory(self, total_misses: float) -> None:

@@ -125,6 +125,16 @@ class PhaseSpec:
                 f"store_ratio must be in [0, 1]: {self.store_ratio}"
             )
 
+    @property
+    def instructions_per_access(self) -> float:
+        """Instructions one (cache-line) access stands for."""
+        return 1.0 / self.mem_ratio
+
+    @property
+    def compute_cycles_per_access(self) -> float:
+        """Pipeline cycles per access when every access hits L1."""
+        return self.base_cpi / self.mem_ratio
+
 
 class RuntimePhase:
     """A :class:`PhaseSpec` instantiated for one run.
@@ -152,8 +162,8 @@ class RuntimePhase:
     def __init__(self, spec: PhaseSpec, pattern: AccessPattern):
         self.spec = spec
         self.pattern = pattern
-        self.instructions_per_access = 1.0 / spec.mem_ratio
-        self.compute_cycles_per_access = spec.base_cpi / spec.mem_ratio
+        self.instructions_per_access = spec.instructions_per_access
+        self.compute_cycles_per_access = spec.compute_cycles_per_access
         self.overlap = spec.overlap
         self.store_ratio = spec.store_ratio
         self._pending: list[int] = []
@@ -295,28 +305,47 @@ class WorkloadInstance:
 
     The simulated core drives this through three methods:
     :meth:`current_phase`, :meth:`accesses_left_in_phase`, and
-    :meth:`account` — see :meth:`repro.arch.core.Core.run`.
+    :meth:`account` — see :meth:`repro.arch.core.Core.run`.  The
+    statistical engine calls only :meth:`account`.
+
+    The address generators are built on first use of
+    :meth:`current_phase`: every phase's pattern, in phase order, from
+    one ``np.random.default_rng(seed)``.  An instance that is only
+    accounted — a statistical run and each of its batch relaunches —
+    never builds them.
     """
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0, base: int = 0):
         self.spec = spec
+        self.seed = seed
         self.base = base
-        rng = np.random.default_rng(seed)
-        # Patterns persist across phase revisits, modelling a program
-        # returning to a data structure it already walked (warm state).
-        self._phases = [
-            RuntimePhase(p, p.pattern.instantiate(rng, base))
-            for p in spec.phases
-        ]
+        self._phases: list[RuntimePhase] | None = None
+        #: per phase, the instructions one access stands for
+        self._instructions_per_access = tuple(
+            p.instructions_per_access for p in spec.phases
+        )
         self._phase_index = 0
         self._phase_remaining = spec.phases[0].duration_instructions
         self._total_remaining = spec.total_instructions
         self.instructions_retired = 0.0
         self.finished = False
 
+    def _build_phases(self) -> list[RuntimePhase]:
+        rng = np.random.default_rng(self.seed)
+        # Patterns persist across phase revisits, modelling a program
+        # returning to a data structure it already walked (warm state).
+        self._phases = [
+            RuntimePhase(p, p.pattern.instantiate(rng, self.base))
+            for p in self.spec.phases
+        ]
+        return self._phases
+
     def current_phase(self) -> RuntimePhase:
         """The phase the next access belongs to."""
-        return self._phases[self._phase_index]
+        phases = self._phases
+        if phases is None:
+            phases = self._build_phases()
+        return phases[self._phase_index]
 
     def accesses_left_in_phase(self) -> int:
         """Upper bound on accesses before a phase/finish boundary.
@@ -326,9 +355,9 @@ class WorkloadInstance:
         """
         if self.finished:
             return 0
-        phase = self._phases[self._phase_index]
+        per_access = self._instructions_per_access[self._phase_index]
         remaining = min(self._phase_remaining, self._total_remaining)
-        return max(1, math.ceil(remaining / phase.instructions_per_access))
+        return max(1, math.ceil(remaining / per_access))
 
     def account(self, accesses: int) -> None:
         """Record that ``accesses`` accesses of the current phase ran.
@@ -341,8 +370,9 @@ class WorkloadInstance:
             raise WorkloadError(f"negative access count: {accesses}")
         if accesses == 0 or self.finished:
             return
-        phase = self._phases[self._phase_index]
-        instructions = accesses * phase.instructions_per_access
+        instructions = (
+            accesses * self._instructions_per_access[self._phase_index]
+        )
         self.instructions_retired += instructions
         self._phase_remaining -= instructions
         self._total_remaining -= instructions
@@ -350,9 +380,10 @@ class WorkloadInstance:
             self.finished = True
             return
         if self._phase_remaining <= 1e-9:
-            self._phase_index = (self._phase_index + 1) % len(self._phases)
+            phases = self.spec.phases
+            self._phase_index = (self._phase_index + 1) % len(phases)
             self._phase_remaining = (
-                self._phases[self._phase_index].spec.duration_instructions
+                phases[self._phase_index].duration_instructions
             )
 
     @property

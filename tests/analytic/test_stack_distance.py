@@ -78,13 +78,14 @@ def fenwick_reuse_distances(trace):
     return out
 
 
-def histogram_of(distances):
-    """(histogram, cold) as :func:`reuse_distance_histogram` gives it."""
+def histogram_of(distances, trace):
+    """(histogram, cold, singletons) as :func:`reuse_distance_histogram`
+    gives them, from per-access distances and the trace."""
     histogram = {}
     for d in distances:
         if d != COLD:
             histogram[d] = histogram.get(d, 0) + 1
-    return histogram, distances.count(COLD)
+    return histogram, distances.count(COLD), dict_singleton_count(trace)
 
 
 class TestKnownTraces:
@@ -109,9 +110,12 @@ class TestKnownTraces:
         assert distances[4:] == [3] * 8
 
     def test_histogram(self):
-        histogram, cold = reuse_distance_histogram([1, 2, 1, 2, 1])
-        assert cold == 2
+        histogram, cold, singletons = reuse_distance_histogram(
+            [1, 2, 1, 2, 1, 3]
+        )
+        assert cold == 3
         assert histogram == {1: 3}
+        assert singletons == 1
 
 
 class TestAgainstReference:
@@ -128,10 +132,11 @@ class TestAgainstReference:
         trace = (rng.integers(0, 300, size=3001) * 64 + 10**9).tolist()
         expected = naive_reuse_distances(trace)
         assert reuse_distances(trace) == expected
-        histogram, cold = reuse_distance_histogram(trace)
+        histogram, cold, singletons = reuse_distance_histogram(trace)
         assert cold == expected.count(COLD)
         warm = [d for d in expected if d != COLD]
         assert histogram == {d: warm.count(d) for d in set(warm)}
+        assert singletons == dict_singleton_count(trace)
 
     @pytest.mark.parametrize("span", [2**8, 2**21, 2**22])
     def test_earlier_greater_at_every_packing_width(self, span):
@@ -182,7 +187,9 @@ class TestAgainstFenwick:
         )
         expected = fenwick_reuse_distances(sample.tolist())
         assert reuse_distances(sample) == expected
-        assert reuse_distance_histogram(sample) == histogram_of(expected)
+        assert reuse_distance_histogram(sample) == histogram_of(
+            expected, sample.tolist()
+        )
 
     @pytest.mark.parametrize(
         "trace",
@@ -192,7 +199,9 @@ class TestAgainstFenwick:
     def test_edge_traces(self, trace):
         expected = fenwick_reuse_distances(trace)
         assert reuse_distances(trace) == expected
-        assert reuse_distance_histogram(trace) == histogram_of(expected)
+        assert reuse_distance_histogram(trace) == histogram_of(
+            expected, trace
+        )
 
     @pytest.mark.parametrize(
         "span, argsorts", [(2**58 - 1, 0), (2**58, 1), (2**60, 1)]
@@ -266,6 +275,32 @@ class TestSampling:
 
 
 class TestSingletonCount:
+    @pytest.mark.parametrize(
+        "spec", SAMPLED_SPECS, ids=lambda s: type(s).__name__
+    )
+    def test_reuse_pass_counts_what_singleton_count_does(self, spec):
+        """The histogram's count, read off the reuse pass's (line,
+        position) order, equals the sort-based one on a profile-sized
+        sample of every family."""
+        sample = sample_trace(
+            spec.instantiate(np.random.default_rng(4), 0), PROFILE_SAMPLES
+        )
+        counted = reuse_distance_histogram(sample).singletons
+        assert counted == singleton_count(sample)
+
+    @given(st.lists(st.integers(-3, 40), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_reuse_pass_count_matches_dict_count(self, trace):
+        counted = reuse_distance_histogram(trace).singletons
+        assert counted == dict_singleton_count(trace)
+
+    def test_reuse_pass_count_on_wide_spans(self):
+        """The argsort order (a line span too wide to pack) counts the
+        same lines."""
+        trace = [0, 2**60, 0, 5, -(2**61), 7, 7]
+        counted = reuse_distance_histogram(trace).singletons
+        assert counted == dict_singleton_count(trace) == 3
+
     @pytest.mark.parametrize(
         "trace", [[], [4], [7, 7, 7, 7], [1, 2, 1, 3], [9, 8, 7]]
     )

@@ -2,7 +2,8 @@
 
 ``outcomes.json`` is the one table of what the pinned runs answer: the
 sha256 of each ``RunOutcome``'s compare-fields (canonical JSON, hashed
-exactly as ``bench/rep.py`` does), at length 0.01.  The matrix covers:
+exactly as ``bench/rep.py`` does), at length 0.01 unless a label says
+otherwise.  The matrix covers:
 
 * six paper victims under seven campaign configurations, on the
   ``sim`` and the ``statistical`` backend;
@@ -11,7 +12,9 @@ exactly as ``bench/rep.py`` does), at length 0.01.  The matrix covers:
   the hierarchy paths ``bench/expected/seed0.json`` never exercises;
 * a run under every built-in detector and response the paper
   configurations leave out;
-* faulted runs, wherever the fault plan moves the answer.
+* faulted runs, wherever the fault plan moves the answer;
+* two longer statistical runs in which a phase rotates while the cold
+  budget is still being paid.
 
 Every axis that must not matter reads the same table: the fast path
 and the generic reference (``REPRO_FAST_LANE`` 1 and 0, ``sim`` pins),
@@ -90,6 +93,10 @@ ZOO = {
     "profile": CaerConfig.profile_oracle(290.0),
     "shutter+dvfs": CaerConfig.dvfs(),
 }
+#: Statistical runs longer than ``LENGTH``, as (victim, config, length):
+#: in each, a phase rotates while a process still has first touches to
+#: pay, so the cold budget drains at the new phase's rate.
+ROTATIONS = (("403.gcc", "raw", 0.05), ("429.mcf", "solo", 1.0))
 #: The runs this plan moves at this length, as (victim, config,
 #: backend); it leaves every other sim victim x {shutter, rule} as is.
 FAULTS = FaultPlan.scaled(0.8, seed=0)
@@ -149,6 +156,11 @@ def golden_specs() -> tuple[dict, dict]:
         specs[paper_label(ZOO_VICTIM, name)] = dataclasses.replace(
             specs[paper_label(ZOO_VICTIM, "raw")], caer=caer
         )
+    for victim, config, length in ROTATIONS:
+        label = paper_label(victim, config, "statistical")
+        specs[f"{label}-length={length}"] = CampaignSettings(
+            length=length, backend="statistical"
+        ).run_spec(victim, config)
     for victim, config, backend in FAULTED:
         twin = paper_label(victim, config, backend)
         specs[f"{twin}-faults=0.8"] = specs[twin].with_faults(FAULTS)

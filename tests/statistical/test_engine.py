@@ -242,3 +242,58 @@ class TestProfileCache:
             tupled.latency_sensitive().completion_periods
         )
         assert listed.latency_sensitive().completion_periods > 0
+
+
+def _pattern_classes(root: type) -> list[type]:
+    """Every subclass of ``root`` that defines its own ``instantiate``."""
+    found, stack = [], [root]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if "instantiate" in vars(cls) and cls is not root:
+            found.append(cls)
+    return found
+
+
+class TestLazyGenerators:
+    def test_relaunching_run_builds_patterns_only_to_profile(
+        self, monkeypatch
+    ):
+        """A statistical run, batch relaunches included, instantiates a
+        pattern only inside ``profile_patterns``: its workload instances
+        are accounted, never drawn from."""
+        from repro.statistical import engine as statistical_engine
+        from repro.workloads.base import PatternSpec
+
+        inside = [False]
+        built = {"profiling": 0, "elsewhere": 0}
+
+        def counted(instantiate):
+            def wrapper(self, rng, base):
+                built["profiling" if inside[0] else "elsewhere"] += 1
+                return instantiate(self, rng, base)
+            return wrapper
+
+        for cls in _pattern_classes(PatternSpec):
+            monkeypatch.setattr(cls, "instantiate", counted(cls.instantiate))
+
+        def profiling(*args):
+            inside[0] = True
+            try:
+                return profile_patterns(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(statistical_engine, "profile_patterns", profiling)
+        profile_patterns.cache_clear()
+        spec = paper_run_spec(
+            "429.mcf", "raw", MACHINE, length=0.2, backend="statistical"
+        )
+        from repro.runspec.backends import get_backend
+
+        result = get_backend("statistical").execute(spec)
+        (batch,) = result.batch_processes()
+        assert batch.completions >= 1, "the batch never relaunched"
+        assert built["profiling"] > 0
+        assert built["elsewhere"] == 0
+

@@ -141,6 +141,43 @@ class TestInstance:
     def test_footprint_is_max_over_phases(self):
         assert two_phase_spec().footprint_lines() == 8
 
+    def test_generators_are_built_on_first_use(self):
+        instance = two_phase_spec().instantiate()
+        instance.account(3)
+        assert instance._phases is None
+        instance.current_phase()
+        assert instance._phases is not None
+
+    def test_lazy_generators_match_eager_ones_across_phase_boundaries(self):
+        """On the sim path, 429.mcf's lazily built generators yield the
+        addresses of generators built eagerly, in phase order, from the
+        same seed — through a boundary into each phase and back."""
+        import numpy as np
+
+        from repro.config import MachineConfig
+        from repro.sim.process import SimProcess
+        from repro.workloads import benchmark
+
+        machine = MachineConfig.scaled_nehalem()
+        spec = benchmark("429.mcf", machine.l3.capacity_lines, length=0.1)
+        assert len(spec.phases) == 2
+        seed, core = 7, 1
+        workload = SimProcess(spec, core, seed=seed).workload
+        rng = np.random.default_rng(seed)
+        eager = [
+            phase.pattern.instantiate(rng, workload.base)
+            for phase in spec.phases
+        ]
+        visited = []
+        for _ in range(3):
+            index = workload._phase_index
+            visited.append(index)
+            n = workload.accesses_left_in_phase()
+            got = workload.current_phase().take_addresses(n)
+            assert got == eager[index].next_addresses(n)
+            workload.account(n)
+        assert visited == [0, 1, 0]
+
 
 class TestRuntimePhaseBatching:
     """take_addresses / push_back must preserve the scalar stream."""
