@@ -14,7 +14,7 @@ import pytest
 from conftest import emit
 
 from repro.experiments.ablations import ABLATIONS, AblationRunner
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def runner() -> AblationRunner:
     short = CampaignSettings(
         length=min(settings.length, 0.08), seed=settings.seed
     )
-    return AblationRunner(short)
+    return AblationRunner(Campaign(short))
 
 
 def bench_impact_factor(benchmark, runner):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.contenders import (
     contender_study,
     heavy_contender_agreement,
@@ -24,7 +24,7 @@ def bench_contenders(benchmark):
         length=min(settings.length, 0.08), seed=settings.seed
     )
     table = benchmark.pedantic(
-        contender_study, args=(short,), rounds=1, iterations=1
+        contender_study, args=(Campaign(short),), rounds=1, iterations=1
     )
     emit(table.render())
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.repeatability import repeatability_study
 
 
@@ -19,7 +19,7 @@ def bench_repeatability(benchmark):
         length=min(settings.length, 0.06), seed=settings.seed
     )
     table = benchmark.pedantic(
-        repeatability_study, args=(short,), rounds=1, iterations=1
+        repeatability_study, args=(Campaign(short),), rounds=1, iterations=1
     )
     emit(table.render())
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.scaling import scaling_study
 
 
@@ -21,7 +21,7 @@ def bench_scaling(benchmark):
         length=min(settings.length, 0.08), seed=settings.seed
     )
     table = benchmark.pedantic(
-        scaling_study, args=(short,), rounds=1, iterations=1
+        scaling_study, args=(Campaign(short),), rounds=1, iterations=1
     )
     emit(table.render())
 

@@ -64,7 +64,8 @@ class CommunicationTable:
         self._batch_windows: list[SampleWindow] = []
 
     def register(self, name: str, app_class: AppClass) -> TableRow:
-        """Add an application's row (idempotent per name)."""
+        """Add an application's row; a name registers once (a second
+        registration raises :class:`ConfigError`)."""
         if name in self.rows:
             raise ConfigError(f"application {name!r} already registered")
         row = TableRow(

@@ -591,13 +591,13 @@ def _run_command(
         return 0
 
     if args.command == "ablation":
-        _emit(run_ablation(args.name, settings, jobs=args.jobs), args)
+        _emit(run_ablation(args.name, campaign), args)
         return 0
 
     if args.command == "scaling":
         from .experiments.scaling import scaling_study
 
-        _emit(scaling_study(settings, jobs=args.jobs), args)
+        _emit(scaling_study(campaign), args)
         return 0
 
     if args.command == "crossval":
@@ -606,13 +606,13 @@ def _run_command(
         if args.analytic:
             _emit(analytic_figure1(campaign), args)
         else:
-            _emit(backend_crossval(settings, jobs=args.jobs), args)
+            _emit(backend_crossval(campaign), args)
         return 0
 
     if args.command == "contenders":
         from .experiments.contenders import contender_study
 
-        _emit(contender_study(settings, jobs=args.jobs), args)
+        _emit(contender_study(campaign), args)
         return 0
 
     if args.command == "faults":
@@ -626,10 +626,9 @@ def _run_command(
         )
         _emit(
             fault_sweep(
-                settings,
+                campaign,
                 victim=resolve_benchmark_name(args.victim),
                 intensities=intensities,
-                jobs=args.jobs,
                 fault_seed=args.fault_seed,
             ),
             args,
@@ -650,13 +649,12 @@ def _run_command(
         )
         _emit(
             detector_shootout(
-                settings,
+                campaign,
                 victim=resolve_benchmark_name(args.victim),
                 intensities=intensities,
                 detectors=(
                     tuple(args.detector) if args.detector else None
                 ),
-                jobs=args.jobs,
                 fault_seed=args.fault_seed,
             ),
             args,
@@ -672,7 +670,7 @@ def _run_command(
     if args.command == "repeatability":
         from .experiments.repeatability import repeatability_study
 
-        _emit(repeatability_study(settings, jobs=args.jobs), args)
+        _emit(repeatability_study(campaign), args)
         return 0
 
     if args.command == "report":

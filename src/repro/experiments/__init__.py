@@ -5,19 +5,15 @@ the headline numbers quoted in §1/§6) has a driver in
 :mod:`repro.experiments.figures`; shared simulation runs are produced
 and memoised by :class:`repro.experiments.campaign.Campaign` so that,
 e.g., Figures 6, 7, and 8 — which analyse the same runs three ways —
-only simulate once.
+only simulate once.  Every other driver reads its runs through the same
+store (:meth:`~repro.experiments.campaign.Campaign.outcomes`), so
+overlapping drivers share runs too.
 """
 
 from .ablations import ABLATIONS, AblationRunner, run_ablation
 from .crossval import analytic_figure1, backend_crossval, rank_correlation
-from .campaign import (
-    Campaign,
-    CampaignSettings,
-    RunSummary,
-    audit_cache_key,
-    produce_summary,
-)
-from .executor import fan_out, resolve_jobs, run_specs
+from .campaign import Campaign, CampaignSettings, audit_cache_key
+from .executor import fan_out, resolve_jobs
 from .faults import fault_sweep
 from .fleetchaos import chaos_frontier
 from .resilience import (
@@ -56,12 +52,9 @@ from .watch import collect_status, render_watch, watch_loop, watch_once
 __all__ = [
     "Campaign",
     "CampaignSettings",
-    "RunSummary",
     "audit_cache_key",
-    "produce_summary",
     "fan_out",
     "resolve_jobs",
-    "run_specs",
     "run_specs_resilient",
     "RetryPolicy",
     "QuarantineRecord",

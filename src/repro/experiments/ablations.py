@@ -7,56 +7,48 @@ rule-based usage threshold, the response lengths, and the adaptive
 red-light/green-light variant.  These sweeps explore that space on one
 contention-sensitive victim (mcf) and one insensitive victim (namd),
 reporting the penalty/utilization trade-off each setting buys.
+
+Every run a sweep needs — co-located runs and solo baselines alike — is
+read through the campaign's store (:meth:`Campaign.outcomes`), one
+batch per sweep: the runs fan out together, any run an earlier sweep
+or figure stored is served from the store, and an interrupted sweep
+resumes from the campaign's journal.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+import dataclasses
 
 from ..caer.runtime import CaerConfig
 from ..config import MachineConfig, default_usage_threshold
 from ..errors import ExperimentError
-from ..runspec import (
-    BATCH_BENCHMARK,
-    ContenderSpec,
-    RunSpec,
-    execute_run,
-)
+from ..runspec import BATCH_BENCHMARK, ContenderSpec, RunSpec
 from ..workloads import benchmark
-from .campaign import CampaignSettings
-from .executor import run_specs
+from .campaign import Campaign, CampaignSettings
 from .reporting import FigureTable
 
 #: The victims every ablation is evaluated on.
 SENSITIVE_VICTIM = "429.mcf"
 INSENSITIVE_VICTIM = "444.namd"
-
-
-def _ablation_label(victim: str, config: CaerConfig | None) -> str:
-    tag = f"{config.detector}/{config.response}" if config else "raw"
-    return f"({victim}, {tag})"
+VICTIMS = (SENSITIVE_VICTIM, INSENSITIVE_VICTIM)
 
 
 class AblationRunner:
-    """Runs one CAER configuration against the two reference victims.
+    """Runs CAER configurations against the two reference victims.
 
-    Every evaluation is expressed as a declarative
-    :class:`~repro.runspec.RunSpec` built from the runner's (possibly
-    sweep-modified) ``machine``, and executed through the settings'
-    backend — serial :meth:`evaluate` and fanned-out
-    :meth:`evaluate_many` therefore produce bit-identical numbers.
+    Every evaluation is a pair of declarative
+    :class:`~repro.runspec.RunSpec` values — the victim alone and next
+    to lbm under the configuration — built from the runner's (possibly
+    sweep-modified) ``machine`` and read through the campaign's store,
+    so serial :meth:`evaluate` and batched :meth:`evaluate_many` give
+    bit-identical numbers and no spec is simulated twice.
     """
 
-    def __init__(
-        self,
-        settings: CampaignSettings | None = None,
-        jobs: int | None = None,
-    ):
-        self.settings = settings or CampaignSettings.from_env()
+    def __init__(self, campaign: Campaign):
+        self.campaign = campaign
+        self.settings = campaign.settings
         self.machine: MachineConfig = self.settings.machine()
-        self._solo_cache: dict[str, int] = {}
-        #: default worker count for :meth:`evaluate_many`
-        self.jobs = jobs
 
     def _spec(self, name: str):
         return benchmark(
@@ -89,59 +81,64 @@ class AblationRunner:
             backend=self.settings.backend,
         )
 
-    def _solo_periods(self, victim: str) -> int:
-        if victim not in self._solo_cache:
-            outcome = execute_run(
-                self.solo_spec(victim), keep_series=False
-            )
-            self._solo_cache[victim] = outcome.completion_periods
-        return self._solo_cache[victim]
-
     def evaluate(
         self, victim: str, config: CaerConfig | None
     ) -> tuple[float, float]:
         """(penalty, utilization gained) of one configuration."""
-        outcome = execute_run(
-            self.colocated_spec(victim, config), keep_series=False
-        )
-        penalty = (
-            outcome.completion_periods / self._solo_periods(victim) - 1.0
-        )
-        return penalty, outcome.utilization_gained
+        return self.evaluate_many([(victim, config)])[0]
 
     def evaluate_many(
-        self,
-        pairs: list[tuple[str, CaerConfig | None]],
-        jobs: int | None = None,
+        self, pairs: list[tuple[str, CaerConfig | None]]
     ) -> list[tuple[float, float]]:
-        """(penalty, utilization) per (victim, config), fanned out.
-
-        The solo baselines are produced (and memoised) up front in this
-        process; the independent co-located specs then fan across
-        workers, results in ``pairs`` order.
-        """
-        if jobs is None:
-            jobs = self.jobs
-        specs: list[RunSpec] = []
-        labels: dict[str, str] = {}
-        baselines: list[int] = []
-        for victim, config in pairs:
-            spec = self.colocated_spec(victim, config)
-            labels[spec.digest] = _ablation_label(victim, config)
-            baselines.append(self._solo_periods(victim))
-            specs.append(spec)
-        outcomes = run_specs(
-            specs,
-            jobs=jobs,
-            describe=lambda spec: labels.get(spec.digest, spec.describe()),
+        """(penalty, utilization) per (victim, config), in ``pairs``
+        order, from one store batch that includes the solo baselines."""
+        return _evaluate(
+            self.campaign,
+            [
+                (self.solo_spec(victim), self.colocated_spec(victim, config))
+                for victim, config in pairs
+            ],
         )
-        return [
-            (
-                outcome.completion_periods / baseline - 1.0,
-                outcome.utilization_gained,
-            )
-            for outcome, baseline in zip(outcomes, baselines)
-        ]
+
+
+def _evaluate(
+    campaign: Campaign, pairs: list[tuple[RunSpec, RunSpec]]
+) -> list[tuple[float, float]]:
+    """(penalty vs. solo, utilization gained) of each (solo, co-located)
+    spec pair, read through ``campaign`` in one batch."""
+    outcomes = campaign.outcomes(spec for pair in pairs for spec in pair)
+    return [
+        (
+            colo.completion_periods / solo.completion_periods - 1.0,
+            colo.utilization_gained,
+        )
+        for solo, colo in zip(outcomes[0::2], outcomes[1::2])
+    ]
+
+
+def _on_machine(
+    runner: AblationRunner,
+    machine: MachineConfig,
+    settings: CampaignSettings | None = None,
+) -> AblationRunner:
+    """A runner for the same campaign on another machine (and settings)."""
+    variant = copy.copy(runner)
+    variant.machine = machine
+    variant.settings = settings or runner.settings
+    return variant
+
+
+def _table(
+    title: str, rows: list[str], results: list[tuple[float, float]]
+) -> FigureTable:
+    """The sweep table: per row, mcf's then namd's (penalty, util)."""
+    table = FigureTable(title=title, row_names=rows)
+    mcf, namd = results[0::2], results[1::2]
+    table.add_column("mcf_penalty", [p for p, _ in mcf])
+    table.add_column("mcf_util", [u for _, u in mcf])
+    table.add_column("namd_penalty", [p for p, _ in namd])
+    table.add_column("namd_util", [u for _, u in namd])
+    return table
 
 
 def _sweep(
@@ -149,30 +146,25 @@ def _sweep(
     title: str,
     configs: list[tuple[str, CaerConfig]],
 ) -> FigureTable:
-    table = FigureTable(
-        title=title, row_names=[label for label, _ in configs]
+    pairs = [
+        (victim, config) for _label, config in configs for victim in VICTIMS
+    ]
+    return _table(
+        title, [label for label, _ in configs], runner.evaluate_many(pairs)
     )
-    pairs: list[tuple[str, CaerConfig | None]] = []
-    for _label, config in configs:
-        pairs.append((SENSITIVE_VICTIM, config))
-        pairs.append((INSENSITIVE_VICTIM, config))
-    results = iter(runner.evaluate_many(pairs))
-    columns: dict[str, list[float]] = {
-        "mcf_penalty": [],
-        "mcf_util": [],
-        "namd_penalty": [],
-        "namd_util": [],
-    }
-    for _label, _config in configs:
-        p, u = next(results)
-        columns["mcf_penalty"].append(p)
-        columns["mcf_util"].append(u)
-        p, u = next(results)
-        columns["namd_penalty"].append(p)
-        columns["namd_util"].append(u)
-    for name, values in columns.items():
-        table.add_column(name, values)
-    return table
+
+
+def _machine_sweep(
+    title: str, rows: list[str], runners: list[AblationRunner]
+) -> FigureTable:
+    """Rule-based CAER on each runner's machine, one row per runner."""
+    config = CaerConfig.rule_based()
+    pairs = [
+        (runner.solo_spec(victim), runner.colocated_spec(victim, config))
+        for runner in runners
+        for victim in VICTIMS
+    ]
+    return _table(title, rows, _evaluate(runners[0].campaign, pairs))
 
 
 def ablate_impact_factor(
@@ -304,17 +296,8 @@ def ablate_probe_period(
     the *temporal resolution* varies.  (This sweep rebuilds the machine
     per setting, so it bypasses the runner's config-only path.)
     """
-    table = FigureTable(
-        title="Ablation: probe period length",
-        row_names=[f"{p} cycles" for p in period_cycles],
-    )
-    columns: dict[str, list[float]] = {
-        "mcf_penalty": [],
-        "mcf_util": [],
-        "namd_penalty": [],
-        "namd_util": [],
-    }
     base = runner.settings
+    variants = []
     for period in period_cycles:
         settings = CampaignSettings(
             length=base.length,
@@ -322,17 +305,12 @@ def ablate_probe_period(
             cache_scale=base.cache_scale,
             period_cycles=period,
         )
-        sub_runner = AblationRunner(settings, jobs=runner.jobs)
-        config = CaerConfig.rule_based()
-        p, u = sub_runner.evaluate(SENSITIVE_VICTIM, config)
-        columns["mcf_penalty"].append(p)
-        columns["mcf_util"].append(u)
-        p, u = sub_runner.evaluate(INSENSITIVE_VICTIM, config)
-        columns["namd_penalty"].append(p)
-        columns["namd_util"].append(u)
-    for name, values in columns.items():
-        table.add_column(name, values)
-    return table
+        variants.append(_on_machine(runner, settings.machine(), settings))
+    return _machine_sweep(
+        "Ablation: probe period length",
+        [f"{p} cycles" for p in period_cycles],
+        variants,
+    )
 
 
 def ablate_probe_overhead(
@@ -398,33 +376,17 @@ def ablate_prefetch(
     extra traffic loads the shared memory channel.  This sweep rebuilds
     the machine per setting.
     """
-    from dataclasses import replace as dc_replace
-
-    table = FigureTable(
-        title="Ablation: next-line prefetch degree",
-        row_names=[f"degree={d}" for d in degrees],
+    return _machine_sweep(
+        "Ablation: next-line prefetch degree",
+        [f"degree={d}" for d in degrees],
+        [
+            _on_machine(
+                runner,
+                dataclasses.replace(runner.machine, prefetch_degree=d),
+            )
+            for d in degrees
+        ],
     )
-    columns: dict[str, list[float]] = {
-        "mcf_penalty": [],
-        "mcf_util": [],
-        "namd_penalty": [],
-        "namd_util": [],
-    }
-    for degree in degrees:
-        sub_runner = AblationRunner(runner.settings, jobs=runner.jobs)
-        sub_runner.machine = dc_replace(
-            runner.machine, prefetch_degree=degree
-        )
-        config = CaerConfig.rule_based()
-        p, u = sub_runner.evaluate(SENSITIVE_VICTIM, config)
-        columns["mcf_penalty"].append(p)
-        columns["mcf_util"].append(u)
-        p, u = sub_runner.evaluate(INSENSITIVE_VICTIM, config)
-        columns["namd_penalty"].append(p)
-        columns["namd_util"].append(u)
-    for name, values in columns.items():
-        table.add_column(name, values)
-    return table
 
 
 def ablate_writebacks(runner: AblationRunner) -> FigureTable:
@@ -435,33 +397,17 @@ def ablate_writebacks(runner: AblationRunner) -> FigureTable:
     pressure both applications feel.  This sweep rebuilds the machine
     per setting.
     """
-    from dataclasses import replace as dc_replace
-
-    table = FigureTable(
-        title="Ablation: writeback modelling",
-        row_names=["off", "on"],
+    return _machine_sweep(
+        "Ablation: writeback modelling",
+        ["off", "on"],
+        [
+            _on_machine(
+                runner,
+                dataclasses.replace(runner.machine, model_writebacks=on),
+            )
+            for on in (False, True)
+        ],
     )
-    columns: dict[str, list[float]] = {
-        "mcf_penalty": [],
-        "mcf_util": [],
-        "namd_penalty": [],
-        "namd_util": [],
-    }
-    for enabled in (False, True):
-        sub_runner = AblationRunner(runner.settings, jobs=runner.jobs)
-        sub_runner.machine = dc_replace(
-            runner.machine, model_writebacks=enabled
-        )
-        config = CaerConfig.rule_based()
-        p, u = sub_runner.evaluate(SENSITIVE_VICTIM, config)
-        columns["mcf_penalty"].append(p)
-        columns["mcf_util"].append(u)
-        p, u = sub_runner.evaluate(INSENSITIVE_VICTIM, config)
-        columns["namd_penalty"].append(p)
-        columns["namd_util"].append(u)
-    for name, values in columns.items():
-        table.add_column(name, values)
-    return table
 
 
 def ablate_detector(runner: AblationRunner) -> FigureTable:
@@ -476,37 +422,29 @@ def ablate_detector(runner: AblationRunner) -> FigureTable:
         ("rule-based", CaerConfig.rule_based()),
         ("random", CaerConfig.random_baseline()),
     ]
-    table = FigureTable(
-        title="Ablation: detector comparison (incl. offline oracle)",
-        row_names=[label for label, _ in configs] + ["profile-oracle"],
+    results = runner.evaluate_many(
+        [(victim, config) for _, config in configs for victim in VICTIMS]
     )
-    columns: dict[str, list[float]] = {
-        "mcf_penalty": [],
-        "mcf_util": [],
-        "namd_penalty": [],
-        "namd_util": [],
-    }
-    for _label, config in configs:
-        p, u = runner.evaluate(SENSITIVE_VICTIM, config)
-        columns["mcf_penalty"].append(p)
-        columns["mcf_util"].append(u)
-        p, u = runner.evaluate(INSENSITIVE_VICTIM, config)
-        columns["namd_penalty"].append(p)
-        columns["namd_util"].append(u)
-    # The oracle needs per-victim solo baselines.
-    for victim, prefix in (
-        (SENSITIVE_VICTIM, "mcf"),
-        (INSENSITIVE_VICTIM, "namd"),
-    ):
-        solo = execute_run(runner.solo_spec(victim), keep_series=False)
-        baseline = solo.ls_total_llc_misses / solo.completion_periods
-        config = CaerConfig.profile_oracle(baseline_misses=baseline)
-        p, u = runner.evaluate(victim, config)
-        columns[f"{prefix}_penalty"].append(p)
-        columns[f"{prefix}_util"].append(u)
-    for name, values in columns.items():
-        table.add_column(name, values)
-    return table
+    # The oracle needs per-victim solo baselines: the store already
+    # holds them from the batch above.
+    solos = runner.campaign.outcomes(
+        runner.solo_spec(victim) for victim in VICTIMS
+    )
+    results += runner.evaluate_many([
+        (
+            victim,
+            CaerConfig.profile_oracle(
+                baseline_misses=solo.ls_total_llc_misses
+                / solo.completion_periods
+            ),
+        )
+        for victim, solo in zip(VICTIMS, solos)
+    ])
+    return _table(
+        "Ablation: detector comparison (incl. offline oracle)",
+        [label for label, _ in configs] + ["profile-oracle"],
+        results,
+    )
 
 
 #: Registry used by the CLI and the ablation bench.
@@ -527,12 +465,9 @@ ABLATIONS = {
 }
 
 
-def run_ablation(
-    name: str,
-    settings: CampaignSettings | None = None,
-    jobs: int | None = None,
-) -> FigureTable:
-    """Run one named ablation and return its table."""
+def run_ablation(name: str, campaign: Campaign | None = None) -> FigureTable:
+    """Run one named ablation through ``campaign``'s store (default: a
+    campaign with the environment's settings) and return its table."""
     try:
         fn = ABLATIONS[name]
     except KeyError:
@@ -540,4 +475,4 @@ def run_ablation(
             f"unknown ablation {name!r} "
             f"(known: {', '.join(sorted(ABLATIONS))})"
         ) from None
-    return fn(AblationRunner(settings, jobs=jobs))
+    return fn(AblationRunner(campaign or Campaign()))

@@ -3,20 +3,28 @@
 A *campaign* owns one machine configuration and run length and produces
 the simulation runs the figures need: each SPEC benchmark alone, and
 co-located with lbm under no runtime / CAER-shutter / CAER-rule-based /
-CAER-random.  Figures 6, 7, and 8 analyse the same runs three ways, so
-runs are summarised once into :class:`RunSummary` records, memoised in
-memory, and (optionally) persisted as JSON so repeated bench invocations
-do not re-simulate.
+CAER-random.  Figures 6, 7, and 8 analyse the same runs three ways, and
+the ablation, scaling, contender, repeatability and cross-validation
+drivers overlap with them, so every run is kept once: its
+:class:`~repro.runspec.RunOutcome` is memoised in memory and
+(optionally) persisted as JSON so repeated invocations do not
+re-simulate.
 
-Every run the campaign produces is described by a declarative
-:class:`~repro.runspec.RunSpec`, and the cache is keyed by the spec's
-content-addressed digest: two drivers asking for the same physical run
-— whatever words they use for it — hit the same entry, and any knob
-that can change a result (machine geometry, CAER policy, seed, length,
-backend) is in the key by construction.  :func:`audit_cache_key`
-enforces that invariant at campaign construction for every
-:class:`CampaignSettings` field.  Bump :data:`CACHE_EPOCH` when
-simulation semantics change without a spec-visible knob moving.
+Every run is described by a declarative :class:`~repro.runspec.RunSpec`,
+and the store is keyed by the spec's content-addressed digest: two
+drivers asking for the same physical run — whatever words they use for
+it — hit the same entry, and any knob that can change a result (machine
+geometry, CAER policy, seed, length, backend) is in the key by
+construction.  :meth:`Campaign.outcomes` is the one way in: hits come
+from memory, then disk, and misses run through
+:func:`~repro.experiments.resilience.run_specs_resilient` — retried,
+journalled, quarantined when they keep failing.  :meth:`Campaign.prefetch`,
+:meth:`Campaign.solo` and :meth:`Campaign.colocated` translate the
+campaign's (bench, config) tags into specs on top of it.
+:func:`audit_cache_key` enforces the key invariant at campaign
+construction for every :class:`CampaignSettings` field.  Bump
+:data:`CACHE_EPOCH` when simulation semantics or the entry format
+change without a spec-visible knob moving.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import dataclasses
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -47,7 +55,7 @@ from ..runspec import (
     paper_run_spec,
     resolve_caer_config,
 )
-from .executor import TRACE_DIR_ENV, _execute_spec
+from .executor import TRACE_DIR_ENV
 from .resilience import (
     CampaignJournal,
     QuarantineRecord,
@@ -62,10 +70,8 @@ __all__ = [
     "TRACE_DIR_ENV",
     "RETRY_QUARANTINED_ENV",
     "CampaignSettings",
-    "RunSummary",
     "Campaign",
     "audit_cache_key",
-    "produce_summary",
     "resolve_caer_config",
     "derive_telemetry",
 ]
@@ -73,8 +79,9 @@ __all__ = [
 #: Bump when simulation semantics change so cached results invalidate.
 #: (7: spec version 2 — the fault plan joined the digest — and
 #: statistical-backend telemetry became CAER-aware.  8: spec version 3
-#: — the CAER plugin-parameter mappings joined the digest.)
-CACHE_EPOCH = 8
+#: — the CAER plugin-parameter mappings joined the digest.  9: entries
+#: hold the whole ``RunOutcome``, digest and backend included.)
+CACHE_EPOCH = 9
 
 #: When set (to anything truthy), a campaign ignores quarantine records
 #: inherited from its journal and gives previously failing specs a
@@ -209,66 +216,8 @@ def audit_cache_key(settings: CampaignSettings) -> None:
             )
 
 
-@dataclass
-class RunSummary:
-    """The per-run quantities the figures consume (JSON-serialisable)."""
-
-    bench: str
-    config: str  # "solo" or a co-located config tag
-    completion_periods: int
-    total_periods: int
-    ls_total_llc_misses: int
-    utilization_gained: float
-    #: per-period LLC misses of the latency-sensitive app
-    miss_series: list[int] = field(default_factory=list)
-    #: per-period instructions retired by the latency-sensitive app
-    instruction_series: list[float] = field(default_factory=list)
-    #: wall-clock seconds the simulation took (excluded from equality:
-    #: parallel and serial campaigns must compare identical).  0.0
-    #: marks cached entries that predate timing ("n/a" in reports).
-    wall_seconds: float = field(default=0.0, compare=False)
-    #: telemetry snapshot of the run (metrics registry snapshot plus
-    #: derived scalars and the spec digest); ``None`` for entries cached
-    #: before the observability layer existed.  Excluded from equality:
-    #: tracing and telemetry must never make two runs compare different.
-    telemetry: dict | None = field(default=None, compare=False)
-
-    @classmethod
-    def from_outcome(
-        cls, bench: str, config: str, outcome: RunOutcome
-    ) -> "RunSummary":
-        """Relabel a backend :class:`RunOutcome` into the campaign's
-        (bench, config) vocabulary."""
-        return cls(
-            bench=bench,
-            config=config,
-            completion_periods=outcome.completion_periods,
-            total_periods=outcome.total_periods,
-            ls_total_llc_misses=outcome.ls_total_llc_misses,
-            utilization_gained=outcome.utilization_gained,
-            miss_series=outcome.miss_series,
-            instruction_series=outcome.instruction_series,
-            wall_seconds=outcome.wall_seconds,
-            telemetry=outcome.telemetry,
-        )
-
-
-def produce_summary(
-    settings: CampaignSettings, bench: str, config: str
-) -> RunSummary:
-    """Execute one (bench, config) run and condense it to a summary.
-
-    Builds the run's :class:`RunSpec` and executes it on the settings'
-    backend — the same path the parallel executor fans out, so serial
-    and parallel campaigns are bit-identical.  ``config`` is ``"solo"``
-    or any co-located tag :meth:`CampaignSettings.run_spec` accepts.
-    """
-    spec = settings.run_spec(bench, config)
-    return RunSummary.from_outcome(bench, config, _execute_spec(spec))
-
-
 class Campaign:
-    """Produces and memoises the runs behind every figure."""
+    """Produces and memoises the runs behind every figure and driver."""
 
     def __init__(
         self,
@@ -280,17 +229,20 @@ class Campaign:
     ):
         self.settings = settings or CampaignSettings.from_env()
         audit_cache_key(self.settings)
-        self._memory: dict[str, RunSummary] = {}
+        #: the store: spec digest -> outcome
+        self._memory: dict[str, RunOutcome] = {}
         self._specs: dict[tuple[str, str], RunSpec] = {}
+        #: digest -> the (bench, config) tags a campaign call named it by
+        self._tags: dict[str, tuple[str, str]] = {}
         if cache_dir is None:
             cache_dir = os.environ.get(
                 "REPRO_CACHE_DIR", Path.home() / ".cache" / "repro-caer"
             )
         self.cache_dir = Path(cache_dir) if use_disk_cache else None
-        #: default worker count for :meth:`prefetch` (None = resolve
+        #: default worker count for :meth:`outcomes` (None = resolve
         #: from ``REPRO_JOBS`` / cpu count at fan-out time)
         self.jobs = jobs
-        #: retry/timeout posture of :meth:`prefetch` (None = defaults
+        #: retry/timeout posture of :meth:`outcomes` (None = defaults
         #: with ``REPRO_RETRIES``/``REPRO_RUN_TIMEOUT`` applied)
         self.retry = retry if retry is not None else RetryPolicy.from_env()
         #: campaign-level telemetry: cache hit/miss counters and the
@@ -332,27 +284,49 @@ class Campaign:
             self._specs[key] = spec
         return spec
 
-    # -- cache plumbing ---------------------------------------------------
+    def _tagged(self, bench: str, config: str) -> RunSpec:
+        """:meth:`spec_for`, remembering the tags for labels and the
+        journal."""
+        spec = self.spec_for(bench, config)
+        self._tags[spec.digest] = (bench, config)
+        return spec
 
-    def _cache_path(self, bench: str, config: str) -> Path | None:
+    def _names(self, spec: RunSpec) -> tuple[str, str]:
+        """(bench, config) of a spec: its campaign tags when a campaign
+        call named it, else its victim and config tag."""
+        return self._tags.get(spec.digest, (spec.victim, spec.config_tag))
+
+    def _label(self, spec: RunSpec) -> str:
+        """Failure identity: the campaign tags, else the spec's own."""
+        if spec.digest in self._tags:
+            return "({}, {})".format(*self._tags[spec.digest])
+        return spec.describe()
+
+    # -- the store --------------------------------------------------------
+
+    def _cache_path(self, digest: str) -> Path | None:
         if self.cache_dir is None:
             return None
-        digest = self.spec_for(bench, config).digest
         return self.cache_dir / f"e{CACHE_EPOCH}" / f"{digest}.json"
 
-    def _load(self, bench: str, config: str) -> RunSummary | None:
-        digest = self.spec_for(bench, config).digest
+    def cached(self, spec: RunSpec) -> RunOutcome | None:
+        """The stored outcome of ``spec`` (memory, then disk), or None.
+
+        Never simulates.  A disk hit the journal lists as completed
+        counts as ``campaign.journal_resumed``: a run finished by an
+        earlier, possibly interrupted, invocation.
+        """
+        digest = spec.digest
         if digest in self._memory:
             self.metrics.counter("campaign.cache_memory_hits").inc()
             return self._memory[digest]
-        path = self._cache_path(bench, config)
+        path = self._cache_path(digest)
         if path is None or not path.exists():
             self.metrics.counter("campaign.cache_misses").inc()
             return None
         try:
             with open(path) as handle:
-                data = json.load(handle)
-            summary = RunSummary(**data)
+                outcome = RunOutcome(**json.load(handle))
         except OSError:
             # The entry vanished between exists() and open(): a miss.
             self.metrics.counter("campaign.cache_misses").inc()
@@ -368,13 +342,14 @@ class Campaign:
                 pass
             return None
         self.metrics.counter("campaign.cache_disk_hits").inc()
-        self._memory[digest] = summary
-        return summary
+        if self.journal is not None and digest in self.journal.completed:
+            self.metrics.counter("campaign.journal_resumed").inc()
+        self._memory[digest] = outcome
+        return outcome
 
-    def _store(self, summary: RunSummary) -> None:
-        digest = self.spec_for(summary.bench, summary.config).digest
-        self._memory[digest] = summary
-        path = self._cache_path(summary.bench, summary.config)
+    def _store(self, outcome: RunOutcome) -> None:
+        self._memory[outcome.digest] = outcome
+        path = self._cache_path(outcome.digest)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -388,8 +363,8 @@ class Campaign:
         # through json.dumps, which takes the C encoder where
         # json.dump never does: the same bytes at a tenth of the cost.
         entry = {
-            f.name: getattr(summary, f.name)
-            for f in dataclasses.fields(summary)
+            f.name: getattr(outcome, f.name)
+            for f in dataclasses.fields(outcome)
         }
         try:
             with os.fdopen(fd, "w") as handle:
@@ -404,138 +379,123 @@ class Campaign:
 
     # -- run production ---------------------------------------------------
 
-    def prefetch(
-        self,
-        benches: Iterable[str],
-        configs: Iterable[str],
-        jobs: int | None = None,
-    ) -> int:
-        """Materialise every missing (bench, config) summary in bulk.
+    def outcomes(self, specs: Iterable[RunSpec]) -> list[RunOutcome]:
+        """The outcome of every spec, in ``specs`` order.
 
-        The figure drivers call this before their serial analysis
-        loops: missing runs from the ``benches`` × ``configs`` product
-        are fanned across worker processes (``jobs`` workers, falling
-        back to the campaign's default, then ``REPRO_JOBS``/cpu count),
-        cached, and subsequent :meth:`solo`/:meth:`colocated` calls are
-        pure lookups.  Returns the number of runs simulated.
+        The store's one way in, for every driver: hits come from memory,
+        then disk (:meth:`cached`); the misses fan across the campaign's
+        ``jobs`` workers (``REPRO_JOBS``/cpu count when unset), and each
+        distinct spec runs once.
 
         Execution is *resilient*: each run is checkpointed — stored,
-        journalled, counted — the moment it completes, so interrupting
-        a campaign and re-running resumes with zero re-execution
-        (``campaign.journal_resumed`` counts the runs the journal
-        vouched for); failing runs are retried per the campaign's
-        :class:`RetryPolicy` and quarantined when persistent, leaving
-        the rest of the campaign intact.
+        journalled, counted in ``campaign.runs_simulated`` — the moment
+        it completes, so interrupting a campaign and re-running resumes
+        with zero re-execution; failing runs are retried per the
+        campaign's :class:`RetryPolicy` and quarantined when
+        persistent.  Raises :class:`ExperimentError` naming every
+        quarantined spec — after all the others are stored.
         """
-        benches = list(benches)
-        configs = list(configs)
-        pairs: list[tuple[str, str]] = []
-        for bench in benches:
-            for config in configs:
-                if self._load(bench, config) is not None:
-                    if (
-                        self.journal is not None
-                        and self.spec_for(bench, config).digest
-                        in self.journal.completed
-                    ):
-                        self.metrics.counter(
-                            "campaign.journal_resumed"
-                        ).inc()
-                    continue
-                digest = self.spec_for(bench, config).digest
-                if digest in self.quarantined:
-                    self.metrics.counter(
-                        "campaign.quarantine_skipped"
-                    ).inc()
-                    continue
-                pairs.append((bench, config))
-        runs_total = len(benches) * len(configs)
-        if not pairs:
-            self._emit_beacon(
-                "done", runs_total=runs_total, runs_completed=0
+        specs = list(specs)
+        self._serve(specs)
+        failed = {
+            spec.digest: spec for spec in specs
+            if spec.digest in self.quarantined
+        }
+        if failed:
+            runs = "; ".join(
+                f"run {self._label(spec)} is quarantined after "
+                f"{self.quarantined[digest].attempts} failed attempts: "
+                f"{self.quarantined[digest].error}"
+                for digest, spec in failed.items()
             )
+            raise ExperimentError(
+                f"{runs} — clear with Campaign.clear_quarantine() or set "
+                f"{RETRY_QUARANTINED_ENV}=1 to retry it"
+            )
+        return [self._memory[spec.digest] for spec in specs]
+
+    def _serve(self, specs: list[RunSpec], jobs: int | None = None) -> int:
+        """Load or run every spec; returns the number simulated."""
+        distinct = {spec.digest: spec for spec in specs}
+        misses: list[RunSpec] = []
+        for digest, spec in distinct.items():
+            if self.cached(spec) is not None:
+                continue
+            if digest in self.quarantined:
+                self.metrics.counter("campaign.quarantine_skipped").inc()
+                continue
+            misses.append(spec)
+        if not misses:
             return 0
-        if jobs is None:
-            jobs = self.jobs
-        by_digest: dict[str, tuple[str, str]] = {}
-        specs: list[RunSpec] = []
-        for bench, config in pairs:
-            spec = self.spec_for(bench, config)
-            by_digest[spec.digest] = (bench, config)
-            specs.append(spec)
+        runs_total = len(distinct)
         completed = 0
-        self._emit_beacon(
-            "running", runs_total=runs_total, runs_completed=0
-        )
+        self._emit_beacon("running", runs_total, runs_completed=0)
 
         def _checkpoint(
             spec: RunSpec, outcome: RunOutcome, attempt: int
         ) -> None:
             nonlocal completed
-            bench, config = by_digest[spec.digest]
-            self._store(RunSummary.from_outcome(bench, config, outcome))
+            self._store(outcome)
             if self.journal is not None:
                 self.journal.record_done(
-                    spec.digest, bench, config, attempts=attempt
+                    spec.digest, *self._names(spec), attempts=attempt
                 )
             self.metrics.counter("campaign.runs_simulated").inc()
             completed += 1
-            self._emit_beacon(
-                "running",
-                runs_total=runs_total,
-                runs_completed=completed,
-            )
+            self._emit_beacon("running", runs_total, completed)
 
-        def _label(spec: RunSpec) -> str:
-            pair = by_digest.get(spec.digest)
-            if pair is None:
-                return spec.describe()
-            return f"({pair[0]}, {pair[1]})"
-
+        # Called through this module's global, never a bound copy, so a
+        # wrapper installed on ``campaign.run_specs_resilient`` sees
+        # every batch.
         outcomes, quarantined = run_specs_resilient(
-            specs,
-            jobs=jobs,
+            misses,
+            jobs=self.jobs if jobs is None else jobs,
             metrics=self.metrics,
             policy=self.retry,
-            describe=_label,
+            describe=self._label,
             on_complete=_checkpoint,
         )
         for digest, record in quarantined.items():
             self.quarantined[digest] = record
             self.metrics.counter("campaign.quarantined").inc()
             if self.journal is not None:
-                bench, config = by_digest[digest]
                 self.journal.record_quarantined(
-                    digest, bench, config,
+                    digest, *self._names(distinct[digest]),
                     attempts=record.attempts, error=record.error,
                 )
-        self._emit_beacon(
-            "done", runs_total=runs_total, runs_completed=completed
-        )
+        self._emit_beacon("done", runs_total, completed)
         return len(outcomes)
 
-    def _check_quarantine(self, bench: str, config: str) -> None:
-        record = self.quarantined.get(self.spec_for(bench, config).digest)
-        if record is not None:
-            raise ExperimentError(
-                f"run ({bench}, {config}) is quarantined after "
-                f"{record.attempts} failed attempts: {record.error} — "
-                f"clear with Campaign.clear_quarantine() or set "
-                f"{RETRY_QUARANTINED_ENV}=1 to retry it"
-            )
+    def prefetch(
+        self,
+        benches: Iterable[str],
+        configs: Iterable[str],
+        jobs: int | None = None,
+    ) -> int:
+        """Materialise every missing (bench, config) run in bulk.
 
-    def solo(self, bench: str) -> RunSummary:
+        The figure drivers call this before their serial analysis
+        loops: the ``benches`` × ``configs`` product goes through the
+        store in one batch of ``jobs`` workers (see :meth:`outcomes`;
+        default the campaign's), and subsequent
+        :meth:`solo`/:meth:`colocated` calls are pure lookups.  Returns
+        the number of runs simulated.  Unlike :meth:`outcomes` it never
+        raises for a quarantined run: it skips it (the report marks
+        what depends on it), and :meth:`solo`/:meth:`colocated` raise.
+        """
+        configs = list(configs)
+        specs = [
+            self._tagged(bench, config)
+            for bench in benches
+            for config in configs
+        ]
+        return self._serve(specs, jobs)
+
+    def solo(self, bench: str) -> RunOutcome:
         """The benchmark running alone on the chip."""
-        cached = self._load(bench, "solo")
-        if cached is not None:
-            return cached
-        self._check_quarantine(bench, "solo")
-        summary = produce_summary(self.settings, bench, "solo")
-        self._store(summary)
-        self.metrics.counter("campaign.runs_simulated").inc()
-        return summary
+        return self.outcomes([self._tagged(bench, "solo")])[0]
 
-    def colocated(self, bench: str, config: str) -> RunSummary:
+    def colocated(self, bench: str, config: str) -> RunOutcome:
         """The benchmark co-located with lbm under ``config``.
 
         ``config`` is any co-located tag :meth:`CampaignSettings.run_spec`
@@ -548,14 +508,7 @@ class Campaign:
                 "colocated() takes a co-located config; use "
                 f"solo({bench!r}) for the benchmark alone"
             )
-        cached = self._load(bench, config)
-        if cached is not None:
-            return cached
-        self._check_quarantine(bench, config)
-        summary = produce_summary(self.settings, bench, config)
-        self._store(summary)
-        self.metrics.counter("campaign.runs_simulated").inc()
-        return summary
+        return self.outcomes([self._tagged(bench, config)])[0]
 
     # -- derived metrics --------------------------------------------------
 
@@ -585,7 +538,7 @@ class Campaign:
         return count
 
     def memoised_runs(self) -> int:
-        """Number of run summaries currently memoised in this process."""
+        """Number of run outcomes currently memoised in this process."""
         return len(self._memory)
 
     def total_wall_seconds(self) -> float:
@@ -598,7 +551,7 @@ class Campaign:
     def timing_coverage(self) -> tuple[int, int]:
         """``(timed, total)`` memoised runs.
 
-        ``timed`` counts summaries carrying a real ``wall_seconds``
+        ``timed`` counts outcomes carrying a real ``wall_seconds``
         measurement; cached entries written before run timing existed
         (same cache epoch, older code) deserialise as 0.0 and are *not*
         timed — reports must render those as "n/a", never as 0.0 s.
@@ -612,8 +565,8 @@ class Campaign:
         """Per-run telemetry of every memoised run that carries one.
 
         Iterates over a point-in-time copy of the memo table, so the
-        exporter's serving thread can call this while ``prefetch`` is
-        checkpointing new summaries into it.
+        exporter's serving thread can call this while :meth:`outcomes`
+        is checkpointing new runs into it.
         """
         return [
             s.telemetry for s in list(self._memory.values())

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from ..caer.runtime import CaerConfig
 from ..runspec import ContenderSpec, RunSpec
-from .campaign import CampaignSettings
-from .executor import run_specs
+from .campaign import Campaign
 from .reporting import FigureTable
 
 #: The paper's heavy contenders, plus one light adversary as control.
@@ -27,20 +26,20 @@ VICTIM_PANEL = ("429.mcf", "483.xalancbmk", "473.astar", "444.namd")
 
 
 def contender_study(
-    settings: CampaignSettings | None = None,
+    campaign: Campaign | None = None,
     contenders: tuple[str, ...] = CONTENDERS,
     victims: tuple[str, ...] = VICTIM_PANEL,
     caer: CaerConfig | None = None,
-    jobs: int | None = None,
 ) -> FigureTable:
     """Raw and CAER-managed penalty for every (victim, contender) pair.
 
     Rows are ``victim vs contender``; the CAER configuration defaults
     to rule-based (the paper's best performer).  Every run — solo
     baselines, raw pairs, managed pairs — is one declarative spec, and
-    the whole matrix fans across worker processes in a single batch.
+    the whole matrix is read through the campaign's store in one batch.
     """
-    settings = settings or CampaignSettings.from_env()
+    campaign = campaign or Campaign()
+    settings = campaign.settings
     caer = caer or CaerConfig.rule_based()
     machine = settings.machine()
 
@@ -62,13 +61,6 @@ def contender_study(
             backend=settings.backend,
         )
 
-    solo_outcomes = run_specs(
-        [spec(victim) for victim in victims], jobs=jobs
-    )
-    solo_periods = dict(
-        zip(victims, (o.completion_periods for o in solo_outcomes))
-    )
-
     pairs = [
         (victim, contender)
         for contender in contenders
@@ -76,22 +68,17 @@ def contender_study(
         if victim != contender
     ]
     rows = [f"{victim} vs {contender}" for victim, contender in pairs]
-    # Raw and managed runs of every pair, interleaved in one batch.
-    pair_specs: list[RunSpec] = []
-    labels: dict[str, str] = {}
+    # Solo baselines, then the raw and managed runs of every pair,
+    # interleaved, in one batch.
+    specs = [spec(victim) for victim in victims]
     for victim, contender in pairs:
-        raw_spec = spec(victim, contender)
-        managed_spec = spec(victim, contender, caer)
-        labels[raw_spec.digest] = f"({victim}, vs {contender})"
-        labels[managed_spec.digest] = (
-            f"({victim}, vs {contender} managed)"
-        )
-        pair_specs.extend((raw_spec, managed_spec))
-    pair_outcomes = run_specs(
-        pair_specs,
-        jobs=jobs,
-        describe=lambda s: labels.get(s.digest, s.describe()),
+        specs.append(spec(victim, contender))
+        specs.append(spec(victim, contender, caer))
+    outcomes = campaign.outcomes(specs)
+    solo_periods = dict(
+        zip(victims, (o.completion_periods for o in outcomes))
     )
+    pair_outcomes = outcomes[len(victims):]
 
     raw_penalties: list[float] = []
     caer_penalties: list[float] = []

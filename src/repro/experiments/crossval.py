@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from ..analytic.predictor import predict_colocation_phased
 from ..workloads import benchmark, benchmark_names
-from .campaign import BATCH_BENCHMARK, Campaign, CampaignSettings
-from .executor import run_specs
+from .campaign import BATCH_BENCHMARK, Campaign
 from .reporting import FigureTable
 
 #: The victims the backend comparison measures (a sensitivity spread).
@@ -75,18 +74,18 @@ def analytic_figure1(campaign: Campaign) -> FigureTable:
 
 
 def backend_crossval(
-    settings: CampaignSettings | None = None,
+    campaign: Campaign | None = None,
     victims: tuple[str, ...] = CROSSVAL_VICTIMS,
-    jobs: int | None = None,
 ) -> FigureTable:
     """Sim vs. statistical slowdown next to lbm, over identical specs.
 
     For every victim, the solo and raw-co-location specs are built once
-    and executed on both backends via
+    and read through the campaign's store on both backends via
     :meth:`~repro.runspec.RunSpec.with_backend` — the digests differ
     *only* in the backend field, making this a pure engine comparison.
     """
-    settings = settings or CampaignSettings.from_env()
+    campaign = campaign or Campaign()
+    settings = campaign.settings
 
     base_specs = []
     for victim in victims:
@@ -97,7 +96,7 @@ def backend_crossval(
         for spec in base_specs
         for backend in ("sim", "statistical")
     ]
-    outcomes = run_specs(specs, jobs=jobs)
+    outcomes = campaign.outcomes(specs)
 
     def slowdown(victim_index: int, backend_index: int) -> float:
         # Layout: per base spec, [sim, statistical]; per victim,

@@ -9,8 +9,12 @@ persistent worker pool of :mod:`repro.experiments.workerpool`; with
 result contract (determinism holds because each run's results depend
 only on its picklable arguments, never on scheduling order).
 
-:func:`run_specs` is the one spec-in/outcome-out fan-out every
-experiment driver uses.
+Experiment drivers read runs through the campaign store
+(:meth:`repro.experiments.campaign.Campaign.outcomes`), which executes
+its misses through the resilient executor on the same pool and the
+same unit of work, :func:`_execute_spec`; :func:`fan_out` itself serves
+the drivers whose workers do more than execute a spec (the traced,
+scored runs of the fault sweep and the detector shootout).
 
 The worker count comes from, in priority order: an explicit ``jobs``
 argument (the CLI's ``--jobs``), the ``REPRO_JOBS`` environment
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from ..errors import ConfigError, ExperimentError
 from ..obs import JSONLSink, Tracer
@@ -133,23 +137,3 @@ def _execute_spec(spec: RunSpec) -> RunOutcome:
     finally:
         if tracer is not None:
             tracer.close()
-
-
-def run_specs(
-    specs: Iterable[RunSpec],
-    jobs: int | None = None,
-    describe: Callable[[RunSpec], str] | None = None,
-) -> list[RunOutcome]:
-    """Execute every spec on its named backend, fanned across processes.
-
-    Outcomes come back in ``specs`` order.  Failures are reported with
-    ``describe`` (defaulting to :meth:`RunSpec.describe`, e.g.
-    ``(429.mcf, rule)``) and never abort sibling runs.  This is
-    :func:`fan_out` of :func:`_execute_spec`.
-    """
-    return fan_out(
-        _execute_spec,
-        list(specs),
-        jobs=jobs,
-        describe=describe or RunSpec.describe,
-    )

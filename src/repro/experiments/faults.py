@@ -24,8 +24,8 @@ from ..errors import ExperimentError
 from ..faults import FaultPlan
 from ..obs import RingBufferSink, Tracer
 from ..runspec import RunSpec, execute_run
-from .campaign import CampaignSettings
-from .executor import fan_out, run_specs
+from .campaign import Campaign
+from .executor import fan_out
 from .reporting import FigureTable
 
 #: Fault intensities swept by default (0 = clean-signal baseline).
@@ -80,11 +80,10 @@ def _sweep_run(task: tuple[RunSpec, float, float]) -> dict:
 
 
 def fault_sweep(
-    settings: CampaignSettings | None = None,
+    campaign: Campaign | None = None,
     victim: str = "429.mcf",
     intensities: tuple[float, ...] = DEFAULT_INTENSITIES,
     configs: tuple[str, ...] = SWEEP_CONFIGS,
-    jobs: int | None = None,
     fault_seed: int = 0,
 ) -> FigureTable:
     """Detection accuracy / penalty / utilization vs. fault intensity.
@@ -92,11 +91,13 @@ def fault_sweep(
     Rows are fault intensities; per CAER configuration the table
     carries ``<config>_acc`` (oracle-scored detection accuracy),
     ``<config>_pen`` (the victim's penalty vs. solo), and
-    ``<config>_util`` (batch utilization gained).  All runs — one solo
-    baseline plus ``len(intensities) × len(configs)`` faulted runs —
-    fan across worker processes.
+    ``<config>_util`` (batch utilization gained).  The solo baseline
+    is read through the campaign's store; the ``len(intensities) ×
+    len(configs)`` faulted runs, traced and scored in their workers,
+    fan across the campaign's worker count.
     """
-    settings = settings or CampaignSettings.from_env()
+    campaign = campaign or Campaign()
+    settings = campaign.settings
     if not intensities:
         raise ExperimentError("fault sweep needs at least one intensity")
     for config in configs:
@@ -107,7 +108,7 @@ def fault_sweep(
             )
     noise_floor = default_usage_threshold(settings.machine())
 
-    solo = run_specs([settings.run_spec(victim, "solo")], jobs=1)[0]
+    solo = campaign.solo(victim)
     if solo.completion_periods <= 0:
         raise ExperimentError(f"solo run of {victim!r} never completed")
     baseline_misses = solo.ls_total_llc_misses / solo.completion_periods
@@ -123,7 +124,7 @@ def fault_sweep(
     results = fan_out(
         _sweep_run,
         tasks,
-        jobs=jobs,
+        jobs=campaign.jobs,
         describe=lambda task: labels.get(
             task[0].digest, task[0].describe()
         ),

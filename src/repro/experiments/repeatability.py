@@ -13,8 +13,7 @@ import statistics
 
 from ..caer.runtime import CaerConfig
 from ..runspec import BATCH_BENCHMARK, ContenderSpec, RunSpec
-from .campaign import CampaignSettings
-from .executor import run_specs
+from .campaign import Campaign
 from .reporting import FigureTable
 
 #: Victims re-measured per seed.
@@ -22,18 +21,18 @@ VICTIMS = ("429.mcf", "444.namd")
 
 
 def repeatability_study(
-    settings: CampaignSettings | None = None,
+    campaign: Campaign | None = None,
     seeds: tuple[int, ...] = (0, 1, 2),
     victims: tuple[str, ...] = VICTIMS,
-    jobs: int | None = None,
 ) -> FigureTable:
     """Mean and spread of raw/CAER penalty and utilization over seeds.
 
     Each (victim, seed) cell is three declarative specs — solo, raw,
     and rule-based CAER, differing only in their ``seed`` field — and
-    the whole grid fans across workers in a single batch.
+    the whole grid is read through the campaign's store in one batch.
     """
-    settings = settings or CampaignSettings.from_env()
+    campaign = campaign or Campaign()
+    settings = campaign.settings
     machine = settings.machine()
     caer = CaerConfig.rule_based()
 
@@ -58,7 +57,7 @@ def repeatability_study(
         specs.append(spec(victim, seed, None, solo=True))
         specs.append(spec(victim, seed, None, solo=False))
         specs.append(spec(victim, seed, caer, solo=False))
-    outcomes = run_specs(specs, jobs=jobs)
+    outcomes = campaign.outcomes(specs)
     by_cell = {
         cell: outcomes[3 * i: 3 * i + 3]
         for i, cell in enumerate(cells)

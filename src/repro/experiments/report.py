@@ -104,7 +104,7 @@ def generate_report(campaign: Campaign) -> str:
     out.write(
         _render_section(
             lambda: _code_block(
-                detector_shootout(settings=settings).render()
+                detector_shootout(campaign).render()
             )
         )
     )

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from ..caer.runtime import CaerConfig
 from ..runspec import BATCH_BENCHMARK, ContenderSpec, RunSpec
-from .campaign import CampaignSettings
-from .executor import run_specs
+from .campaign import Campaign, CampaignSettings
 from .reporting import FigureTable
 
 #: Default victim of the scaling study.
@@ -44,33 +43,25 @@ def scaling_spec(
 
 
 def scaling_study(
-    settings: CampaignSettings | None = None,
+    campaign: Campaign | None = None,
     victim: str = DEFAULT_VICTIM,
     max_batch: int = 3,
-    jobs: int | None = None,
 ) -> FigureTable:
     """Penalty and utilization vs. number of batch contenders.
 
     The whole matrix — the solo baseline plus a raw and a rule-based
     CAER run per contender count — is declared as specs up front and
-    fanned across workers in one batch.
+    read through the campaign's store in one batch.
     """
-    settings = settings or CampaignSettings.from_env()
+    campaign = campaign or Campaign()
+    settings = campaign.settings
     caer = CaerConfig.rule_based()
 
     specs = [scaling_spec(settings, victim, 0)]
-    labels = {specs[0].digest: f"({victim}, solo)"}
     for k in range(1, max_batch + 1):
-        raw = scaling_spec(settings, victim, k)
-        managed = scaling_spec(settings, victim, k, caer)
-        labels[raw.digest] = f"({victim}, {k} batch)"
-        labels[managed.digest] = f"({victim}, {k} batch managed)"
-        specs.extend((raw, managed))
-    outcomes = run_specs(
-        specs,
-        jobs=jobs,
-        describe=lambda s: labels.get(s.digest, s.describe()),
-    )
+        specs.append(scaling_spec(settings, victim, k))
+        specs.append(scaling_spec(settings, victim, k, caer))
+    outcomes = campaign.outcomes(specs)
     solo_periods = outcomes[0].completion_periods
 
     rows = [f"{k} batch" for k in range(1, max_batch + 1)]

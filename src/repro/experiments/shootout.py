@@ -28,8 +28,8 @@ from ..config import default_usage_threshold
 from ..errors import ExperimentError
 from ..faults import FaultPlan
 from ..runspec import RunSpec
-from .campaign import CampaignSettings
-from .executor import fan_out, run_specs
+from .campaign import Campaign
+from .executor import fan_out
 from .faults import _sweep_run
 from .reporting import FigureTable
 
@@ -88,11 +88,10 @@ def shootout_config(
 
 
 def detector_shootout(
-    settings: CampaignSettings | None = None,
+    campaign: Campaign | None = None,
     victim: str = "429.mcf",
     intensities: tuple[float, ...] = DEFAULT_INTENSITIES,
     detectors: tuple[str, ...] | None = None,
-    jobs: int | None = None,
     fault_seed: int = 0,
 ) -> FigureTable:
     """Score every registered detector against the profile oracle.
@@ -100,9 +99,12 @@ def detector_shootout(
     Rows are detectors (every registered one by default); columns are
     clean-signal accuracy, mean accuracy across ``intensities``, the
     victim's penalty vs. solo, and batch utilization gained (both on
-    the clean signal).  All runs fan across worker processes.
+    the clean signal).  The solo baseline is read through the
+    campaign's store; the scored runs, traced in their workers, fan
+    across the campaign's worker count.
     """
-    settings = settings or CampaignSettings.from_env()
+    campaign = campaign or Campaign()
+    settings = campaign.settings
     if not intensities:
         raise ExperimentError("shootout needs at least one intensity")
     if 0.0 not in intensities:
@@ -121,7 +123,7 @@ def detector_shootout(
             )
     noise_floor = default_usage_threshold(settings.machine())
 
-    solo = run_specs([settings.run_spec(victim, "solo")], jobs=1)[0]
+    solo = campaign.solo(victim)
     if solo.completion_periods <= 0:
         raise ExperimentError(f"solo run of {victim!r} never completed")
     baseline_misses = solo.ls_total_llc_misses / solo.completion_periods
@@ -140,7 +142,7 @@ def detector_shootout(
     results = fan_out(
         _sweep_run,
         tasks,
-        jobs=jobs,
+        jobs=campaign.jobs,
         describe=lambda task: labels.get(
             task[0].digest, task[0].describe()
         ),

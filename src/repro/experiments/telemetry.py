@@ -3,7 +3,7 @@
 ``trace`` is the single-run microscope: simulate one (benchmark,
 configuration) pair with a JSONL sink attached and report what the
 decision trace contains.  ``stats`` is the campaign-level view: walk
-the cached run summaries for the current settings and aggregate their
+the cached run outcomes for the current settings and aggregate their
 telemetry snapshots without simulating anything — as a table, as JSON,
 or as the same Prometheus exposition the live endpoint serves.
 ``timeline`` replays a JSONL trace as a per-period detect→respond
@@ -137,9 +137,9 @@ def campaign_stats_data(campaign: Campaign) -> dict:
     available: dict[str, list] = {c: [] for c in TRACE_CONFIGS}
     for bench in benchmark_names():
         for config in TRACE_CONFIGS:
-            summary = campaign._load(bench, config)
-            if summary is not None:
-                available[config].append(summary)
+            outcome = campaign.cached(campaign.spec_for(bench, config))
+            if outcome is not None:
+                available[config].append(outcome)
     cached = sum(len(v) for v in available.values())
     total = len(benchmark_names()) * len(TRACE_CONFIGS)
     timed, memoised = campaign.timing_coverage()

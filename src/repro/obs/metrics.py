@@ -4,7 +4,7 @@ The registry is the *aggregate* side of the observability layer: where
 the tracer records every decision, the registry keeps cheap running
 totals — detector trigger counts, batch run-fractions, per-period
 LLC-miss distributions, executor job wall-times — that snapshot into a
-plain JSON-serialisable dict carried on :class:`RunSummary` records and
+plain JSON-serialisable dict carried on :class:`RunOutcome` records and
 rendered in the campaign report.
 
 Unlike trace events, metric values may legitimately contain wall-clock

@@ -240,12 +240,14 @@ def derive_telemetry(metrics: MetricsRegistry) -> dict:
 class RunOutcome:
     """The condensed, picklable product of executing one spec.
 
-    The same quantities :class:`repro.experiments.campaign.RunSummary`
-    caches, plus the run identity (``digest``, ``backend``) so callers
-    can join an outcome back to the spec — and cache entry — that
-    produced it.  ``wall_seconds`` and ``telemetry`` are excluded from
-    equality: parallel and serial executions of the same spec must
-    compare identical.
+    The one run record: what the figures and drivers consume, and what
+    the campaign store keeps (:class:`repro.experiments.campaign.Campaign`,
+    one JSON entry per spec digest).  It carries the run identity
+    (``digest``, ``backend``) so callers can join an outcome back to the
+    spec — and cache entry — that produced it.  ``wall_seconds`` and
+    ``telemetry`` are excluded from equality: parallel and serial
+    executions of the same spec must compare identical, and a cached
+    ``wall_seconds`` of 0.0 marks an entry that predates run timing.
     """
 
     digest: str
@@ -265,7 +267,6 @@ class RunOutcome:
 def execute_run(
     spec: RunSpec,
     tracer: Tracer | None = None,
-    keep_series: bool = True,
 ) -> RunOutcome:
     """Execute ``spec`` and condense the result into a :class:`RunOutcome`.
 
@@ -302,12 +303,8 @@ def execute_run(
         total_periods=result.total_periods,
         ls_total_llc_misses=ls.total_llc_misses(),
         utilization_gained=gained,
-        miss_series=ls.llc_miss_series() if keep_series else [],
-        instruction_series=(
-            [round(x, 1) for x in ls.instruction_series()]
-            if keep_series
-            else []
-        ),
+        miss_series=ls.llc_miss_series(),
+        instruction_series=[round(x, 1) for x in ls.instruction_series()],
         wall_seconds=round(time.perf_counter() - started, 3),
         telemetry=telemetry,
     )

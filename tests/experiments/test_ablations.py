@@ -7,6 +7,14 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments import ablations
 from repro.experiments.ablations import ABLATIONS, AblationRunner
+from repro.experiments.campaign import Campaign, CampaignSettings
+
+
+def _runner() -> AblationRunner:
+    """A real runner on a tiny, memory-only campaign."""
+    return AblationRunner(
+        Campaign(CampaignSettings(length=0.01), use_disk_cache=False)
+    )
 
 
 class StubRunner:
@@ -22,7 +30,7 @@ class StubRunner:
         self.evaluated.append((victim, config))
         return 0.1, 0.5
 
-    def evaluate_many(self, pairs, jobs=None):
+    def evaluate_many(self, pairs):
         return [self.evaluate(victim, config) for victim, config in pairs]
 
 
@@ -95,17 +103,15 @@ class TestSweeps:
 
 class TestRunnerPlumbing:
     def test_runner_builds_machine_from_settings(self):
-        from repro.experiments.campaign import CampaignSettings
-
-        runner = AblationRunner(CampaignSettings(length=0.01))
+        runner = _runner()
+        assert runner.machine == runner.campaign.settings.machine()
         assert runner.machine.l3.capacity_lines == 8192
 
     def test_runner_evaluates_real_config(self):
         """One real (tiny) evaluation to cover the simulation path."""
         from repro.caer.runtime import CaerConfig
-        from repro.experiments.campaign import CampaignSettings
 
-        runner = AblationRunner(CampaignSettings(length=0.01))
+        runner = _runner()
         penalty, util = runner.evaluate(
             "444.namd", CaerConfig.rule_based()
         )
@@ -117,10 +123,67 @@ class TestMachineLevelSweeps:
     @pytest.mark.parametrize("name", MACHINE_LEVEL_ABLATIONS)
     def test_real_sweep_structure(self, name):
         """Machine-level sweeps rebuild chips; run them tiny but real."""
-        from repro.experiments.campaign import CampaignSettings
-
-        runner = AblationRunner(CampaignSettings(length=0.01))
-        table = ABLATIONS[name](runner)
+        table = ABLATIONS[name](_runner())
         assert table.row_names
         for column in table.columns:
             assert len(table.column(column)) == len(table.row_names)
+
+
+#: Short statistical runs: the store tests count runs, not seconds.
+STORE_SETTINGS = CampaignSettings(length=0.02, backend="statistical")
+
+
+def _simulated(campaign: Campaign) -> float:
+    entry = campaign.metrics.snapshot().get("campaign.runs_simulated")
+    return entry["value"] if entry else 0.0
+
+
+class TestSharedStore:
+    """Ablations read their runs through the campaign's store."""
+
+    def test_cold_detector_ablation_simulates_each_spec_once(self):
+        # Three detectors and the oracle on two victims, plus the two
+        # solo baselines the penalties and the oracle share.
+        campaign = Campaign(STORE_SETTINGS, use_disk_cache=False, jobs=1)
+        ablations.run_ablation("detector", campaign)
+        assert _simulated(campaign) == 10
+
+    def test_after_headline_only_new_runs_are_simulated(self):
+        from repro.experiments.headline import headline_numbers
+
+        campaign = Campaign(STORE_SETTINGS, use_disk_cache=False, jobs=1)
+        headline_numbers(campaign)
+        before = _simulated(campaign)
+        ablations.run_ablation("detector", campaign)
+        # solo, shutter and rule are the headline's runs; only random
+        # and the profile oracle, on mcf and namd, are new.
+        assert _simulated(campaign) - before == 4
+        ablations.run_ablation("detector", campaign)
+        assert _simulated(campaign) - before == 4
+
+    def test_interrupted_ablation_resumes_from_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.faults.chaos import CHAOS_ENV
+
+        def campaign() -> Campaign:
+            return Campaign(STORE_SETTINGS, cache_dir=tmp_path, jobs=1)
+
+        monkeypatch.setenv(CHAOS_ENV, "interrupt:1:444.namd")
+        first = campaign()
+        with pytest.raises(KeyboardInterrupt):
+            ablations.run_ablation("detector", first)
+        checkpointed = _simulated(first)
+        assert checkpointed > 0
+
+        monkeypatch.delenv(CHAOS_ENV)
+        resumed = campaign()
+        table = ablations.run_ablation("detector", resumed)
+        snapshot = resumed.metrics.snapshot()
+        assert snapshot["campaign.journal_resumed"]["value"] == checkpointed
+        assert _simulated(resumed) == 10 - checkpointed
+
+        uninterrupted = ablations.run_ablation(
+            "detector", Campaign(STORE_SETTINGS, use_disk_cache=False)
+        )
+        assert table.render() == uninterrupted.render()

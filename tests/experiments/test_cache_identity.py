@@ -10,12 +10,12 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.campaign import (
     _AUDIT_PERTURBATIONS,
+    CACHE_EPOCH,
     Campaign,
     CampaignSettings,
-    RunSummary,
     audit_cache_key,
 )
-from repro.runspec import RunSpec
+from repro.runspec import RunOutcome, RunSpec
 
 FAST = CampaignSettings(length=0.02)
 
@@ -55,8 +55,8 @@ class TestCrossDriverCacheHits:
     def test_cache_path_is_the_spec_digest(self, tmp_path):
         campaign = Campaign(FAST, cache_dir=tmp_path)
         spec = campaign.spec_for("429.mcf", "rule")
-        path = campaign._cache_path("429.mcf", "rule")
-        assert path.name == f"{spec.digest}.json"
+        path = campaign._cache_path(spec.digest)
+        assert path == tmp_path / f"e{CACHE_EPOCH}" / f"{spec.digest}.json"
 
     def test_backends_never_share_cache_entries(self, tmp_path):
         sim = Campaign(FAST, cache_dir=tmp_path)
@@ -64,9 +64,9 @@ class TestCrossDriverCacheHits:
             dataclasses.replace(FAST, backend="statistical"),
             cache_dir=tmp_path,
         )
-        assert sim._cache_path("429.mcf", "raw") != stat._cache_path(
-            "429.mcf", "raw"
-        )
+        assert sim._cache_path(
+            sim.spec_for("429.mcf", "raw").digest
+        ) != stat._cache_path(stat.spec_for("429.mcf", "raw").digest)
 
     def test_differing_settings_produce_differing_keys(self):
         """Satellite collision check at the campaign level."""
@@ -122,9 +122,13 @@ def _histogram(buckets, counts, total, count, low, high) -> dict:
 #: Shaped like a statistical ``429.mcf`` shutter entry at length 0.01
 #: (plus a ``None`` and booleans, so every JSON type is written), with
 #: its host-timed values (``wall_seconds``, the period-span histogram)
-#: fixed so the written bytes are too.
-PINNED_SUMMARY = RunSummary(
-    bench="429.mcf",
+#: fixed so the written bytes are too.  Its ``digest`` is the spec
+#: digest of ``FAST``'s statistical ``(429.mcf, shutter)`` run, so the
+#: entry reads back through that spec.
+PINNED_OUTCOME = RunOutcome(
+    digest="56a2cbc2bdc473a86b278152073d37b8ae421fb9376445c89464a1e6023e2934",
+    backend="statistical",
+    victim="429.mcf",
     config="shutter",
     completion_periods=11,
     total_periods=14,
@@ -166,8 +170,10 @@ PINNED_SUMMARY = RunSummary(
 )
 
 #: sha256 of the cache entry :meth:`Campaign._store` writes for it.
+#: The same field dict through ``json.dumps`` as at cache epoch 8,
+#: where ``bench`` stood in for ``digest``, ``backend`` and ``victim``.
 PINNED_ENTRY_SHA256 = (
-    "7b7a74a264541706d40f65de06a97b11946dd44a8db56d4ce9c1395e41a60b4c"
+    "075644a6444fc99c8dbbbf9f98c7dd7f73dee2e21fd1c8917b71130b9706c129"
 )
 
 
@@ -179,15 +185,16 @@ class TestBookkeeping:
             dataclasses.replace(FAST, backend="statistical"),
             cache_dir=tmp_path,
         )
-        campaign._store(PINNED_SUMMARY)
-        data = campaign._cache_path("429.mcf", "shutter").read_bytes()
+        campaign._store(PINNED_OUTCOME)
+        spec = campaign.spec_for("429.mcf", "shutter")
+        data = campaign._cache_path(spec.digest).read_bytes()
         assert hashlib.sha256(data).hexdigest() == PINNED_ENTRY_SHA256
-        assert campaign._load("429.mcf", "shutter") is PINNED_SUMMARY
+        assert campaign.cached(spec) is PINNED_OUTCOME
         fresh = Campaign(campaign.settings, cache_dir=tmp_path)
-        loaded = fresh._load("429.mcf", "shutter")
-        assert loaded == PINNED_SUMMARY
-        assert loaded.telemetry == PINNED_SUMMARY.telemetry
-        assert loaded.wall_seconds == PINNED_SUMMARY.wall_seconds
+        loaded = fresh.cached(fresh.spec_for("429.mcf", "shutter"))
+        assert loaded == PINNED_OUTCOME
+        assert loaded.telemetry == PINNED_OUTCOME.telemetry
+        assert loaded.wall_seconds == PINNED_OUTCOME.wall_seconds
 
     def test_one_serialisation_per_distinct_spec(self, tmp_path, monkeypatch):
         """A cold serial campaign serialises each spec once, plus the

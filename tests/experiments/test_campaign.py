@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.campaign import (
-    Campaign,
-    CampaignSettings,
-    RunSummary,
-)
+from repro.experiments.campaign import Campaign, CampaignSettings
 
 FAST = CampaignSettings(length=0.02)
 
@@ -73,7 +69,9 @@ class TestRuns:
     def test_corrupt_cache_entry_is_ignored(self, tmp_path):
         campaign = Campaign(FAST, cache_dir=tmp_path)
         campaign.solo("444.namd")
-        path = campaign._cache_path("444.namd", "solo")
+        path = campaign._cache_path(
+            campaign.spec_for("444.namd", "solo").digest
+        )
         path.write_text("{not json")
         fresh = Campaign(FAST, cache_dir=tmp_path)
         assert fresh.solo("444.namd").completion_periods > 0
@@ -98,8 +96,10 @@ class TestRuns:
             return snapshot["campaign.runs_simulated"]["value"]
 
         before = simulated()
-        summary = campaign.colocated("429.mcf", "proactive-analytic")
-        assert summary.config == "proactive-analytic"
+        outcome = campaign.colocated("429.mcf", "proactive-analytic")
+        spec = campaign.spec_for("429.mcf", "proactive-analytic")
+        assert outcome.digest == spec.digest
+        assert outcome.config == spec.config_tag
         assert simulated() == before
 
     def test_slowdown_at_least_one_ish(self, tmp_path):
@@ -112,22 +112,3 @@ class TestRuns:
         assert campaign.penalty("444.namd", "raw") == pytest.approx(
             campaign.slowdown("444.namd", "raw") - 1.0
         )
-
-
-class TestRunSummary:
-    def test_json_round_trip(self):
-        import dataclasses
-        import json
-
-        summary = RunSummary(
-            bench="x",
-            config="solo",
-            completion_periods=10,
-            total_periods=10,
-            ls_total_llc_misses=100,
-            utilization_gained=0.5,
-            miss_series=[1, 2],
-            instruction_series=[3.0, 4.0],
-        )
-        data = json.loads(json.dumps(dataclasses.asdict(summary)))
-        assert RunSummary(**data) == summary

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.contenders import (
     CONTENDERS,
     VICTIM_PANEL,
@@ -24,7 +24,7 @@ class TestStudyStructure:
 
     def test_small_real_study(self):
         table = contender_study(
-            CampaignSettings(length=0.02),
+            Campaign(CampaignSettings(length=0.02), use_disk_cache=False),
             contenders=("470.lbm", "444.namd"),
             victims=("429.mcf", "444.namd"),
         )
@@ -37,7 +37,7 @@ class TestStudyStructure:
 
     def test_heavy_contender_hurts_more_than_light(self):
         table = contender_study(
-            CampaignSettings(length=0.03),
+            Campaign(CampaignSettings(length=0.03), use_disk_cache=False),
             contenders=("470.lbm", "444.namd"),
             victims=("429.mcf",),
         )

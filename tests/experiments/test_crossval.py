@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
+
+
+def _campaign(jobs: int | None = None) -> Campaign:
+    return Campaign(
+        CampaignSettings(length=0.02), use_disk_cache=False, jobs=jobs
+    )
 from repro.experiments.crossval import (
     analytic_figure1,
     backend_crossval,
@@ -48,9 +54,7 @@ class TestAnalyticFigure1:
 class TestBackendCrossval:
     def test_end_to_end_at_tiny_length(self):
         victims = ("429.mcf", "444.namd")
-        table = backend_crossval(
-            CampaignSettings(length=0.02), victims=victims
-        )
+        table = backend_crossval(_campaign(), victims=victims)
         assert table.row_names == list(victims)
         sim = table.column("sim_slowdown")
         stat = table.column("stat_slowdown")
@@ -68,8 +72,7 @@ class TestBackendCrossval:
     def test_engines_rank_sensitivity_the_same_way(self):
         """mcf (cache-hungry) must out-slow namd on both engines."""
         table = backend_crossval(
-            CampaignSettings(length=0.02),
-            victims=("429.mcf", "444.namd"),
+            _campaign(), victims=("429.mcf", "444.namd")
         )
         sim = table.column("sim_slowdown")
         stat = table.column("stat_slowdown")
@@ -77,10 +80,9 @@ class TestBackendCrossval:
         assert stat[0] > stat[1]
 
     def test_parallel_matches_serial(self):
-        settings = CampaignSettings(length=0.02)
         victims = ("429.mcf",)
-        parallel = backend_crossval(settings, victims=victims, jobs=2)
-        serial = backend_crossval(settings, victims=victims, jobs=1)
+        parallel = backend_crossval(_campaign(jobs=2), victims=victims)
+        serial = backend_crossval(_campaign(jobs=1), victims=victims)
         assert parallel.column("sim_slowdown") == serial.column(
             "sim_slowdown"
         )

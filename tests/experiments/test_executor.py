@@ -9,8 +9,9 @@ import pytest
 
 from repro.errors import ConfigError, ExperimentError
 from repro.experiments.campaign import Campaign, CampaignSettings
-from repro.experiments.executor import fan_out, resolve_jobs, run_specs
+from repro.experiments.executor import _execute_spec, fan_out, resolve_jobs
 from repro.experiments.workerpool import get_pool
+from repro.runspec import RunSpec
 
 #: Short runs keep the fan-out suite fast while still spanning several
 #: probe periods.
@@ -164,7 +165,10 @@ class TestFanOut:
         spec = FAST.run_spec("429.mcf", "raw")
         bad = dataclasses.replace(spec, victim="no.such.bench")
         with pytest.raises(ExperimentError) as excinfo:
-            run_specs([spec, bad], jobs=2)
+            fan_out(
+                _execute_spec, [spec, bad], jobs=2,
+                describe=RunSpec.describe,
+            )
         message = str(excinfo.value)
         assert "1 of 2 runs failed — (no.such.bench, raw)" in message
         assert "unknown benchmark 'no.such.bench'" in message
@@ -178,7 +182,7 @@ class TestCampaignPrefetch:
         assert produced == 2
         # Now pure lookups: a second prefetch simulates nothing.
         assert campaign.prefetch(["429.mcf"], ["solo", "raw"]) == 0
-        assert campaign.solo("429.mcf").bench == "429.mcf"
+        assert campaign.solo("429.mcf").victim == "429.mcf"
         assert campaign.total_wall_seconds() > 0.0
 
     def test_disk_cache_round_trips_wall_seconds(self, tmp_path):

@@ -2,7 +2,7 @@
 
 The real campaign simulates 21 benchmarks x 5 configurations — that is
 the benches' job.  Here a :class:`FakeCampaign` supplies hand-crafted
-summaries so each driver's *analysis* is verified exactly.
+outcomes so each driver's *analysis* is verified exactly.
 """
 
 from __future__ import annotations
@@ -10,17 +10,18 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.campaign import Campaign, CampaignSettings, RunSummary
+from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.paperdata import (
     FIGURE1_SLOWDOWN,
     LEAST_SENSITIVE,
     MOST_SENSITIVE,
 )
+from repro.runspec import RunOutcome
 from repro.workloads import benchmark_names
 
 
 class FakeCampaign(Campaign):
-    """Serves synthetic run summaries shaped like the paper's data."""
+    """Serves synthetic run outcomes shaped like the paper's data."""
 
     def __init__(self):
         super().__init__(CampaignSettings(length=0.01),
@@ -29,10 +30,12 @@ class FakeCampaign(Campaign):
             "raw": 1.0, "shutter": 0.6, "rule": 0.58, "random": 0.5,
         }
 
-    def solo(self, bench: str) -> RunSummary:
+    def solo(self, bench: str) -> RunOutcome:
         misses = 1000 if bench in MOST_SENSITIVE else 50
-        return RunSummary(
-            bench=bench,
+        return RunOutcome(
+            digest=f"{bench}-solo",
+            backend="sim",
+            victim=bench,
             config="solo",
             completion_periods=100,
             total_periods=100,
@@ -42,7 +45,7 @@ class FakeCampaign(Campaign):
             instruction_series=[10_000.0 - misses] * 100,
         )
 
-    def colocated(self, bench: str, config: str) -> RunSummary:
+    def colocated(self, bench: str, config: str) -> RunOutcome:
         raw_slowdown = FIGURE1_SLOWDOWN[bench]
         managed = {
             "raw": raw_slowdown,
@@ -55,8 +58,10 @@ class FakeCampaign(Campaign):
         if config in ("shutter", "rule") and sensitive:
             util *= 0.4  # heuristics sacrifice more for sensitive apps
         periods = round(100 * managed)
-        return RunSummary(
-            bench=bench,
+        return RunOutcome(
+            digest=f"{bench}-{config}",
+            backend="sim",
+            victim=bench,
             config=config,
             completion_periods=periods,
             total_periods=periods,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.campaign import RunSummary
+from repro.runspec import RunOutcome
 from repro.experiments.report import (
     _telemetry_section,
     _timing_section,
@@ -11,9 +11,11 @@ from repro.experiments.report import (
 )
 
 
-def _summary(bench: str, wall_seconds: float, telemetry=None) -> RunSummary:
-    return RunSummary(
-        bench=bench,
+def _outcome(bench: str, wall_seconds: float, telemetry=None) -> RunOutcome:
+    return RunOutcome(
+        digest=f"digest-of-{bench}",
+        backend="sim",
+        victim=bench,
         config="shutter",
         completion_periods=10,
         total_periods=10,
@@ -57,12 +59,12 @@ class TestTimingSection:
         from tests.experiments.test_figures import FakeCampaign
 
         campaign = FakeCampaign()
-        campaign._memory[("429.mcf", "shutter")] = _summary(
+        campaign._store(_outcome(
             "429.mcf", wall_seconds=0.0
-        )
-        campaign._memory[("470.lbm", "shutter")] = _summary(
+        ))
+        campaign._store(_outcome(
             "470.lbm", wall_seconds=0.0
-        )
+        ))
         text = _timing_section(campaign, elapsed=1.0)
         assert "n/a" in text
         assert "0.0 s across" not in text
@@ -73,12 +75,12 @@ class TestTimingSection:
         from tests.experiments.test_figures import FakeCampaign
 
         campaign = FakeCampaign()
-        campaign._memory[("429.mcf", "shutter")] = _summary(
+        campaign._store(_outcome(
             "429.mcf", wall_seconds=2.5
-        )
-        campaign._memory[("470.lbm", "shutter")] = _summary(
+        ))
+        campaign._store(_outcome(
             "470.lbm", wall_seconds=0.0
-        )
+        ))
         text = _timing_section(campaign, elapsed=1.0)
         assert "2.5 s across 1 timed runs" in text
         assert "1 of 2 runs have no timing (n/a)" in text
@@ -87,9 +89,9 @@ class TestTimingSection:
         from tests.experiments.test_figures import FakeCampaign
 
         campaign = FakeCampaign()
-        campaign._memory[("429.mcf", "shutter")] = _summary(
+        campaign._store(_outcome(
             "429.mcf", wall_seconds=1.5
-        )
+        ))
         text = _timing_section(campaign, elapsed=1.0)
         assert "n/a" not in text
         assert "cache epoch" not in text
@@ -105,7 +107,7 @@ class TestTelemetrySection:
         from tests.experiments.test_figures import FakeCampaign
 
         campaign = FakeCampaign()
-        campaign._memory[("429.mcf", "shutter")] = _summary(
+        campaign._store(_outcome(
             "429.mcf",
             wall_seconds=1.0,
             telemetry={
@@ -116,7 +118,7 @@ class TestTelemetrySection:
                     "batch_run_fraction": 0.7,
                 },
             },
-        )
+        ))
         text = _telemetry_section(campaign)
         assert "## Telemetry" in text
         assert "trigger rate is 40%" in text

@@ -249,6 +249,37 @@ class TestCampaignResilience:
         assert retrying.quarantine_report() == []
         assert retrying.prefetch(["444.namd"], ["solo"], jobs=1) == 1
 
+    def test_solo_miss_is_retried_then_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(CHAOS_ENV, "crash:99:444.namd")
+        campaign = Campaign(FAST, cache_dir=tmp_path, retry=EAGER)
+        message = (
+            r"run \(444\.namd, solo\) is quarantined after 2 failed "
+            r"attempts: .*REPRO_RETRY_QUARANTINED=1"
+        )
+        with pytest.raises(ExperimentError, match=message):
+            campaign.solo("444.namd")
+        assert _count(campaign, "executor.attempts") == 2.0
+        assert _count(campaign, "executor.retries") == 1.0
+        # Quarantined and journalled: a later call, in this campaign or
+        # the next, raises the same error without running anything.
+        monkeypatch.delenv(CHAOS_ENV)
+        fresh = Campaign(FAST, cache_dir=tmp_path, retry=EAGER)
+        with pytest.raises(ExperimentError, match=message):
+            fresh.solo("444.namd")
+        assert _count(fresh, "executor.attempts") == 0.0
+
+    def test_colocated_miss_retries_to_success_and_is_journalled(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(CHAOS_ENV, "crash:1:429.mcf")
+        campaign = Campaign(FAST, cache_dir=tmp_path, retry=EAGER)
+        outcome = campaign.colocated("429.mcf", "raw")
+        assert outcome.digest == campaign.spec_for("429.mcf", "raw").digest
+        assert _count(campaign, "executor.retries") == 1.0
+        assert outcome.digest in campaign.journal.completed
+
     def test_clear_quarantine_is_journalled(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "crash:99")
         campaign = Campaign(FAST, cache_dir=tmp_path, retry=EAGER)
@@ -292,7 +323,9 @@ class TestCampaignResilience:
     def test_corrupt_cache_entry_renamed_aside(self, tmp_path):
         campaign = Campaign(FAST, cache_dir=tmp_path)
         campaign.solo("444.namd")
-        path = campaign._cache_path("444.namd", "solo")
+        path = campaign._cache_path(
+            campaign.spec_for("444.namd", "solo").digest
+        )
         path.write_text("{definitely not json")
         fresh = Campaign(FAST, cache_dir=tmp_path)
         assert fresh.solo("444.namd").completion_periods > 0

@@ -6,12 +6,16 @@ import pytest
 
 from repro.caer.runtime import CaerConfig
 from repro.errors import SchedulingError
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.scaling import scaling_spec, scaling_study
 from repro.sim import run_multi_colocated
 from repro.workloads import synthetic
 
 FAST = CampaignSettings(length=0.02)
+
+
+def _campaign(jobs: int | None = None) -> Campaign:
+    return Campaign(FAST, use_disk_cache=False, jobs=jobs)
 
 
 class TestScenario:
@@ -69,7 +73,7 @@ class TestSpecs:
 
 class TestStudy:
     def test_table_structure_and_direction(self):
-        table = scaling_study(FAST)
+        table = scaling_study(_campaign())
         assert table.row_names == ["1 batch", "2 batch", "3 batch"]
         raw = table.column("raw_penalty")
         caer = table.column("caer_penalty")
@@ -86,7 +90,7 @@ class TestStudy:
         penalty may drift too, but by less — the whole point of
         throttling the batch group as one.
         """
-        table = scaling_study(FAST)
+        table = scaling_study(_campaign())
         raw = table.column("raw_penalty")
         caer = table.column("caer_penalty")
         raw_growth = raw[-1] - raw[0]
@@ -99,6 +103,6 @@ class TestStudy:
 
     def test_parallel_matches_serial(self):
         assert (
-            scaling_study(FAST, jobs=2).column("caer_penalty")
-            == scaling_study(FAST, jobs=1).column("caer_penalty")
+            scaling_study(_campaign(jobs=2)).column("caer_penalty")
+            == scaling_study(_campaign(jobs=1)).column("caer_penalty")
         )

@@ -7,13 +7,17 @@ import pytest
 from repro.caer import registry
 from repro.caer.runtime import CaerConfig
 from repro.errors import ExperimentError
-from repro.experiments import CampaignSettings, detector_shootout
+from repro.experiments import Campaign, CampaignSettings, detector_shootout
 from repro.experiments.shootout import shootout_config
 
 # Burst-Shutter needs enough periods for several full shutter cycles
 # to land verdicts; 0.2 (~200 periods) is the shortest length where
 # every heuristic has settled.
 SETTINGS = CampaignSettings(length=0.2, backend="statistical")
+
+
+def _campaign(jobs: int | None = None) -> Campaign:
+    return Campaign(SETTINGS, use_disk_cache=False, jobs=jobs)
 
 
 class TestShootoutConfig:
@@ -55,19 +59,19 @@ class TestShootoutConfig:
 class TestDetectorShootout:
     def test_rejects_empty_intensities(self):
         with pytest.raises(ExperimentError, match="intensity"):
-            detector_shootout(SETTINGS, intensities=())
+            detector_shootout(_campaign(), intensities=())
 
     def test_rejects_missing_clean_intensity(self):
         with pytest.raises(ExperimentError, match="0.0"):
-            detector_shootout(SETTINGS, intensities=(0.5,))
+            detector_shootout(_campaign(), intensities=(0.5,))
 
     def test_rejects_unknown_detector_listing_choices(self):
         with pytest.raises(ExperimentError, match="gmm-fence"):
-            detector_shootout(SETTINGS, detectors=("psychic",))
+            detector_shootout(_campaign(), detectors=("psychic",))
 
     def test_scores_every_registered_detector(self):
         """One row per registered detector, random strictly worst."""
-        table = detector_shootout(SETTINGS, intensities=(0.0,), jobs=2)
+        table = detector_shootout(_campaign(jobs=2), intensities=(0.0,))
         rows = dict(zip(table.row_names, table.columns["acc"]))
         assert set(rows) == set(registry.detector_names())
         floor = rows.pop("random")
@@ -83,10 +87,9 @@ class TestDetectorShootout:
 
     def test_subset_and_ordering(self):
         table = detector_shootout(
-            SETTINGS,
+            _campaign(jobs=1),
             intensities=(0.0,),
             detectors=("rule-based", "random"),
-            jobs=1,
         )
         assert table.row_names == ["rule-based", "random"]
 
@@ -101,10 +104,9 @@ class TestDetectorShootout:
         intensity — must clear the coin-flip baseline.
         """
         table = detector_shootout(
-            SETTINGS,
+            _campaign(jobs=2),
             intensities=(0.0, 1.0),
             detectors=("shutter", "random"),
-            jobs=2,
         )
         rows = dict(zip(table.row_names, table.columns["acc_mean"]))
         assert rows["shutter"] > rows["random"], (

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.campaign import CampaignSettings
+from repro.experiments.campaign import Campaign, CampaignSettings
 from repro.experiments.faults import (
     DEFAULT_INTENSITIES,
     SWEEP_CONFIGS,
@@ -21,22 +21,26 @@ SETTINGS = CampaignSettings(length=0.2, backend="statistical")
 INTENSITIES = DEFAULT_INTENSITIES
 
 
+def _campaign() -> Campaign:
+    return Campaign(SETTINGS, use_disk_cache=False, jobs=1)
+
+
 @pytest.fixture(scope="module")
 def sweep():
     return fault_sweep(
-        SETTINGS, victim="429.mcf", intensities=INTENSITIES, jobs=1
+        _campaign(), victim="429.mcf", intensities=INTENSITIES
     )
 
 
 class TestValidation:
     def test_rejects_empty_intensities(self):
         with pytest.raises(ExperimentError, match="intensity"):
-            fault_sweep(SETTINGS, intensities=())
+            fault_sweep(_campaign(), intensities=())
 
     @pytest.mark.parametrize("config", ["raw", "solo", "bogus"])
     def test_rejects_non_detector_configs(self, config):
         with pytest.raises(ExperimentError, match="config"):
-            fault_sweep(SETTINGS, configs=(config,))
+            fault_sweep(_campaign(), configs=(config,))
 
 
 class TestSweepShape:

@@ -18,10 +18,10 @@ otherwise.  The matrix covers:
 
 Every axis that must not matter reads the same table: the fast path
 and the generic reference (``REPRO_FAST_LANE`` 1 and 0, ``sim`` pins),
-``--jobs 2`` on the persistent worker pool through both the plain and
-the resilient executor (every pin), and, for a subset of pins, a
-tracer, live export, a retry after a crash, and a journal resume after
-an interrupt.
+``--jobs 2`` on the persistent worker pool through the resilient
+executor and through the campaign store that fronts it (every pin),
+and, for a subset of pins, a tracer, live export, a retry after a
+crash, and a journal resume after an interrupt.
 
 A deliberate result change rewrites ``outcomes.json`` (run this module
 as a script) and bumps ``CACHE_EPOCH`` in ``repro.experiments.campaign``
@@ -42,7 +42,6 @@ import pytest
 
 from repro.caer.runtime import CaerConfig
 from repro.experiments.campaign import CACHE_EPOCH, Campaign, CampaignSettings
-from repro.experiments.executor import run_specs
 from repro.experiments.resilience import RetryPolicy, run_specs_resilient
 from repro.faults import FaultPlan
 from repro.faults.chaos import CHAOS_ENV
@@ -245,8 +244,12 @@ def test_outcome_pinned(label, lane, pinned, monkeypatch):
 
 def _on_pool(executor: str, specs: list) -> list:
     """Outcomes of ``specs`` at ``--jobs 2``, in ``specs`` order."""
-    if executor == "run_specs":
-        return run_specs(specs, jobs=2)
+    if executor == "campaign":
+        campaign = Campaign(
+            CampaignSettings(length=LENGTH), use_disk_cache=False, jobs=2,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        return campaign.outcomes(specs)
     outcomes, quarantined = run_specs_resilient(
         specs, jobs=2, policy=RetryPolicy(max_attempts=1)
     )
@@ -254,7 +257,7 @@ def _on_pool(executor: str, specs: list) -> list:
     return [outcomes[spec.digest] for spec in specs]
 
 
-@pytest.mark.parametrize("executor", ["run_specs", "run_specs_resilient"])
+@pytest.mark.parametrize("executor", ["campaign", "run_specs_resilient"])
 def test_outcomes_pinned_on_pool(executor, pinned):
     labels = list(SPECS)
     outcomes = _on_pool(executor, [SPECS[label] for label in labels])
@@ -377,7 +380,7 @@ def test_pinned_under_live_export(tmp_path, monkeypatch, pinned):
         registry.counter("campaign.runs_simulated").inc()
         body = urllib.request.urlopen(exporter.url, timeout=5).read()
         assert b"repro_campaign_runs_simulated_total 1" in body
-        outcomes = run_specs([SPECS[label] for label in AXIS_PINS], jobs=2)
+        outcomes = _on_pool("campaign", [SPECS[label] for label in AXIS_PINS])
     finally:
         exporter.close()
     changed = moved(pinned, AXIS_PINS, outcomes)
@@ -409,9 +412,8 @@ def test_pinned_after_journal_resume(tmp_path, monkeypatch, pinned):
     """An interrupted campaign resumes to the pinned answers.
 
     The runs finished before the interrupt come back from the journal
-    and the cache; a fresh campaign then reads every summary back from
-    disk through ``Campaign.colocated``, and each one, relabelled with
-    its spec's identity, hashes to its pin.
+    and the cache; a fresh campaign then reads every outcome back from
+    disk through ``Campaign.colocated``, and each one hashes to its pin.
     """
     def campaigns() -> list:
         return [
@@ -445,13 +447,7 @@ def test_pinned_after_journal_resume(tmp_path, monkeypatch, pinned):
     assert count("campaign.runs_simulated") == 1
     outcomes = []
     for campaign, (_, victim, config) in zip(campaigns(), JOURNAL_RUNS):
-        spec = campaign.spec_for(victim, config)
-        fields = dataclasses.asdict(campaign.colocated(victim, config))
-        del fields["bench"], fields["config"]
-        outcomes.append(RunOutcome(
-            digest=spec.digest, backend=spec.backend, victim=spec.victim,
-            config=spec.config_tag, **fields,
-        ))
+        outcomes.append(campaign.colocated(victim, config))
         hits = campaign.metrics.snapshot()["campaign.cache_disk_hits"]
         assert hits["value"] == 1
     labels = [paper_label(v, c, b) for b, v, c in JOURNAL_RUNS]

@@ -107,12 +107,10 @@ class TestStatisticalBackend:
         raw = execute_run(
             paper_run_spec("429.mcf", "raw", scaled_machine,
                            length=LENGTH, backend="statistical"),
-            keep_series=False,
         )
         managed = execute_run(
             paper_run_spec("429.mcf", "rule", scaled_machine,
                            length=LENGTH, backend="statistical"),
-            keep_series=False,
         )
         assert managed.completion_periods <= raw.completion_periods
 
@@ -129,14 +127,6 @@ class TestExecuteRun:
         assert outcome.telemetry["backend"] == "sim"
         assert "detector_trigger_rate" in outcome.telemetry["derived"]
         assert outcome.wall_seconds > 0.0
-
-    def test_keep_series_false_drops_series(self, scaled_machine):
-        spec = paper_run_spec(
-            "429.mcf", "solo", scaled_machine, length=LENGTH
-        )
-        outcome = execute_run(spec, keep_series=False)
-        assert outcome.miss_series == []
-        assert outcome.instruction_series == []
 
     def test_too_many_contenders_rejected(self, scaled_machine):
         spec = RunSpec(
