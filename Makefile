@@ -30,6 +30,7 @@ examples:
 	$(PYTHON) examples/heuristic_tuning.py
 	$(PYTHON) examples/contention_analysis.py
 	$(PYTHON) examples/online_monitoring.py
+	$(PYTHON) examples/capacity_planning.py
 
 clean:
 	rm -rf results/figures.txt .pytest_cache

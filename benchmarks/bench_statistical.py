@@ -17,7 +17,7 @@ from repro.caer.runtime import CaerConfig, caer_factory
 from repro.config import MachineConfig
 from repro.experiments.paperdata import LEAST_SENSITIVE, MOST_SENSITIVE
 from repro.experiments.reporting import FigureTable
-from repro.statistical import fast_colocated, fast_solo
+from repro.sim import run_colocated, run_solo
 from repro.workloads import benchmark, benchmark_names
 
 MACHINE = MachineConfig.scaled_nehalem()
@@ -37,11 +37,12 @@ def full_length_campaign() -> FigureTable:
     util_column: list[float] = []
     for name in rows:
         spec = benchmark(name, L3, length=1.0)
-        solo = fast_solo(spec, MACHINE)
-        raw = fast_colocated(spec, lbm, MACHINE)
-        managed = fast_colocated(
+        solo = run_solo(spec, MACHINE, backend="statistical")
+        raw = run_colocated(spec, lbm, MACHINE, backend="statistical")
+        managed = run_colocated(
             spec, lbm, MACHINE,
             caer_factory=caer_factory(CaerConfig.rule_based()),
+            backend="statistical",
         )
         raw_column.append(slowdown(raw, solo))
         caer_column.append(slowdown(managed, solo))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from repro import CaerConfig, MachineConfig, benchmark, caer_factory
 from repro.caer.metrics import slowdown, utilization_gained
 from repro.sim import run_colocated, run_solo
-from repro.statistical import fast_colocated, fast_solo
 
 MACHINE = MachineConfig.scaled_nehalem()
 L3 = MACHINE.l3.capacity_lines
@@ -49,15 +48,18 @@ PENALTY_BUDGET = 0.05  # the service may lose at most 5%
 def screen() -> list[tuple[str, float, float, float]]:
     """Statistical pass over every candidate (full run length)."""
     service = benchmark(SERVICE, L3, length=1.0)
-    solo = fast_solo(service, MACHINE)
+    solo = run_solo(service, MACHINE, backend="statistical")
     base = solo.latency_sensitive().completion_periods
     rows = []
     for name in CANDIDATES:
         contender = benchmark(name, L3, length=1.0)
-        raw = fast_colocated(service, contender, MACHINE)
-        managed = fast_colocated(
+        raw = run_colocated(
+            service, contender, MACHINE, backend="statistical"
+        )
+        managed = run_colocated(
             service, contender, MACHINE,
             caer_factory=caer_factory(CaerConfig.rule_based()),
+            backend="statistical",
         )
         raw_penalty = (
             raw.latency_sensitive().completion_periods / base - 1.0

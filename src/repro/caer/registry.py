@@ -4,7 +4,7 @@ The paper ships exactly two detection heuristics and two responses;
 growing the system used to mean editing ``CaerConfig``'s if/elif
 chains in :mod:`repro.caer.runtime`.  This module replaces those
 chains with two registries mirroring the execution-backend registry of
-:mod:`repro.runspec.backends`:
+:mod:`repro.sim.scenario`:
 
 * a **detector factory** takes ``(CaerConfig, MachineConfig)`` and
   returns a ready :class:`~repro.caer.detector.ContentionDetector`;

@@ -427,9 +427,11 @@ class CaerRuntime:
 def caer_factory(
     config: CaerConfig,
 ) -> Callable[[PeriodEngine], CaerRuntime]:
-    """Adapter for :func:`repro.sim.scenario.run_colocated`.
+    """Adapter for :func:`repro.sim.scenario.build_engine`'s
+    ``caer_factory`` (and the ``run_*`` helpers that pass it through).
 
-    Returns a factory that, given the engine, attaches a fully-wired
-    :class:`CaerRuntime` as its period hook.
+    Returns a factory that, given the engine of either backend, builds
+    a fully-wired :class:`CaerRuntime` for it to attach as its period
+    hook.
     """
     return lambda engine: CaerRuntime(engine, config)

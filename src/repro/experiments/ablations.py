@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 
 from ..caer.runtime import CaerConfig
 from ..config import MachineConfig, default_usage_threshold
@@ -294,17 +295,12 @@ def ablate_probe_period(
     stickier; finer periods react faster but sample noisier counts.
     Thresholds convert automatically with the period length, so only
     the *temporal resolution* varies.  (This sweep rebuilds the machine
-    per setting, so it bypasses the runner's config-only path.)
+    per setting, so it bypasses the runner's config-only path; every
+    other campaign setting, the backend included, carries over.)
     """
-    base = runner.settings
     variants = []
     for period in period_cycles:
-        settings = CampaignSettings(
-            length=base.length,
-            seed=base.seed,
-            cache_scale=base.cache_scale,
-            period_cycles=period,
-        )
+        settings = dataclasses.replace(runner.settings, period_cycles=period)
         variants.append(_on_machine(runner, settings.machine(), settings))
     return _machine_sweep(
         "Ablation: probe period length",
@@ -329,6 +325,7 @@ def ablate_probe_overhead(
     from ..sim.engine import SimulationEngine
     from ..sim.process import SimProcess
 
+    @functools.cache
     def solo_periods(victim: str, overhead: float) -> int:
         chip = MulticoreChip(runner.machine, seed=runner.settings.seed)
         proc = SimProcess(

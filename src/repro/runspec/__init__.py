@@ -7,30 +7,23 @@ The package splits *what to run* from *how to run it*:
   seed, length, backend id) with a canonical JSON form and a
   content-addressed SHA-256 digest that doubles as the campaign cache
   key;
-* :mod:`repro.runspec.backends` — the :class:`ExecutionBackend`
-  protocol and registry (``"sim"`` → trace-driven engine,
-  ``"statistical"`` → closed-form engine), plus :func:`execute_run`,
-  the single spec-in/outcome-out entry point every experiment driver
-  fans out over.
+* :mod:`repro.runspec.backends` — :func:`execute`, which runs a spec
+  on the engine its backend id names, and :func:`execute_run`, the
+  single spec-in/outcome-out entry point every experiment driver fans
+  out over.
 
-Because both backends construct their processes through the shared
-helpers in :mod:`repro.sim.scenario`, the same spec is bit-identical to
+A backend is an engine builder registered by name
+(:func:`register_backend`; ``"sim"`` → trace-driven engine,
+``"statistical"`` → closed-form engine), and
+:func:`repro.sim.scenario.build_engine` is the one place a run's engine
+is built.  Because a spec and a hand-built scenario go through the same
+process list and the same builder, the same spec is bit-identical to
 the equivalent hand-built scenario, and the same spec on two backends
 is a pure engine comparison (:mod:`repro.experiments.crossval`).
 """
 
-from .backends import (
-    ExecutionBackend,
-    RunOutcome,
-    SimBackend,
-    StatisticalBackend,
-    backend_names,
-    derive_telemetry,
-    execute,
-    execute_run,
-    get_backend,
-    register_backend,
-)
+from ..sim.scenario import backend_names, get_backend, register_backend
+from .backends import RunOutcome, derive_telemetry, execute, execute_run
 from .spec import (
     BATCH_BENCHMARK,
     COMPATIBLE_VERSIONS,
@@ -51,9 +44,6 @@ __all__ = [
     "CONFIGS",
     "paper_run_spec",
     "resolve_caer_config",
-    "ExecutionBackend",
-    "SimBackend",
-    "StatisticalBackend",
     "register_backend",
     "get_backend",
     "backend_names",

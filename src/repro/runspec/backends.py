@@ -1,189 +1,47 @@
-"""Pluggable execution backends for declarative run specs.
+"""Executing declarative run specs.
 
-An :class:`ExecutionBackend` turns a :class:`~repro.runspec.RunSpec`
-into a :class:`~repro.sim.results.RunResult`.  Two ship with the
-library, registered under the ids a spec's ``backend`` field names:
-
-* ``"sim"`` — the trace-driven :class:`repro.sim.engine.SimulationEngine`,
-  simulating every memory access;
-* ``"statistical"`` — the closed-form
-  :class:`repro.statistical.engine.StatisticalEngine`, advancing whole
-  probe periods analytically.
-
-Both build their process lists through the shared constructors in
-:mod:`repro.sim.scenario` (:func:`~repro.sim.scenario.latency_process`
-and :func:`~repro.sim.scenario.batch_process`), so a spec executes with
-exactly the placement, naming, seeding, and launch order a hand-built
-scenario would use — the sim backend is bit-identical to
-``run_solo``/``run_colocated`` on the same coordinates.
+:func:`execute` runs a :class:`~repro.runspec.RunSpec` on the backend
+its ``backend`` field names.  It builds the process list with
+:func:`repro.sim.scenario.colocation_processes` and the engine with
+:func:`repro.sim.scenario.build_engine`, the same two calls the
+hand-built ``run_solo``/``run_colocated`` scenarios make, so a spec is
+bit-identical to them on the same coordinates, on either backend.  The
+backend registry (``register_backend``, ``get_backend``,
+``backend_names``) lives beside ``build_engine``; :mod:`repro.runspec`
+re-exports it.
 
 :func:`execute_run` is the one entry point the experiment drivers fan
-out over: resolve the backend, execute, and condense the result into a
-picklable :class:`RunOutcome` carrying the spec digest, wall-clock
-cost, and the run's telemetry snapshot.
+out over: execute, and condense the result into a picklable
+:class:`RunOutcome` carrying the spec digest, wall-clock cost, and the
+run's telemetry snapshot.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from ..caer.runtime import caer_factory
-from ..errors import ConfigError, SchedulingError
 from ..obs import MetricsRegistry, RunSpecEvent, Tracer, activate_profiling
-from ..sim.engine import SimulationEngine
 from ..sim.process import SimProcess
 from ..sim.results import RunResult
-from ..sim.scenario import batch_process, latency_process
+from ..sim.scenario import build_engine, colocation_processes
 from ..workloads import benchmark
 from .spec import RunSpec
 
 
-class ExecutionBackend(Protocol):
-    """Anything that can execute a :class:`RunSpec`.
-
-    Implementations must be stateless across calls (the executor may
-    invoke them from several worker processes) and must build their
-    processes through :mod:`repro.sim.scenario`'s constructors so that
-    identical specs produce identical process lists on every backend.
-    """
-
-    def execute(
-        self,
-        spec: RunSpec,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> RunResult:
-        """Run ``spec`` to completion and return the result record."""
-        ...
-
-
 def _spec_processes(spec: RunSpec) -> list[SimProcess]:
-    """Materialise the spec's process list (shared by every backend)."""
-    machine = spec.machine
-    count = len(spec.contenders)
-    if count + 1 > machine.num_cores:
-        raise SchedulingError(
-            f"{count} contenders + 1 victim need more cores than "
-            f"the machine's {machine.num_cores}"
-        )
-    lines = machine.l3.capacity_lines
-    victim = benchmark(spec.victim, lines, length=spec.length)
-    # A solo victim launches at period 0 (run_solo's convention); a
-    # co-located one is staggered after the batch (§6.1).
-    stagger = spec.launch_stagger if spec.contenders else 0
-    processes = [
-        latency_process(victim, seed=spec.seed, launch_period=stagger)
-    ]
-    for index, contender in enumerate(spec.contenders):
-        workload = benchmark(contender.bench, lines, length=spec.length)
-        processes.append(
-            batch_process(
-                workload,
-                index,
-                count,
-                seed=spec.seed,
-                relaunch=contender.relaunch,
-                launch_period=contender.launch_period,
-            )
-        )
-    return processes
-
-
-class SimBackend:
-    """The trace-driven engine behind the ``"sim"`` backend id."""
-
-    name = "sim"
-
-    def execute(
-        self,
-        spec: RunSpec,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> RunResult:
-        from ..arch.chip import MulticoreChip
-
-        chip = MulticoreChip(spec.machine, seed=spec.seed)
-        engine = SimulationEngine(
-            chip,
-            _spec_processes(spec),
-            slices_per_period=spec.slices_per_period,
-            tracer=tracer,
-            metrics=metrics,
-            faults=spec.faults,
-        )
-        if spec.caer is not None:
-            engine.period_hooks.append(caer_factory(spec.caer)(engine))
-        return engine.run()
-
-
-class StatisticalBackend:
-    """The closed-form engine behind the ``"statistical"`` backend id.
-
-    The statistical engine has no access-level slicing, so
-    ``slices_per_period`` is accepted but inert; it stays in the digest
-    regardless, keeping one spec ↔ one cache entry unambiguous.
-    """
-
-    name = "statistical"
-
-    def execute(
-        self,
-        spec: RunSpec,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> RunResult:
-        from ..statistical.engine import StatisticalEngine
-
-        engine = StatisticalEngine(
-            spec.machine,
-            _spec_processes(spec),
-            tracer=tracer,
-            metrics=metrics,
-            faults=spec.faults,
-        )
-        if spec.caer is not None:
-            engine.period_hooks.append(caer_factory(spec.caer)(engine))
-        return engine.run()
-
-
-#: The backend registry: spec ``backend`` id -> backend instance.
-_BACKENDS: dict[str, ExecutionBackend] = {}
-
-
-def register_backend(
-    name: str, backend: ExecutionBackend, replace: bool = False
-) -> None:
-    """Register ``backend`` under ``name`` (refusing silent overwrites)."""
-    if not name:
-        raise ConfigError("backend id must be non-empty")
-    if name in _BACKENDS and not replace:
-        raise ConfigError(
-            f"backend {name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    _BACKENDS[name] = backend
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Look up a backend by id, with the known ids in the error."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
-        raise ConfigError(
-            f"unknown backend {name!r} (known backends: {known})"
-        ) from None
-
-
-def backend_names() -> tuple[str, ...]:
-    """The registered backend ids, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-register_backend(SimBackend.name, SimBackend())
-register_backend(StatisticalBackend.name, StatisticalBackend())
+    """The spec's victim and contenders, as the scenarios build them."""
+    lines = spec.machine.l3.capacity_lines
+    contenders = spec.contenders
+    return colocation_processes(
+        benchmark(spec.victim, lines, length=spec.length),
+        [benchmark(c.bench, lines, length=spec.length) for c in contenders],
+        seed=spec.seed,
+        launch_stagger=spec.launch_stagger,
+        relaunch=[c.relaunch for c in contenders],
+        launch_periods=[c.launch_period for c in contenders],
+    )
 
 
 def execute(
@@ -196,7 +54,6 @@ def execute(
     Emits a :class:`~repro.obs.RunSpecEvent` carrying the spec's digest
     before the run starts, so any resulting trace is self-describing.
     """
-    backend = get_backend(spec.backend)
     if tracer is not None and tracer.enabled:
         tracer.emit(
             RunSpecEvent(
@@ -207,7 +64,17 @@ def execute(
                 contenders=len(spec.contenders),
             )
         )
-    return backend.execute(spec, tracer=tracer, metrics=metrics)
+    return build_engine(
+        spec.machine,
+        _spec_processes(spec),
+        backend=spec.backend,
+        seed=spec.seed,
+        slices_per_period=spec.slices_per_period,
+        tracer=tracer,
+        metrics=metrics,
+        faults=spec.faults,
+        caer_factory=None if spec.caer is None else caer_factory(spec.caer),
+    ).run()
 
 
 def derive_telemetry(metrics: MetricsRegistry) -> dict:

@@ -135,7 +135,7 @@ class RunSpec:
     Frozen and hashable: usable as a dict key, picklable across the
     executor's process pool, and equal exactly when every
     result-affecting knob is equal.  ``backend`` names the execution
-    engine in the :mod:`repro.runspec.backends` registry (``"sim"`` is
+    engine in the :mod:`repro.sim.scenario` registry (``"sim"`` is
     the trace-driven engine, ``"statistical"`` the closed-form twin);
     it participates in the digest so cached results from different
     engines can never be confused.  ``faults``, when present, is the

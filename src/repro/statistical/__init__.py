@@ -14,17 +14,13 @@ three orders of magnitude less cost per simulated period.
 Use it for what statistics are good at — long-horizon screening, wide
 parameter sweeps, full-length (``length=1.0``) campaigns — and the
 trace engine for anything where per-access effects matter (set
-conflicts, inclusion victims, exact interleavings).  The test-suite
+conflicts, inclusion victims, exact interleavings).  Select it
+with ``backend="statistical"``, on a :class:`~repro.runspec.RunSpec`
+or on the :mod:`repro.sim.scenario` helpers.  The test-suite
 cross-validates the two on slowdowns and on CAER's end-to-end
 behaviour.
 """
 
 from .engine import StatisticalEngine
-from .scenario import fast_colocated, fast_multi_colocated, fast_solo
 
-__all__ = [
-    "StatisticalEngine",
-    "fast_solo",
-    "fast_colocated",
-    "fast_multi_colocated",
-]
+__all__ = ["StatisticalEngine"]

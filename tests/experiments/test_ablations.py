@@ -128,6 +128,24 @@ class TestMachineLevelSweeps:
         for column in table.columns:
             assert len(table.column(column)) == len(table.row_names)
 
+    def test_probe_overhead_simulates_each_run_once(self, monkeypatch):
+        from repro.sim.engine import SimulationEngine
+
+        runs = []
+        run = SimulationEngine.run
+
+        def counted(engine):
+            runs.append(engine)
+            return run(engine)
+
+        monkeypatch.setattr(SimulationEngine, "run", counted)
+        table = ABLATIONS["probe-overhead"](_runner())
+        # Four overheads on two victims; the zero-overhead row is the
+        # baseline every penalty divides by.
+        assert len(runs) == 8
+        assert table.column("mcf_penalty")[0] == 0.0
+        assert table.column("namd_penalty")[0] == 0.0
+
 
 #: Short statistical runs: the store tests count runs, not seconds.
 STORE_SETTINGS = CampaignSettings(length=0.02, backend="statistical")
@@ -160,6 +178,24 @@ class TestSharedStore:
         assert _simulated(campaign) - before == 4
         ablations.run_ablation("detector", campaign)
         assert _simulated(campaign) - before == 4
+
+    def test_probe_period_rows_keep_the_campaign_backend(
+        self, monkeypatch
+    ):
+        campaign = Campaign(STORE_SETTINGS, use_disk_cache=False, jobs=1)
+        read = []
+        outcomes = campaign.outcomes
+
+        def recording(specs):
+            served = outcomes(specs)
+            read.extend(served)
+            return served
+
+        monkeypatch.setattr(campaign, "outcomes", recording)
+        ablations.run_ablation("probe-period", campaign)
+        # Three periods, two victims, solo and rule-based each.
+        assert len(read) == 12
+        assert {outcome.backend for outcome in read} == {"statistical"}
 
     def test_interrupted_ablation_resumes_from_the_journal(
         self, tmp_path, monkeypatch

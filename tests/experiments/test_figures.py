@@ -30,6 +30,11 @@ class FakeCampaign(Campaign):
             "raw": 1.0, "shutter": 0.6, "rule": 0.58, "random": 0.5,
         }
 
+    def prefetch(self, benches, configs, jobs=None) -> int:
+        """Simulates nothing: :meth:`solo` and :meth:`colocated` serve
+        every run a driver reads."""
+        return 0
+
     def solo(self, bench: str) -> RunOutcome:
         misses = 1000 if bench in MOST_SENSITIVE else 50
         return RunOutcome(

@@ -287,7 +287,7 @@ def test_every_builtin_reaches_a_pin():
     # so a plugin a test registers cannot break this guard.
     from repro.arch import replacement
     from repro.caer import registry
-    from repro.runspec import backends
+    from repro.sim import scenario
 
     def registered_by(module: object, table: dict) -> set:
         return {
@@ -305,7 +305,7 @@ def test_every_builtin_reaches_a_pin():
     builtin = {
         "detector": registered_by(registry, registry._DETECTORS),
         "response": registered_by(registry, registry._RESPONSES),
-        "backend": registered_by(backends, backends._BACKENDS),
+        "backend": registered_by(scenario, scenario._BACKENDS),
         "policy": registered_by(replacement, replacement._POLICIES),
     }
     assert all(builtin.values()), builtin

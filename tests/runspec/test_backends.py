@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.caer.runtime import CaerConfig, caer_factory
+from repro.arch.pmu import PMUSample
+from repro.caer.runtime import CaerRuntime, caer_factory
 from repro.errors import ConfigError, SchedulingError
 from repro.obs import RingBufferSink, Tracer
 from repro.runspec import (
@@ -18,8 +19,11 @@ from repro.runspec import (
     paper_run_spec,
     register_backend,
 )
-from repro.sim.scenario import run_colocated, run_solo
-from repro.workloads import benchmark
+from repro.sim import scenario
+from repro.sim.engine import PeriodEngine
+from repro.sim.process import ProcessState
+from repro.sim.scenario import run_colocated, run_multi_colocated, run_solo
+from repro.workloads import benchmark, synthetic
 
 LENGTH = 0.02
 
@@ -48,17 +52,23 @@ class TestRegistry:
 
 
 class TestSimParity:
-    """The sim backend is bit-identical to the hand-built scenarios."""
+    """A spec is bit-identical to the hand-built scenario on its
+    backend (the subclass below runs every case on the other one)."""
+
+    backend = "sim"
 
     def test_solo_matches_run_solo(self, scaled_machine):
         spec = paper_run_spec(
-            "429.mcf", "solo", scaled_machine, length=LENGTH
+            "429.mcf", "solo", scaled_machine, length=LENGTH,
+            backend=self.backend,
         )
         via_spec = execute(spec)
         workload = benchmark(
             "429.mcf", scaled_machine.l3.capacity_lines, length=LENGTH
         )
-        direct = run_solo(workload, scaled_machine, seed=0)
+        direct = run_solo(
+            workload, scaled_machine, seed=0, backend=self.backend
+        )
         assert via_spec.latency_sensitive().completion_periods == (
             direct.latency_sensitive().completion_periods
         )
@@ -69,7 +79,8 @@ class TestSimParity:
     @pytest.mark.parametrize("config", ["raw", "rule"])
     def test_colocated_matches_run_colocated(self, scaled_machine, config):
         spec = paper_run_spec(
-            "429.mcf", config, scaled_machine, length=LENGTH
+            "429.mcf", config, scaled_machine, length=LENGTH,
+            backend=self.backend,
         )
         via_spec = execute(spec)
         lines = scaled_machine.l3.capacity_lines
@@ -82,6 +93,7 @@ class TestSimParity:
             scaled_machine,
             caer_factory=factory,
             seed=0,
+            backend=self.backend,
         )
         assert via_spec.latency_sensitive().completion_periods == (
             direct.latency_sensitive().completion_periods
@@ -90,6 +102,75 @@ class TestSimParity:
             direct.latency_sensitive().llc_miss_series()
         )
         assert via_spec.total_periods == direct.total_periods
+
+
+class TestStatisticalParity(TestSimParity):
+    backend = "statistical"
+
+
+class ToyEngine(PeriodEngine):
+    """A minimal engine: every running process completes after five
+    periods of running and reads all-zero counters."""
+
+    def __init__(self, machine, processes, tracer=None, metrics=None,
+                 faults=None):
+        super().__init__(machine, f"{machine.name}/toy", processes,
+                         (), 1_000, tracer, metrics, faults)
+        self.ran = dict.fromkeys(self.processes, 0)
+
+    def _execute_period(self, period):
+        for name, proc in self.processes.items():
+            if proc.state is ProcessState.RUNNING:
+                self.ran[name] += 1
+                if self.ran[name] % 5 == 0:
+                    proc.note_completion(period)
+        true = {name: PMUSample.zero() for name in self.processes}
+        return true, true
+
+    def _apply_quota(self, name, fraction):
+        pass
+
+
+@pytest.fixture
+def toy_backend():
+    """Registers ``ToyEngine`` as backend ``"toy"``; yields the engines
+    it builds, and unregisters it afterwards."""
+    built = []
+
+    def toy_engine(machine, processes, *, seed, slices_per_period,
+                   tracer, metrics, faults):
+        engine = ToyEngine(machine, processes, tracer=tracer,
+                           metrics=metrics, faults=faults)
+        built.append(engine)
+        return engine
+
+    register_backend("toy", toy_engine)
+    try:
+        yield built
+    finally:
+        del scenario._BACKENDS["toy"]
+
+
+class TestRegisteredBuilder:
+    def test_execute_runs_the_registered_engine(
+        self, scaled_machine, toy_backend
+    ):
+        spec = paper_run_spec(
+            "429.mcf", "rule", scaled_machine, length=LENGTH,
+            backend="toy",
+        )
+        sink = RingBufferSink()
+        result = execute(spec, tracer=Tracer([sink]))
+        (engine,) = toy_backend
+        assert [type(hook) for hook in engine.period_hooks] == [CaerRuntime]
+        assert result.machine_name == f"{scaled_machine.name}/toy"
+        # Launched at the stagger, done after five running periods.
+        assert result.latency_sensitive().first_completion_period == (
+            spec.launch_stagger + 4
+        )
+        (event,) = sink.by_kind("run_spec")
+        assert event.digest == spec.digest
+        assert event.backend == "toy"
 
 
 class TestStatisticalBackend:
@@ -113,6 +194,27 @@ class TestStatisticalBackend:
                            length=LENGTH, backend="statistical"),
         )
         assert managed.completion_periods <= raw.completion_periods
+
+    def test_too_many_contenders_rejected(self, scaled_machine):
+        spec = RunSpec(
+            victim="429.mcf",
+            contenders=(ContenderSpec(BATCH_BENCHMARK),)
+            * scaled_machine.num_cores,
+            machine=scaled_machine,
+            length=LENGTH,
+            backend="statistical",
+        )
+        with pytest.raises(SchedulingError, match="cores"):
+            execute_run(spec)
+
+    def test_helper_with_too_many_contenders_rejected(self, tiny_machine):
+        with pytest.raises(SchedulingError, match="cores"):
+            run_multi_colocated(
+                synthetic.compute_bound(),
+                [synthetic.compute_bound()] * tiny_machine.num_cores,
+                tiny_machine,
+                backend="statistical",
+            )
 
 
 class TestExecuteRun:

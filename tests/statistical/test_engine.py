@@ -9,9 +9,10 @@ from repro.caer.metrics import slowdown, utilization_gained
 from repro.caer.runtime import CaerConfig, caer_factory
 from repro.config import MachineConfig
 from repro.errors import SchedulingError
-from repro.runspec import execute_run, paper_run_spec
+from repro.runspec import execute, execute_run, paper_run_spec
+from repro.sim import run_colocated, run_multi_colocated, run_solo
 from repro.sim.process import AppClass, ProcessState, SimProcess
-from repro.statistical import StatisticalEngine, fast_colocated, fast_solo
+from repro.statistical import StatisticalEngine
 from repro.workloads import PhaseSpec, WorkloadSpec, benchmark, synthetic
 from repro.workloads.patterns import TraceSpec
 
@@ -21,9 +22,10 @@ L3 = MACHINE.l3.capacity_lines
 
 class TestBasics:
     def test_solo_run_completes(self):
-        result = fast_solo(
+        result = run_solo(
             synthetic.zipf_worker(lines=2_000, instructions=400_000.0),
             MACHINE,
+            backend="statistical",
         )
         ls = result.latency_sensitive()
         assert ls.first_completion_period is not None
@@ -32,23 +34,26 @@ class TestBasics:
         )
 
     def test_series_recorded_per_period(self):
-        result = fast_solo(
+        result = run_solo(
             synthetic.streamer(lines=20_000, instructions=300_000.0),
             MACHINE,
+            backend="statistical",
         )
         ls = result.latency_sensitive()
         assert len(ls.samples) == result.total_periods
         assert ls.total_llc_misses() > 0
 
     def test_heavier_workload_runs_longer(self):
-        light = fast_solo(
-            synthetic.compute_bound(instructions=300_000.0), MACHINE
+        light = run_solo(
+            synthetic.compute_bound(instructions=300_000.0), MACHINE,
+            backend="statistical",
         )
-        heavy = fast_solo(
+        heavy = run_solo(
             synthetic.pointer_chaser(
                 lines=3 * L3, instructions=300_000.0
             ),
             MACHINE,
+            backend="statistical",
         )
         assert (
             heavy.latency_sensitive().completion_periods
@@ -74,8 +79,8 @@ class TestContention:
         contender = synthetic.streamer(
             lines=4 * L3, instructions=200_000.0
         )
-        solo = fast_solo(victim, MACHINE)
-        colo = fast_colocated(victim, contender, MACHINE)
+        solo = run_solo(victim, MACHINE, backend="statistical")
+        colo = run_colocated(victim, contender, MACHINE, backend="statistical")
         assert slowdown(colo, solo) > 1.1
 
     def test_compute_bound_victim_unharmed(self):
@@ -83,8 +88,8 @@ class TestContention:
         contender = synthetic.streamer(
             lines=4 * L3, instructions=200_000.0
         )
-        solo = fast_solo(victim, MACHINE)
-        colo = fast_colocated(victim, contender, MACHINE)
+        solo = run_solo(victim, MACHINE, backend="statistical")
+        colo = run_colocated(victim, contender, MACHINE, backend="statistical")
         assert slowdown(colo, solo) < 1.05
 
     def test_paused_contender_footprint_decays(self):
@@ -109,8 +114,9 @@ class TestContention:
 
             return hook
 
-        result = fast_colocated(
-            victim, contender, MACHINE, caer_factory=factory
+        result = run_colocated(
+            victim, contender, MACHINE, caer_factory=factory,
+            backend="statistical",
         )
         ls = result.latency_sensitive()
         series = ls.llc_miss_series()
@@ -125,11 +131,12 @@ class TestCaerOnStatisticalEngine:
     def test_rule_based_protects(self):
         mcf = benchmark("429.mcf", L3, length=0.5)
         lbm = benchmark("470.lbm", L3, length=0.5)
-        solo = fast_solo(mcf, MACHINE)
-        raw = fast_colocated(mcf, lbm, MACHINE)
-        managed = fast_colocated(
+        solo = run_solo(mcf, MACHINE, backend="statistical")
+        raw = run_colocated(mcf, lbm, MACHINE, backend="statistical")
+        managed = run_colocated(
             mcf, lbm, MACHINE,
             caer_factory=caer_factory(CaerConfig.rule_based()),
+            backend="statistical",
         )
         # The statistical model underestimates mcf's absolute penalty
         # (no inclusion victims, no set conflicts) but must keep the
@@ -143,22 +150,38 @@ class TestCaerOnStatisticalEngine:
     def test_insensitive_victim_keeps_utilization(self):
         namd = benchmark("444.namd", L3, length=0.5)
         lbm = benchmark("470.lbm", L3, length=0.5)
-        managed = fast_colocated(
+        managed = run_colocated(
             namd, lbm, MACHINE,
             caer_factory=caer_factory(CaerConfig.rule_based()),
+            backend="statistical",
         )
         assert utilization_gained(managed) > 0.6
 
     def test_batch_actually_pauses(self):
         mcf = benchmark("429.mcf", L3, length=0.4)
         lbm = benchmark("470.lbm", L3, length=0.4)
-        managed = fast_colocated(
+        managed = run_colocated(
             mcf, lbm, MACHINE,
             caer_factory=caer_factory(CaerConfig.rule_based()),
             batch_name="batch",
+            backend="statistical",
         )
         assert ProcessState.PAUSED in managed.process("batch").states
         assert managed.caer_log
+
+    def test_contender_group_obeys_one_directive(self):
+        mcf = benchmark("429.mcf", L3, length=0.2)
+        lbm = benchmark("470.lbm", L3, length=0.2)
+        managed = run_multi_colocated(
+            mcf, [lbm] * 3, MACHINE,
+            caer_factory=caer_factory(CaerConfig.rule_based()),
+            backend="statistical",
+        )
+        histories = [record.states for record in managed.batch_processes()]
+        assert len(histories) == 3
+        assert ProcessState.PAUSED in histories[0]
+        assert histories[1] == histories[0]
+        assert histories[2] == histories[0]
 
 
 class TestCrossValidation:
@@ -169,15 +192,13 @@ class TestCrossValidation:
         [("429.mcf", (1.05, 2.0)), ("444.namd", (0.97, 1.08))],
     )
     def test_raw_slowdown_band_matches_trace_engine(self, name, band):
-        from repro.sim import run_colocated, run_solo
-
         spec = benchmark(name, L3, length=0.06)
         lbm = benchmark("470.lbm", L3, length=0.06)
         trace_solo = run_solo(spec, MACHINE)
         trace_colo = run_colocated(spec, lbm, MACHINE)
         trace = slowdown(trace_colo, trace_solo)
-        fast_s = fast_solo(spec, MACHINE)
-        fast_c = fast_colocated(spec, lbm, MACHINE)
+        fast_s = run_solo(spec, MACHINE, backend="statistical")
+        fast_c = run_colocated(spec, lbm, MACHINE, backend="statistical")
         fast = slowdown(fast_c, fast_s)
         low, high = band
         assert low <= trace <= high or trace == pytest.approx(low, 0.1)
@@ -191,7 +212,6 @@ class TestCrossValidation:
 
         spec = benchmark("429.mcf", L3, length=0.5)
         lbm = benchmark("470.lbm", L3, length=0.5)
-        from repro.sim import run_colocated
 
         t0 = time.time()
         run_colocated(spec, lbm, MACHINE)
@@ -200,7 +220,7 @@ class TestCrossValidation:
         # let the statistical run skip its only expensive step.
         profile_patterns.cache_clear()
         t0 = time.time()
-        fast_colocated(spec, lbm, MACHINE)
+        run_colocated(spec, lbm, MACHINE, backend="statistical")
         fast_seconds = time.time() - t0
         assert fast_seconds < trace_seconds / 4
 
@@ -236,8 +256,10 @@ class TestProfileCache:
             )
 
         trace = [i % 37 for i in range(0, 400, 3)]
-        listed = fast_solo(workload(trace), MACHINE)
-        tupled = fast_solo(workload(tuple(trace)), MACHINE)
+        listed = run_solo(workload(trace), MACHINE, backend="statistical")
+        tupled = run_solo(
+            workload(tuple(trace)), MACHINE, backend="statistical"
+        )
         assert listed.latency_sensitive().completion_periods == (
             tupled.latency_sensitive().completion_periods
         )
@@ -289,9 +311,7 @@ class TestLazyGenerators:
         spec = paper_run_spec(
             "429.mcf", "raw", MACHINE, length=0.2, backend="statistical"
         )
-        from repro.runspec.backends import get_backend
-
-        result = get_backend("statistical").execute(spec)
+        result = execute(spec)
         (batch,) = result.batch_processes()
         assert batch.completions >= 1, "the batch never relaunched"
         assert built["profiling"] > 0

@@ -51,3 +51,17 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "CAER rule-based" in result.stdout
         assert "slowdown" in result.stdout
+
+    def test_capacity_planning_runs_end_to_end(self):
+        """Both backends through the ``run_*`` helpers, as a real
+        subprocess: the statistical screen, then the trace gate."""
+        result = subprocess.run(
+            [sys.executable, str(EXAMPLES_DIR / "capacity_planning.py")],
+            capture_output=True,
+            text=True,
+            timeout=240,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "== Statistical screen" in result.stdout
+        assert "== Trace-engine gate" in result.stdout
+        assert "co-locate w/ CAER" in result.stdout
