@@ -10,28 +10,12 @@ from __future__ import annotations
 
 from conftest import emit
 
-from repro.experiments import figure1
+from repro.experiments import figure1, rank_correlation
 from repro.experiments.paperdata import (
     FIGURE1_SLOWDOWN,
     LEAST_SENSITIVE,
     MOST_SENSITIVE,
 )
-
-
-def _rank_correlation(xs: list[float], ys: list[float]) -> float:
-    def ranks(values):
-        order = sorted(range(len(values)), key=lambda i: values[i])
-        out = [0.0] * len(values)
-        for rank, i in enumerate(order):
-            out[i] = float(rank)
-        return out
-
-    rx, ry = ranks(xs), ranks(ys)
-    n = len(xs)
-    mean = (n - 1) / 2
-    cov = sum((a - mean) * (b - mean) for a, b in zip(rx, ry))
-    var = sum((a - mean) ** 2 for a in rx)
-    return cov / var if var else 0.0
 
 
 def bench_figure1(benchmark, campaign):
@@ -57,4 +41,4 @@ def bench_figure1(benchmark, campaign):
 
     # Per-benchmark rank agreement with the published bars.
     paper = [FIGURE1_SLOWDOWN[n] for n in names]
-    assert _rank_correlation(measured, paper) > 0.7
+    assert rank_correlation(measured, paper) > 0.7

@@ -30,6 +30,7 @@ from .analysis import (
     DetectionAccuracy,
     PeriodConfusion,
     score_detection_events,
+    score_verdict_series,
     score_verdicts,
     summarise_decisions,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "DetectionAccuracy",
     "PeriodConfusion",
     "score_detection_events",
+    "score_verdict_series",
     "score_verdicts",
     "summarise_decisions",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..errors import ExperimentError
 from ..obs import DetectionEvent
@@ -192,6 +192,41 @@ class DetectionAccuracy:
         return dict(Counter(p.label for p in self.periods))
 
 
+def _score_against_oracle(
+    scored: Iterable[tuple[bool, Observation]],
+    baseline_misses: float,
+    tolerance: float,
+    noise_floor: float,
+) -> DetectionAccuracy:
+    """Replay each ``(verdict, observation)`` through the profile oracle.
+
+    The one oracle loop behind :func:`score_detection_events` and
+    :func:`score_verdict_series`: every scored period compares the
+    heuristic's verdict with the oracle's about the same observation.
+    """
+    oracle = ProfileDetector(
+        baseline_misses, tolerance=tolerance, noise_floor=noise_floor
+    )
+    periods = [
+        PeriodConfusion(
+            period=obs.period,
+            verdict=verdict,
+            oracle=bool(oracle.step(obs).assertion),
+        )
+        for verdict, obs in scored
+    ]
+    counts = Counter(p.label for p in periods)
+    return DetectionAccuracy(
+        report=AccuracyReport(
+            true_positives=counts.get("tp", 0),
+            false_positives=counts.get("fp", 0),
+            true_negatives=counts.get("tn", 0),
+            false_negatives=counts.get("fn", 0),
+        ),
+        periods=periods,
+    )
+
+
 def score_detection_events(
     events: Iterable[DetectionEvent | dict],
     baseline_misses: float,
@@ -213,46 +248,68 @@ def score_detection_events(
     are skipped, as are periods where the heuristic issued no verdict
     (matching §6.4: only actual assertions are scored).
     """
-    oracle = ProfileDetector(
-        baseline_misses, tolerance=tolerance, noise_floor=noise_floor
-    )
-    periods: list[PeriodConfusion] = []
-    seen_detection = False
+    detections: list[dict] = []
     for event in events:
         if isinstance(event, dict):
-            if event.get("kind") != DetectionEvent.kind:
-                continue
-            data = event
-        else:
-            if event.kind != DetectionEvent.kind:
-                continue
-            data = event.to_dict()
-        seen_detection = True
-        verdict = data["verdict"]
-        if verdict is None:
-            continue
-        truth = oracle.step(Observation(
-            own_misses=data["own_misses"],
-            neighbor_misses=data["neighbor_misses"],
-            own_mean=data["own_mean"],
-            neighbor_mean=data["neighbor_mean"],
-            period=data["period"],
-        )).assertion
-        periods.append(PeriodConfusion(
-            period=data["period"], verdict=verdict, oracle=bool(truth)
-        ))
-    if not seen_detection:
+            if event.get("kind") == DetectionEvent.kind:
+                detections.append(event)
+        elif event.kind == DetectionEvent.kind:
+            detections.append(event.to_dict())
+    if not detections:
         raise ExperimentError(
             "trace contains no detection events — was the run traced "
             "with a CAER runtime attached?"
         )
-    counts = Counter(p.label for p in periods)
-    return DetectionAccuracy(
-        report=AccuracyReport(
-            true_positives=counts.get("tp", 0),
-            false_positives=counts.get("fp", 0),
-            true_negatives=counts.get("tn", 0),
-            false_negatives=counts.get("fn", 0),
+    return _score_against_oracle(
+        (
+            (data["verdict"], Observation(
+                own_misses=data["own_misses"],
+                neighbor_misses=data["neighbor_misses"],
+                own_mean=data["own_mean"],
+                neighbor_mean=data["neighbor_mean"],
+                period=data["period"],
+            ))
+            for data in detections
+            if data["verdict"] is not None
         ),
-        periods=periods,
+        baseline_misses, tolerance, noise_floor,
+    )
+
+
+def score_verdict_series(
+    verdicts: Sequence[bool | None],
+    miss_series: Sequence[int],
+    baseline_misses: float,
+    tolerance: float = DEFAULT_TOLERANCE,
+    noise_floor: float = 0.0,
+) -> DetectionAccuracy:
+    """Score a stored run's per-period verdicts against physical truth.
+
+    ``verdicts`` is a run's per-period CAER assertion
+    (:attr:`repro.runspec.RunOutcome.verdicts`) and ``miss_series`` the
+    victim's true per-period LLC misses from the same run.  Unlike
+    :func:`score_detection_events`, the oracle is fed each scored
+    period's *true* misses, not the (possibly fault-perturbed) windowed
+    signal the heuristic saw, so the score measures the detector
+    against physical reality.  The verdict speaks about its own
+    period, so the oracle reads that period alone: a windowed mean
+    would dilute it with the throttled periods around it, where the
+    response already removed the contention in question.  The oracle
+    reads only the victim's side, so the batch side's fields are 0.
+    """
+    if not verdicts:
+        raise ExperimentError(
+            "run has no CAER verdicts — was a CAER runtime attached?"
+        )
+    return _score_against_oracle(
+        (
+            (verdict, Observation(
+                0.0, float(misses), 0.0, float(misses), period
+            ))
+            for period, (verdict, misses) in enumerate(
+                zip(verdicts, miss_series, strict=True)
+            )
+            if verdict is not None
+        ),
+        baseline_misses, tolerance, noise_floor,
     )

@@ -13,7 +13,7 @@ overlapping drivers share runs too.
 from .ablations import ABLATIONS, AblationRunner, run_ablation
 from .crossval import analytic_figure1, backend_crossval, rank_correlation
 from .campaign import Campaign, CampaignSettings, audit_cache_key
-from .executor import fan_out, resolve_jobs
+from .executor import resolve_jobs
 from .faults import fault_sweep
 from .fleetchaos import chaos_frontier
 from .resilience import (
@@ -53,7 +53,6 @@ __all__ = [
     "Campaign",
     "CampaignSettings",
     "audit_cache_key",
-    "fan_out",
     "resolve_jobs",
     "run_specs_resilient",
     "RetryPolicy",

@@ -80,8 +80,9 @@ __all__ = [
 #: (7: spec version 2 — the fault plan joined the digest — and
 #: statistical-backend telemetry became CAER-aware.  8: spec version 3
 #: — the CAER plugin-parameter mappings joined the digest.  9: entries
-#: hold the whole ``RunOutcome``, digest and backend included.)
-CACHE_EPOCH = 9
+#: hold the whole ``RunOutcome``, digest and backend included.  10:
+#: entries carry the per-period CAER ``verdicts``.)
+CACHE_EPOCH = 10
 
 #: When set (to anything truthy), a campaign ignores quarantine records
 #: inherited from its journal and gives previously failing specs a

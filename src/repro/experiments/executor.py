@@ -1,20 +1,16 @@
-"""Parallel fan-out of independent simulation runs.
+"""The executor's unit of work, and the worker count it runs at.
 
 The campaign's run matrix is embarrassingly parallel: every run is a
 self-contained :class:`~repro.runspec.RunSpec` — it builds its own
 chip, seeds its own RNG streams, and shares no mutable state with its
-neighbours.  :func:`fan_out` distributes such runs across the
-persistent worker pool of :mod:`repro.experiments.workerpool`; with
-``jobs=1`` it degrades to a plain in-process loop with the same
-result contract (determinism holds because each run's results depend
-only on its picklable arguments, never on scheduling order).
-
-Experiment drivers read runs through the campaign store
+neighbours.  Experiment drivers read runs through the campaign store
 (:meth:`repro.experiments.campaign.Campaign.outcomes`), which executes
-its misses through the resilient executor on the same pool and the
-same unit of work, :func:`_execute_spec`; :func:`fan_out` itself serves
-the drivers whose workers do more than execute a spec (the traced,
-scored runs of the fault sweep and the detector shootout).
+its misses through the resilient executor
+(:mod:`repro.experiments.resilience`), on the persistent worker pool of
+:mod:`repro.experiments.workerpool` or, with ``jobs=1``, in this
+process.  Either way each run is one call of :func:`_execute_spec`,
+and determinism holds because a run's results depend only on its
+picklable spec, never on scheduling order.
 
 The worker count comes from, in priority order: an explicit ``jobs``
 argument (the CLI's ``--jobs``), the ``REPRO_JOBS`` environment
@@ -28,19 +24,15 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
 
-from ..errors import ConfigError, ExperimentError
+from ..errors import ConfigError
 from ..obs import JSONLSink, Tracer
 from ..runspec import RunOutcome, RunSpec, execute_run
-from .workerpool import WorkerFailure, get_pool, map_inline
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: When set, every executed spec writes its decision trace as
-#: ``trace_<victim>__<config>.jsonl`` under this directory (the CLI's
-#: ``--trace`` flag sets it; worker processes inherit it via fork).
+#: ``trace_<victim>__<config>__<digest prefix>.jsonl`` under this
+#: directory (the CLI's ``--trace`` flag sets it; pool workers receive
+#: it with every task).
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 
@@ -78,50 +70,16 @@ def resolve_jobs(jobs: int | None = None, source: str = "jobs") -> int:
     return jobs
 
 
-def fan_out(
-    worker: Callable[[T], R],
-    tasks: Sequence[T],
-    jobs: int | None = None,
-    describe: Callable[[T], str] = repr,
-) -> list[R]:
-    """Run ``worker`` over ``tasks``, results in task order.
-
-    ``worker`` must be a module-level callable and every task and
-    result picklable: with ``jobs > 1`` and at least two tasks, the
-    batch runs on the persistent worker pool (:func:`get_pool`), and
-    otherwise in this process (:func:`map_inline`).  Either way a
-    failing task does not abort its siblings: every task runs to
-    completion or failure, then one :class:`ExperimentError` reports
-    *which* tasks failed, via ``describe``.
-    """
-    jobs = resolve_jobs(jobs)
-    keyed = [(index, worker, task) for index, task in enumerate(tasks)]
-    if jobs > 1 and len(tasks) > 1:
-        settled = get_pool(jobs).map_specs(keyed)
-    else:
-        settled = map_inline(keyed)
-    out = [settled[index] for index in range(len(tasks))]
-    failures = [
-        f"{describe(task)}: {value.describe()}"
-        for task, value in zip(tasks, out)
-        if isinstance(value, WorkerFailure)
-    ]
-    if failures:
-        raise ExperimentError(
-            f"{len(failures)} of {len(tasks)} runs failed — "
-            + "; ".join(failures)
-        )
-    return out
-
-
 def _spec_tracer(spec: RunSpec) -> Tracer | None:
     """Build the per-run JSONL tracer when ``REPRO_TRACE_DIR`` is set."""
     trace_dir = os.environ.get(TRACE_DIR_ENV)
     if not trace_dir:
         return None
     safe = spec.victim.replace(".", "_")
-    path = Path(trace_dir) / f"trace_{safe}__{spec.config_tag}.jsonl"
-    return Tracer([JSONLSink(path)])
+    # The digest prefix keeps runs sharing a victim and a config tag
+    # (an ablation's rows, a sweep's intensities) in files of their own.
+    name = f"trace_{safe}__{spec.config_tag}__{spec.digest[:12]}.jsonl"
+    return Tracer([JSONLSink(Path(trace_dir) / name)])
 
 
 def _execute_spec(spec: RunSpec) -> RunOutcome:

@@ -6,26 +6,26 @@ driver sweeps a :class:`~repro.faults.FaultPlan` intensity over the
 CAER configurations and reports how detection accuracy, the victim's
 penalty, and batch utilization degrade as the signal path decays.
 
-Accuracy is scored the §6.4 way (:func:`~repro.caer.analysis.
-score_detection_events`) but with the oracle fed *ground truth*: the
-heuristic's verdicts come from the traced, fault-perturbed
-:class:`~repro.obs.DetectionEvent` stream, while the profile oracle
-re-reads the victim's physically-true per-period miss series (the
-engines always record truth; only the probing layer is faulted).  At
-intensity 0 the two views coincide and the sweep's first row is the
-clean-signal baseline.
+Every faulted run is read through the campaign's store, so it is
+cached, journalled, retried and quarantined like any other run.
+Accuracy is scored the §6.4 way, but with the oracle fed *ground
+truth* (:func:`~repro.caer.analysis.score_verdict_series`): the
+heuristic's verdicts are the per-period assertions the stored
+:class:`~repro.runspec.RunOutcome` keeps, made on the fault-perturbed
+signal, while the profile oracle reads the victim's physically-true
+per-period miss series (the engines always record truth; only the
+probing layer is faulted).  At intensity 0 the two views coincide and
+the sweep's first row is the clean-signal baseline.
 """
 
 from __future__ import annotations
 
-from ..caer.analysis import score_detection_events
+from ..caer.analysis import score_verdict_series
 from ..config import default_usage_threshold
 from ..errors import ExperimentError
 from ..faults import FaultPlan
-from ..obs import RingBufferSink, Tracer
-from ..runspec import RunSpec, execute_run
+from ..runspec import RunOutcome
 from .campaign import Campaign
-from .executor import fan_out
 from .reporting import FigureTable
 
 #: Fault intensities swept by default (0 = clean-signal baseline).
@@ -36,47 +36,17 @@ DEFAULT_INTENSITIES = (0.0, 0.25, 0.5, 1.0)
 SWEEP_CONFIGS = ("shutter", "rule", "random")
 
 
-def _sweep_run(task: tuple[RunSpec, float, float]) -> dict:
-    """Worker: execute one faulted run, traced, and score detection.
-
-    Module-level and driven only by its picklable argument, as the
-    process pool requires; returns plain floats so results pickle
-    cheaply.  The heuristic's verdicts are read from the in-memory
-    :class:`DetectionEvent` trace; each event's *observation* fields
-    are then replaced with the true miss series (same window size and
-    rolling mean the communication table uses) before the oracle
-    scores them — so the score measures the detector against physical
-    reality, not against its own corrupted inputs.
-    """
-    spec, baseline_misses, noise_floor = task
-    ring = RingBufferSink()
-    tracer = Tracer([ring])
-    try:
-        outcome = execute_run(spec, tracer=tracer)
-    finally:
-        tracer.close()
-    misses = outcome.miss_series
-    events: list[dict] = []
-    for event in ring.by_kind("detection"):
-        data = event.to_dict()
-        if misses:
-            # The verdict speaks about *this* period, so the oracle is
-            # fed this period's true misses — a windowed mean would
-            # dilute the probe period's truth with the throttled
-            # periods around it, where the response already removed
-            # the contention the detector is being asked about.
-            period = min(data["period"], len(misses) - 1)
-            data["neighbor_misses"] = float(misses[period])
-            data["neighbor_mean"] = float(misses[period])
-        events.append(data)
-    score = score_detection_events(
-        events, baseline_misses, noise_floor=noise_floor
-    )
-    return {
-        "accuracy": score.report.accuracy,
-        "completion_periods": float(outcome.completion_periods),
-        "utilization_gained": outcome.utilization_gained,
-    }
+def oracle_accuracy(
+    outcome: RunOutcome, baseline_misses: float, noise_floor: float
+) -> float:
+    """Accuracy of a stored run's verdicts against the profile oracle
+    reading the run's true miss series."""
+    return score_verdict_series(
+        outcome.verdicts,
+        outcome.miss_series,
+        baseline_misses,
+        noise_floor=noise_floor,
+    ).report.accuracy
 
 
 def fault_sweep(
@@ -92,9 +62,9 @@ def fault_sweep(
     carries ``<config>_acc`` (oracle-scored detection accuracy),
     ``<config>_pen`` (the victim's penalty vs. solo), and
     ``<config>_util`` (batch utilization gained).  The solo baseline
-    is read through the campaign's store; the ``len(intensities) ×
-    len(configs)`` faulted runs, traced and scored in their workers,
-    fan across the campaign's worker count.
+    and the ``len(intensities) × len(configs)`` faulted runs are read
+    through the campaign's store, and each faulted run is scored from
+    the verdicts it keeps.
     """
     campaign = campaign or Campaign()
     settings = campaign.settings
@@ -113,21 +83,12 @@ def fault_sweep(
         raise ExperimentError(f"solo run of {victim!r} never completed")
     baseline_misses = solo.ls_total_llc_misses / solo.completion_periods
 
-    tasks: list[tuple[RunSpec, float, float]] = []
-    labels: dict[str, str] = {}
-    for intensity in intensities:
-        plan = FaultPlan.scaled(intensity, seed=fault_seed)
-        for config in configs:
-            spec = settings.run_spec(victim, config).with_faults(plan)
-            labels[spec.digest] = f"({victim}, {config} @ i={intensity:g})"
-            tasks.append((spec, baseline_misses, noise_floor))
-    results = fan_out(
-        _sweep_run,
-        tasks,
-        jobs=campaign.jobs,
-        describe=lambda task: labels.get(
-            task[0].digest, task[0].describe()
-        ),
+    runs = campaign.outcomes(
+        settings.run_spec(victim, config).with_faults(
+            FaultPlan.scaled(intensity, seed=fault_seed)
+        )
+        for intensity in intensities
+        for config in configs
     )
 
     table = FigureTable(
@@ -135,20 +96,20 @@ def fault_sweep(
         row_names=[f"i={intensity:g}" for intensity in intensities],
     )
     for offset, config in enumerate(configs):
-        rows = [
-            results[index * len(configs) + offset]
-            for index in range(len(intensities))
-        ]
-        table.add_column(f"{config}_acc", [r["accuracy"] for r in rows])
+        rows = runs[offset::len(configs)]
+        table.add_column(
+            f"{config}_acc",
+            [oracle_accuracy(r, baseline_misses, noise_floor) for r in rows],
+        )
         table.add_column(
             f"{config}_pen",
             [
-                r["completion_periods"] / solo.completion_periods - 1.0
+                r.completion_periods / solo.completion_periods - 1.0
                 for r in rows
             ],
         )
         table.add_column(
-            f"{config}_util", [r["utilization_gained"] for r in rows]
+            f"{config}_util", [r.utilization_gained for r in rows]
         )
     table.notes.append(
         f"accuracy scored against the profile oracle reading the true "

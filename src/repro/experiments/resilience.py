@@ -1,10 +1,10 @@
 """Resilient campaign execution: retry, quarantine, checkpoint/resume.
 
-:func:`fan_out` treats any worker failure as fatal to the batch; fine
-for unit tests, unacceptable for multi-hour campaigns where one crashed
-or hung worker should not discard hours of finished runs.  This module
-adds the production posture on top of the same worker unit and the
-same persistent pool (:mod:`repro.experiments.workerpool`):
+In a multi-hour campaign one crashed or hung worker must not discard
+hours of finished runs.  This module gives the campaign store's
+executor that posture, on the executor's unit of work
+(:func:`~repro.experiments.executor._execute_spec`) and the persistent
+pool (:mod:`repro.experiments.workerpool`):
 
 * :class:`RetryPolicy` — bounded attempts, a deterministic backoff
   schedule, and an optional per-run timeout (``REPRO_RETRIES`` /

@@ -4,9 +4,10 @@ The registry (:mod:`repro.caer.registry`) makes detectors pluggable;
 this driver makes them *comparable*.  It sweeps every registered
 detection heuristic — the paper's pair, the baselines, and the zoo —
 through the same §6.4-style scoring harness the fault sweep uses: each
-detector runs co-located and traced, its verdict stream is re-grounded
-on the victim's physically-true per-period miss series, and the
-profile oracle scores it.  One table then ranks the whole zoo on
+detector's co-located run is read through the campaign's store, and
+the profile oracle, reading the victim's physically-true per-period
+miss series, scores the verdicts the stored run keeps.  One table then
+ranks the whole zoo on
 
 * **accuracy** against the oracle on a clean signal,
 * **mean accuracy** across the swept fault intensities (robustness),
@@ -27,10 +28,8 @@ from ..caer.runtime import CaerConfig
 from ..config import default_usage_threshold
 from ..errors import ExperimentError
 from ..faults import FaultPlan
-from ..runspec import RunSpec
 from .campaign import Campaign
-from .executor import fan_out
-from .faults import _sweep_run
+from .faults import oracle_accuracy
 from .reporting import FigureTable
 
 #: Fault intensities swept by default: the clean signal that headlines
@@ -99,9 +98,9 @@ def detector_shootout(
     Rows are detectors (every registered one by default); columns are
     clean-signal accuracy, mean accuracy across ``intensities``, the
     victim's penalty vs. solo, and batch utilization gained (both on
-    the clean signal).  The solo baseline is read through the
-    campaign's store; the scored runs, traced in their workers, fan
-    across the campaign's worker count.
+    the clean signal).  The solo baseline and every detector's runs
+    are read through the campaign's store, and each run is scored from
+    the verdicts it keeps.
     """
     campaign = campaign or Campaign()
     settings = campaign.settings
@@ -128,24 +127,13 @@ def detector_shootout(
         raise ExperimentError(f"solo run of {victim!r} never completed")
     baseline_misses = solo.ls_total_llc_misses / solo.completion_periods
 
-    tasks: list[tuple[RunSpec, float, float]] = []
-    labels: dict[str, str] = {}
     raw = settings.run_spec(victim, "raw")
-    for name in detectors:
-        config = shootout_config(name, baseline_misses, victim)
-        for intensity in intensities:
-            spec = dataclasses.replace(raw, caer=config).with_faults(
-                FaultPlan.scaled(intensity, seed=fault_seed)
-            )
-            labels[spec.digest] = f"({victim}, {name} @ i={intensity:g})"
-            tasks.append((spec, baseline_misses, noise_floor))
-    results = fan_out(
-        _sweep_run,
-        tasks,
-        jobs=campaign.jobs,
-        describe=lambda task: labels.get(
-            task[0].digest, task[0].describe()
-        ),
+    runs = campaign.outcomes(
+        dataclasses.replace(
+            raw, caer=shootout_config(name, baseline_misses, victim)
+        ).with_faults(FaultPlan.scaled(intensity, seed=fault_seed))
+        for name in detectors
+        for intensity in intensities
     )
 
     clean_index = intensities.index(0.0)
@@ -154,35 +142,28 @@ def detector_shootout(
         row_names=list(detectors),
     )
     per_detector = [
-        results[index * len(intensities):(index + 1) * len(intensities)]
+        runs[index * len(intensities):(index + 1) * len(intensities)]
         for index in range(len(detectors))
     ]
+    accuracy = [
+        [oracle_accuracy(r, baseline_misses, noise_floor) for r in rows]
+        for rows in per_detector
+    ]
+    table.add_column("acc", [scores[clean_index] for scores in accuracy])
     table.add_column(
-        "acc",
-        [rows[clean_index]["accuracy"] for rows in per_detector],
-    )
-    table.add_column(
-        "acc_mean",
-        [
-            sum(r["accuracy"] for r in rows) / len(rows)
-            for rows in per_detector
-        ],
+        "acc_mean", [sum(scores) / len(scores) for scores in accuracy]
     )
     table.add_column(
         "penalty",
         [
-            rows[clean_index]["completion_periods"]
-            / solo.completion_periods
+            rows[clean_index].completion_periods / solo.completion_periods
             - 1.0
             for rows in per_detector
         ],
     )
     table.add_column(
         "util",
-        [
-            rows[clean_index]["utilization_gained"]
-            for rows in per_detector
-        ],
+        [rows[clean_index].utilization_gained for rows in per_detector],
     )
     table.notes.append(
         f"accuracy scored against the profile oracle reading the true "

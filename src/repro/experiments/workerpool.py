@@ -3,9 +3,8 @@
 A campaign is hundreds of small batches, so forking a fresh pool per
 batch would pay process start-up again and again.  This module keeps
 one supervised pool of worker processes alive across batches and runs
-module-level ``(worker, arg)`` tasks on it —
-:func:`~repro.experiments.executor.fan_out` and the resilient
-executor's parallel rounds both dispatch here:
+module-level ``(worker, arg)`` tasks on it; the resilient executor's
+parallel rounds, which serve every campaign-store miss, dispatch here:
 
 * **Per-worker result pipes** — a worker pickles its result once and
   sends it on its own pipe.  No lock is shared between worker

@@ -111,10 +111,15 @@ class RunOutcome:
     the campaign store keeps (:class:`repro.experiments.campaign.Campaign`,
     one JSON entry per spec digest).  It carries the run identity
     (``digest``, ``backend``) so callers can join an outcome back to the
-    spec — and cache entry — that produced it.  ``wall_seconds`` and
-    ``telemetry`` are excluded from equality: parallel and serial
-    executions of the same spec must compare identical, and a cached
-    ``wall_seconds`` of 0.0 marks an entry that predates run timing.
+    spec — and cache entry — that produced it.  ``verdicts`` is CAER's
+    decision log reduced to each period's assertion (``True``/``False``,
+    ``None`` while the detector gathers evidence; empty without CAER),
+    so a stored run can be scored against an oracle without a re-run.
+    ``wall_seconds`` and ``telemetry`` are excluded from equality:
+    parallel and serial executions of the same spec must compare
+    identical, and a cached ``wall_seconds`` of 0.0 marks an entry that
+    predates run timing.  ``verdicts`` is excluded too, so the outcome
+    hashes pinned before it was recorded still hold.
     """
 
     digest: str
@@ -127,6 +132,7 @@ class RunOutcome:
     utilization_gained: float
     miss_series: list[int] = field(default_factory=list)
     instruction_series: list[float] = field(default_factory=list)
+    verdicts: list[bool | None] = field(default_factory=list, compare=False)
     wall_seconds: float = field(default=0.0, compare=False)
     telemetry: dict | None = field(default=None, compare=False)
 
@@ -172,6 +178,7 @@ def execute_run(
         utilization_gained=gained,
         miss_series=ls.llc_miss_series(),
         instruction_series=[round(x, 1) for x in ls.instruction_series()],
+        verdicts=[record["assertion"] for record in result.caer_log],
         wall_seconds=round(time.perf_counter() - started, 3),
         telemetry=telemetry,
     )

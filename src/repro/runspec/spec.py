@@ -284,12 +284,14 @@ class RunSpec:
         return self.caer.label
 
     def describe(self) -> str:
-        """Failure/progress identity, e.g. ``(429.mcf, rule)``."""
+        """Failure/progress identity, e.g. ``(429.mcf, rule)``, or
+        ``(429.mcf, rule+faults(drop=0.15,...,seed=0))`` under a fault
+        plan."""
         tag = self.config_tag
         if len(self.contenders) > 1:
             tag = f"{tag} x{len(self.contenders)}"
         if self.faults is not None:
-            tag = f"{tag}+faults"
+            tag = f"{tag}+{self.faults.describe()}"
         return f"({self.victim}, {tag})"
 
     def with_backend(self, backend: str) -> "RunSpec":

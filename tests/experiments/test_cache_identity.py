@@ -122,9 +122,11 @@ def _histogram(buckets, counts, total, count, low, high) -> dict:
 #: Shaped like a statistical ``429.mcf`` shutter entry at length 0.01
 #: (plus a ``None`` and booleans, so every JSON type is written), with
 #: its host-timed values (``wall_seconds``, the period-span histogram)
-#: fixed so the written bytes are too.  Its ``digest`` is the spec
-#: digest of ``FAST``'s statistical ``(429.mcf, shutter)`` run, so the
-#: entry reads back through that spec.
+#: fixed so the written bytes are too.  Its verdicts add a c-negative
+#: to the run's one c-positive, so they hold ``None``, ``True`` and
+#: ``False``.  Its ``digest`` is the spec digest of ``FAST``'s
+#: statistical ``(429.mcf, shutter)`` run, so the entry reads back
+#: through that spec.
 PINNED_OUTCOME = RunOutcome(
     digest="56a2cbc2bdc473a86b278152073d37b8ae421fb9376445c89464a1e6023e2934",
     backend="statistical",
@@ -139,6 +141,7 @@ PINNED_OUTCOME = RunOutcome(
     instruction_series=[0.0, 0.0, 0.0, 1785.4, 1820.0, 1982.5, 2107.6,
                         2057.7, 2016.8, 2028.3, 2075.8, 2132.1, 2455.9,
                         5537.9],
+    verdicts=[None] * 10 + [True, None, False, None],
     wall_seconds=0.088,
     telemetry={
         "metrics": {
@@ -156,9 +159,9 @@ PINNED_OUTCOME = RunOutcome(
             ),
         },
         "derived": {
-            "detector_trigger_rate": 1.0,
+            "detector_trigger_rate": 0.5,
             "batch_run_fraction": 0.3571428571428571,
-            "verdicts": 1.0,
+            "verdicts": 2.0,
             "speedup": None,
         },
         "spec_digest": (
@@ -169,11 +172,10 @@ PINNED_OUTCOME = RunOutcome(
     },
 )
 
-#: sha256 of the cache entry :meth:`Campaign._store` writes for it.
-#: The same field dict through ``json.dumps`` as at cache epoch 8,
-#: where ``bench`` stood in for ``digest``, ``backend`` and ``victim``.
+#: sha256 of the cache entry :meth:`Campaign._store` writes for it:
+#: the outcome's field dict, in field order, through ``json.dumps``.
 PINNED_ENTRY_SHA256 = (
-    "075644a6444fc99c8dbbbf9f98c7dd7f73dee2e21fd1c8917b71130b9706c129"
+    "023190f2cb7afa809209cb39c39dd7e5279cef56c7f02f6aa75bd5486a9879e3"
 )
 
 
@@ -193,6 +195,7 @@ class TestBookkeeping:
         fresh = Campaign(campaign.settings, cache_dir=tmp_path)
         loaded = fresh.cached(fresh.spec_for("429.mcf", "shutter"))
         assert loaded == PINNED_OUTCOME
+        assert loaded.verdicts == PINNED_OUTCOME.verdicts
         assert loaded.telemetry == PINNED_OUTCOME.telemetry
         assert loaded.wall_seconds == PINNED_OUTCOME.wall_seconds
 

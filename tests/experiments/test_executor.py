@@ -1,21 +1,25 @@
-"""Parallel run executor: parity, error surfacing, jobs resolution."""
+"""Run execution: the campaign store's contract, jobs resolution."""
 
 from __future__ import annotations
-
-import dataclasses
-import threading
 
 import pytest
 
 from repro.errors import ConfigError, ExperimentError
+from repro.experiments.ablations import run_ablation
 from repro.experiments.campaign import Campaign, CampaignSettings
-from repro.experiments.executor import _execute_spec, fan_out, resolve_jobs
-from repro.experiments.workerpool import get_pool
-from repro.runspec import RunSpec
+from repro.experiments.executor import TRACE_DIR_ENV, resolve_jobs
+from repro.experiments.resilience import RetryPolicy
+from repro.faults.chaos import CHAOS_ENV
 
-#: Short runs keep the fan-out suite fast while still spanning several
-#: probe periods.
+#: Short runs keep the suite fast while still spanning several probe
+#: periods.
 FAST = CampaignSettings(length=0.02)
+STATISTICAL = CampaignSettings(length=0.02, backend="statistical")
+
+
+def _count(campaign: Campaign, name: str) -> float:
+    entry = campaign.metrics.snapshot().get(name)
+    return entry["value"] if entry else 0.0
 
 
 class TestResolveJobs:
@@ -83,96 +87,60 @@ class TestResolveJobs:
             resolve_jobs()
 
 
-def _failing_worker(task):
-    if task % 2:
-        raise ValueError(f"boom on {task}")
-    return task * 10
-
-
-class _TwoArgError(Exception):
-    """Pickles, but cannot be rebuilt from its args alone."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a}/{b}")
-
-
-def _unpicklable_worker(task):
-    if task == 1:
-        return lambda: task
-    if task == 3:
-        raise _TwoArgError("x", "y")
-    return task * 10
-
-
-class TestFanOut:
-    def test_serial_matches_input_order(self):
-        assert fan_out(_failing_worker, [0, 2, 4], jobs=1) == [0, 20, 40]
-
-    def test_parallel_matches_input_order(self):
-        assert fan_out(_failing_worker, [0, 2, 4], jobs=3) == [0, 20, 40]
+class TestCampaignOutcomes:
+    """The store's one way in: spec order, one error for every failure."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_parallel_failure_names_every_failed_task(self, jobs):
+    def test_outcomes_follow_spec_order(self, jobs):
+        campaign = Campaign(STATISTICAL, use_disk_cache=False, jobs=jobs)
+        specs = [
+            STATISTICAL.run_spec(bench, "solo")
+            for bench in ("444.namd", "429.mcf", "470.lbm")
+        ]
+        # A repeated spec runs once and comes back in each of its places.
+        outcomes = campaign.outcomes(specs + specs[:1])
+        assert [o.digest for o in outcomes] == [
+            spec.digest for spec in specs + specs[:1]
+        ]
+        assert _count(campaign, "campaign.runs_simulated") == 3.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_error_names_every_quarantined_run(self, jobs, monkeypatch):
         # Serial and pooled batches share one result contract.
+        monkeypatch.setenv(CHAOS_ENV, "crash:99:444.namd")
+        campaign = Campaign(
+            STATISTICAL, use_disk_cache=False, jobs=jobs,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        specs = [
+            STATISTICAL.run_spec(bench, config)
+            for bench in ("444.namd", "429.mcf")
+            for config in ("solo", "raw")
+        ]
         with pytest.raises(ExperimentError) as excinfo:
-            fan_out(
-                _failing_worker,
-                [0, 1, 2, 3],
-                jobs=jobs,
-                describe=lambda t: f"task<{t}>",
-            )
+            campaign.outcomes(specs)
         message = str(excinfo.value)
-        assert "2 of 4 runs failed" in message
-        assert "task<1>" in message
-        assert "task<3>" in message
-        # Healthy siblings were not nuked by the failures.
-        assert "task<0>" not in message
+        assert "run (444.namd, solo) is quarantined" in message
+        assert "run (444.namd, raw) is quarantined" in message
+        # Healthy siblings were not nuked by the failures: they ran and
+        # were stored before the error was raised.
+        assert "429.mcf" not in message
+        assert all(campaign.cached(spec) for spec in specs[2:])
 
-    def test_unpicklable_result_fails_only_its_task(self):
-        pool = get_pool(2)
-        with pytest.raises(ExperimentError) as excinfo:
-            fan_out(
-                _unpicklable_worker,
-                [0, 1, 2, 3, 4],
-                jobs=2,
-                describe=lambda t: f"task<{t}>",
-            )
-        message = str(excinfo.value)
-        # Two failures named, so every sibling completed.
-        assert "2 of 5 runs failed" in message
-        assert "task<1>: RuntimeError('unpicklable result" in message
-        assert "task<3>: RuntimeError('unpicklable result" in message
-        # The worker survived its result: the same pool serves on.
-        assert get_pool(2) is pool
-        assert pool.respawns == 0
-        assert fan_out(_unpicklable_worker, [0, 2], jobs=2) == [0, 20]
 
-    def test_unpicklable_task_raises_at_dispatch(self):
-        # Loudly and at once, not a batch waiting forever on a task
-        # that never reached its worker; the next batch starts clean.
-        with pytest.raises(TypeError, match="pickle"):
-            fan_out(_failing_worker, [0, threading.Lock()], jobs=2)
-        assert fan_out(_failing_worker, [0, 2], jobs=2) == [0, 20]
-
-    def test_serial_failure_is_described(self):
-        with pytest.raises(ExperimentError, match="task<1>"):
-            fan_out(
-                _failing_worker, [1], jobs=1, describe=lambda t: f"task<{t}>"
-            )
-
-    def test_unknown_benchmark_named_once_from_the_pool(self):
-        # The worker's UnknownBenchmarkError crosses the pipe intact.
-        spec = FAST.run_spec("429.mcf", "raw")
-        bad = dataclasses.replace(spec, victim="no.such.bench")
-        with pytest.raises(ExperimentError) as excinfo:
-            fan_out(
-                _execute_spec, [spec, bad], jobs=2,
-                describe=RunSpec.describe,
-            )
-        message = str(excinfo.value)
-        assert "1 of 2 runs failed — (no.such.bench, raw)" in message
-        assert "unknown benchmark 'no.such.bench'" in message
-        assert message.count("unknown benchmark") == 1
+class TestTraceDir:
+    def test_one_trace_file_per_simulated_run(self, tmp_path, monkeypatch):
+        # The impact-factor ablation's runs share a victim and a config
+        # tag; each still gets a trace of its own.
+        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+        campaign = Campaign(
+            CampaignSettings(length=0.05, backend="statistical"),
+            use_disk_cache=False, jobs=1,
+        )
+        run_ablation("impact-factor", campaign)
+        simulated = _count(campaign, "campaign.runs_simulated")
+        assert simulated == 10.0
+        assert len(list(tmp_path.glob("trace_*.jsonl"))) == simulated
 
 
 class TestCampaignPrefetch:

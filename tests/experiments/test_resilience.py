@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.experiments.campaign import (
     Campaign,
     CampaignSettings,
 )
-from repro.experiments.executor import fan_out
 from repro.experiments.resilience import (
     DEFAULT_BACKOFF,
     CampaignJournal,
@@ -334,33 +332,3 @@ class TestCampaignResilience:
         assert corpse.exists()
         assert corpse.read_text() == "{definitely not json"
         assert json.loads(path.read_text())  # re-simulated and stored
-
-
-def _orphan_worker(task: tuple[str, str, float]) -> str:
-    """fan_out unit for the cancellation test (module-level to pickle)."""
-    kind, marker, delay = task
-    if kind == "interrupt":
-        raise KeyboardInterrupt("simulated Ctrl-C in a worker")
-    time.sleep(delay)
-    Path(marker).write_text("ran")
-    return marker
-
-
-class TestFanOutCancellation:
-    def test_interrupt_cancels_queued_tasks(self, tmp_path):
-        """A dying batch must not leak orphan workers: unstarted tasks
-        are cancelled, not executed after the interrupt."""
-        sleepers = 6
-        tasks = [("interrupt", "", 0.0)] + [
-            ("sleep", str(tmp_path / f"marker_{i}"), 0.3)
-            for i in range(sleepers)
-        ]
-        with pytest.raises(KeyboardInterrupt):
-            fan_out(_orphan_worker, tasks, jobs=2)
-        # Give in-flight workers ample time to finish, then count what
-        # actually ran.  A pool that drained its queue would run all
-        # six sleepers; the pool shuts down on the interrupt instead,
-        # so at most the handful already dispatched may complete.
-        time.sleep(1.5)
-        markers = sorted(p.name for p in tmp_path.glob("marker_*"))
-        assert len(markers) < sleepers

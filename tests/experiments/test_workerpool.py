@@ -2,7 +2,8 @@
 
 Every parallel batch runs on this pool, so these tests pin its own
 survival machinery (per-task env forwarding, timeout kills,
-dead-worker replacement, failure identities) and the resilient
+dead-worker replacement, unpicklable results and tasks, a worker's
+interrupt tearing the batch down, failure identities) and the resilient
 executor's behaviour on it.  That its answers equal the in-process
 reference is pinned by ``tests/golden``, which runs every pinned spec
 at ``--jobs 2``.
@@ -10,9 +11,14 @@ at ``--jobs 2``.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
-from repro.errors import ChaosError
+from repro.errors import ChaosError, UnknownBenchmarkError
 from repro.experiments.campaign import CampaignSettings
 from repro.experiments.executor import _execute_spec
 from repro.experiments.resilience import (
@@ -38,6 +44,35 @@ EAGER = RetryPolicy(max_attempts=2, backoff=(0.0,))
 def attempt(key: int, spec, number: int) -> tuple:
     """The pool task a resilient round sends for ``spec``'s attempt."""
     return (key, _execute_spec_attempt, (spec, number))
+
+
+def _times_ten(task: int) -> int:
+    return task * 10
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its args alone."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _unpicklable_worker(task: int) -> object:
+    if task == 1:
+        return lambda: task
+    if task == 3:
+        raise _TwoArgError("x", "y")
+    return task * 10
+
+
+def _orphan_worker(task: tuple[str, str, float]) -> str:
+    """Interrupts, or sleeps then leaves a marker file."""
+    kind, marker, delay = task
+    if kind == "interrupt":
+        raise KeyboardInterrupt("simulated Ctrl-C in a worker")
+    time.sleep(delay)
+    Path(marker).write_text("ran")
+    return marker
 
 
 @pytest.fixture(autouse=True)
@@ -179,6 +214,75 @@ class TestPoolFailureHandling:
         # A rule-governed run issues verdicts; they surface in the
         # beacon's cumulative detector counters.
         assert payload["detector_verdicts"] > 0
+
+    def test_unpicklable_result_fails_only_its_task(self):
+        pool = get_pool(2)
+        results = pool.map_specs(
+            [(task, _unpicklable_worker, task) for task in range(5)]
+        )
+        failed = {
+            key: value.describe() for key, value in results.items()
+            if isinstance(value, WorkerFailure)
+        }
+        # Two failures, so every sibling completed.
+        assert sorted(failed) == [1, 3]
+        for message in failed.values():
+            assert message.startswith("RuntimeError('unpicklable result")
+        assert [results[key] for key in (0, 2, 4)] == [0, 20, 40]
+        # The worker survived its result: the same pool serves on.
+        assert get_pool(2) is pool
+        assert pool.respawns == 0
+        assert pool.map_specs(
+            [(0, _unpicklable_worker, 0), (1, _unpicklable_worker, 2)]
+        ) == {0: 0, 1: 20}
+
+    def test_unpicklable_task_raises_at_dispatch(self):
+        # Loudly and at once, not a batch waiting forever on a task
+        # that never reached its worker; the next batch starts clean.
+        with pytest.raises(TypeError, match="pickle"):
+            get_pool(2).map_specs(
+                [(0, _times_ten, 0), (1, _times_ten, threading.Lock())]
+            )
+        assert get_pool(2).map_specs(
+            [(0, _times_ten, 0), (1, _times_ten, 2)]
+        ) == {0: 0, 1: 20}
+
+    def test_unknown_benchmark_named_once_from_the_pool(self):
+        # The worker's UnknownBenchmarkError crosses the pipe intact.
+        spec = FAST.run_spec("429.mcf", "raw")
+        bad = dataclasses.replace(spec, victim="no.such.bench")
+        results = get_pool(2).map_specs(
+            [(0, _execute_spec, spec), (1, _execute_spec, bad)]
+        )
+        assert not isinstance(results[0], WorkerFailure)
+        failure = results[1]
+        assert isinstance(failure, WorkerFailure)
+        assert isinstance(failure.error, UnknownBenchmarkError)
+        message = failure.describe()
+        assert "unknown benchmark 'no.such.bench'" in message
+        assert message.count("unknown benchmark") == 1
+
+    def test_worker_interrupt_cancels_queued_tasks(self, tmp_path):
+        """A dying batch must not leak orphan workers: unstarted tasks
+        are cancelled, not executed after the interrupt."""
+        sleepers = 6
+        tasks = [(0, _orphan_worker, ("interrupt", "", 0.0))] + [
+            (index + 1, _orphan_worker,
+             ("sleep", str(tmp_path / f"marker_{index}"), 0.3))
+            for index in range(sleepers)
+        ]
+        pool = get_pool(2)
+        with pytest.raises(KeyboardInterrupt):
+            pool.map_specs(tasks)
+        # Give in-flight workers ample time to finish, then count what
+        # actually ran.  A pool that drained its queue would run all
+        # six sleepers; the pool shuts down on the interrupt instead,
+        # so at most the handful already dispatched may complete.
+        time.sleep(1.5)
+        markers = sorted(p.name for p in tmp_path.glob("marker_*"))
+        assert len(markers) < sleepers
+        # The torn-down pool is no longer the one batches get.
+        assert get_pool(2) is not pool
 
     def test_close_is_idempotent(self):
         pool = SpecWorkerPool(jobs=2)

@@ -26,10 +26,17 @@ def _campaign() -> Campaign:
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return fault_sweep(
-        _campaign(), victim="429.mcf", intensities=INTENSITIES
-    )
+def campaign() -> Campaign:
+    return _campaign()
+
+
+@pytest.fixture(scope="module")
+def sweep(campaign):
+    return fault_sweep(campaign, victim="429.mcf", intensities=INTENSITIES)
+
+
+def _simulated(campaign: Campaign) -> float:
+    return campaign.metrics.snapshot()["campaign.runs_simulated"]["value"]
 
 
 class TestValidation:
@@ -61,6 +68,18 @@ class TestSweepShape:
         assert "Detection robustness" in text
         assert "clean-signal baseline" in text
         assert "flat control" in text
+
+
+class TestStore:
+    def test_second_sweep_simulates_nothing(self, campaign, sweep):
+        # The solo baseline and every faulted run live in the store.
+        simulated = _simulated(campaign)
+        assert simulated == 1 + len(INTENSITIES) * len(SWEEP_CONFIGS)
+        again = fault_sweep(
+            campaign, victim="429.mcf", intensities=INTENSITIES
+        )
+        assert _simulated(campaign) == simulated
+        assert again.render() == sweep.render()
 
 
 class TestDegradation:

@@ -7,6 +7,7 @@ import pytest
 from repro.arch.pmu import PMUSample
 from repro.caer.runtime import CaerRuntime, caer_factory
 from repro.errors import ConfigError, SchedulingError
+from repro.faults import FaultPlan
 from repro.obs import RingBufferSink, Tracer
 from repro.runspec import (
     BATCH_BENCHMARK,
@@ -229,6 +230,26 @@ class TestExecuteRun:
         assert outcome.telemetry["backend"] == "sim"
         assert "detector_trigger_rate" in outcome.telemetry["derived"]
         assert outcome.wall_seconds > 0.0
+
+    @pytest.mark.parametrize("backend", ["sim", "statistical"])
+    def test_verdicts_are_the_traced_detection_verdicts(
+        self, scaled_machine, backend
+    ):
+        spec = paper_run_spec(
+            "429.mcf", "rule", scaled_machine, length=LENGTH,
+            backend=backend,
+        ).with_faults(FaultPlan.scaled(0.5))
+        ring = RingBufferSink(1 << 16)
+        traced = execute_run(spec, tracer=Tracer([ring]))
+        detections = [event.verdict for event in ring.by_kind("detection")]
+        assert len(detections) == traced.total_periods
+        assert set(detections) == {True, False, None}
+        assert traced.verdicts == detections
+        assert execute_run(spec).verdicts == detections
+
+    def test_no_verdicts_without_caer(self, scaled_machine):
+        spec = paper_run_spec("429.mcf", "raw", scaled_machine, length=LENGTH)
+        assert execute_run(spec).verdicts == []
 
     def test_too_many_contenders_rejected(self, scaled_machine):
         spec = RunSpec(

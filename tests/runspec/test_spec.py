@@ -199,6 +199,18 @@ class TestPaperSpecs:
         assert spec.config_tag == tag
         assert spec.describe() == f"(429.mcf, {tag})"
 
+    def test_fault_intensity_reaches_the_description(self):
+        # A quarantine message must say which intensity of a sweep failed.
+        spec = paper_run_spec("429.mcf", "shutter", MACHINE)
+        light, heavy = (
+            spec.with_faults(FaultPlan.scaled(intensity))
+            for intensity in (0.25, 1.0)
+        )
+        assert light.describe() != heavy.describe()
+        assert light.describe() == (
+            f"(429.mcf, shutter+{FaultPlan.scaled(0.25).describe()})"
+        )
+
     def test_unknown_tag_rejected_listing_choices(self):
         with pytest.raises(ExperimentError, match="shutter"):
             paper_run_spec("429.mcf", "psychic", MACHINE)
