@@ -57,17 +57,26 @@ class MissRateCurve:
             raise WorkloadError(
                 f"singletons ({singletons}) out of range 0..{cold}"
             )
-        self._total = sum(histogram.values()) + cold
+        # Sorted distances with cumulative counts for O(log n) queries,
+        # as tuples: a cached curve is shared by every run that uses it.
+        # reuse_distance_histogram lists its distances in ascending
+        # order already, so its counts accumulate as they come.
+        distances = tuple(histogram)
+        ordered = sorted(distances)
+        if ordered == list(distances):
+            counts = histogram.values()
+        else:
+            distances = tuple(ordered)
+            counts = map(histogram.__getitem__, distances)
+        self._distances = distances
+        self._cumulative = tuple(itertools.accumulate(counts))
+        self._total = (
+            self._cumulative[-1] if self._cumulative else 0
+        ) + cold
         if self._total == 0:
             raise WorkloadError("empty reuse histogram")
         self._cold = cold
         self._singletons = singletons
-        # Sorted distances with cumulative counts for O(log n) queries,
-        # as tuples: a cached curve is shared by every run that uses it.
-        self._distances = tuple(sorted(histogram))
-        self._cumulative = tuple(
-            itertools.accumulate(map(histogram.__getitem__, self._distances))
-        )
 
     @classmethod
     def from_trace(cls, trace: Iterable[int]) -> "MissRateCurve":

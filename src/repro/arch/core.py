@@ -42,6 +42,9 @@ _VECTOR_MIN_BATCH = 8
 #: budgets up to this cap, and a successful classify resets it.
 _DECLINE_BACKOFF_CAP = 32
 
+#: The stream path's running-total fold, bound once.
+_accumulate = np.add.accumulate
+
 
 class Core:
     """One core: executes a process against the shared hierarchy."""
@@ -90,6 +93,9 @@ class Core:
         # for, and the skip the next decline sets.
         self._vector_skip = 0
         self._vector_backoff = 1
+        # The stream path's pricing buffer: the running total in slot
+        # 0, then one batch's per-access costs, accumulated in place.
+        self._fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
 
     def path_counts(self) -> dict[str, int]:
         """Accesses served per path, vector declines and backoff skips."""
@@ -165,10 +171,6 @@ class Core:
                 vec_classify = hierarchy.vector_classify
                 vec_commit = hierarchy.vector_commit
                 costs_np = np.array(costs, dtype=np.float64)
-                # The running total seeds slot 0 so the accumulate
-                # replays the walk's exact left-to-right IEEE-754 add
-                # sequence.
-                fold = np.empty(_MAX_BATCH + 1, dtype=np.float64)
             # Size batches by what one budget buys, so miss-heavy
             # phases don't draw ~4096 addresses to execute a few
             # hundred; the 25% overdraw absorbs estimate drift.
@@ -196,25 +198,19 @@ class Core:
                         vector = vector_ok = False
                         continue
                     self._vector_backoff = 1
-                    fold[0] = used
-                    np.take(costs_np, plan.levels, out=fold[1:batch + 1])
-                    np.add.accumulate(fold[:batch + 1],
-                                      out=fold[:batch + 1])
-                    n_exec = int(np.searchsorted(
-                        fold[:batch], cycle_budget, side="left"
-                    ))
-                    if not vec_commit(cid, plan, n_exec):
-                        # Nothing was mutated and the pricing may be
-                        # wrong: hand the whole batch to the bulk
-                        # kernel.
-                        phase.push_back_array(addr_arr, 0)
-                        vector = False
-                        continue
+                    # The running total seeds slot 0 so the accumulate
+                    # replays the walk's exact left-to-right IEEE-754
+                    # add sequence.  Levels are 1 or 4, so "clip" never
+                    # clips; unlike "raise" it writes ``out`` unbuffered.
+                    priced = self._fold[:batch + 1]
+                    priced[0] = used
+                    costs_np.take(plan.levels, out=priced[1:], mode="clip")
+                    _accumulate(priced, out=priced)
+                    n_exec = int(priced[:batch].searchsorted(cycle_budget))
+                    vec_commit(cid, plan, n_exec)
+                    used = float(priced[n_exec])
                     # Every executed collapsed access went to memory.
-                    n_mem = int(np.searchsorted(
-                        plan.keep_raw, n_exec, side="left"
-                    ))
-                    used = float(fold[n_exec])
+                    n_mem = hierarchy.batch_misses
                     if n_mem:
                         memory.access_bulk(n_mem)
                     done += n_exec
@@ -227,7 +223,7 @@ class Core:
                 levels = access_many(cid, addrs, costs, used, cycle_budget)
                 n_exec = len(levels)
                 used = hierarchy.batch_cycles
-                n_mem = levels.count(4)
+                n_mem = hierarchy.batch_misses
                 if n_mem:
                     memory.access_bulk(n_mem)
                 done += n_exec

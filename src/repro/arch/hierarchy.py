@@ -204,6 +204,9 @@ class CacheHierarchy:
         #: cycle total after the last access :meth:`access_many`
         #: executed (its ``used`` plus the executed accesses' costs)
         self.batch_cycles = 0.0
+        #: executed accesses of the last :meth:`access_many` batch or
+        #: :meth:`vector_commit` that went to memory
+        self.batch_misses = 0
 
     # -- hot path ------------------------------------------------------
 
@@ -270,7 +273,9 @@ class CacheHierarchy:
         holds the serving level of every executed access, so its length
         is the executed count and ``addrs[len(result):]`` is the
         unexecuted suffix the caller returns to its stream; the total
-        after the last executed access is left in :attr:`batch_cycles`.
+        after the last executed access is left in :attr:`batch_cycles`,
+        and the executed accesses that went to memory in
+        :attr:`batch_misses`.
         With the defaults every access executes and the result equals
         ``[self.access(core, a) for a in addrs]``.
 
@@ -300,6 +305,7 @@ class CacheHierarchy:
                 levels.append(level)
                 used += costs[level]
             self.batch_cycles = used
+            self.batch_misses = levels.count(MEMORY)
             if self._debug_invariants:
                 self.check_owner_invariants()
             return levels
@@ -325,7 +331,6 @@ class CacheHierarchy:
         inclusive = self._inclusive
         counters_core = self.counters[core]
         levels = []
-        append = levels.append
         c1 = costs[1]
         c2 = costs[2]
         c3 = costs[3]
@@ -336,7 +341,10 @@ class CacheHierarchy:
         # value).  The rest follow from them (every miss fills its
         # level; an L1 hit is whatever executed without missing).
         # Evictions call ``popitem(False)``: the keyword spelling costs
-        # ~60 ns more per call.
+        # ~60 ns more per call.  ``levels.append`` is spelled out, not
+        # bound to a local: CPython 3.11 specialises the method call
+        # into an inline list append.  The L3 probe is ``in`` plus a
+        # subscript on a hit, cheaper than ``get`` on the miss path.
         nh2 = nh3 = nm3 = ev1 = ev2 = ev3 = occ = 0
         prev = None
         for addr in addrs:
@@ -345,14 +353,14 @@ class CacheHierarchy:
             if addr == prev:
                 # The access just before left this line MRU in our L1:
                 # an L1 hit whose move_to_end would be a no-op.
-                append(1)
+                levels.append(1)
                 used += c1
                 continue
             prev = addr
             set1 = l1_sets[addr & l1_mask]
             if addr in set1:
                 set1.move_to_end(addr)
-                append(1)
+                levels.append(1)
                 used += c1
                 continue
             set2 = l2_sets[addr & l2_mask]
@@ -365,18 +373,18 @@ class CacheHierarchy:
                     set1.popitem(False)
                     ev1 += 1
                 set1[addr] = None
-                append(2)
+                levels.append(2)
                 used += c2
                 continue
             set3 = l3_sets[addr & l3_mask]
-            mask = set3.get(addr)
-            if mask is not None:
+            if addr in set3:
                 set3.move_to_end(addr)
                 nh3 += 1
+                mask = set3[addr]
                 if not mask & own_bit:
                     set3[addr] = mask | own_bit
                     occ += 1
-                append(3)
+                levels.append(3)
                 used += c3
             else:
                 nm3 += 1
@@ -404,7 +412,7 @@ class CacheHierarchy:
                         drop_line(core, victim, mask)
                 set3[addr] = own_bit
                 occ += 1
-                append(4)
+                levels.append(4)
                 used += c4
             # -- private fills (L2 then L1, both absent) ---------------
             # Set sizes are read here, after the L3-miss path: a
@@ -431,6 +439,7 @@ class CacheHierarchy:
             if mx > l3._max_tag:
                 l3._max_tag = mx
         self.batch_cycles = used
+        self.batch_misses = nm3
         # -- flush batch-local deltas ----------------------------------
         nm2 = nh3 + nm3
         nm1 = nh2 + nm2
@@ -704,35 +713,35 @@ class CacheHierarchy:
     def vector_commit(self, core: int, plan, n_exec: int) -> bool:
         """Apply a classified batch's first ``n_exec`` accesses.
 
-        ``False`` would mean the update could not replay the sequential
-        walk and nothing was mutated, so the caller must re-route the
-        untouched batch through :meth:`access_many`; the stream path
-        always commits, because classification proved every executed
-        access a cold miss, whatever the fills evict on the way.  On
-        ``True`` every counter, stat, set, owner mask and occupancy
-        figure equals the per-access walk over that prefix.
+        Always commits, because classification proved every executed
+        access a cold miss, whatever the fills evict on the way: every
+        counter, stat, set, owner mask and occupancy figure then equals
+        the per-access walk over that prefix, and the executed accesses
+        that went to memory are left in :attr:`batch_misses`.  Returns
+        ``True`` (the benchmark ledger counts a falsy return as a
+        refusal).
 
         Profiled into ``profile.vector_commit_seconds`` when span
         profiling is armed (see :meth:`vector_classify`).
         """
         if _PROFILER.enabled:
             started = _perf_counter()
-            committed = self._commit_stream(core, plan, n_exec)
+            self._commit_stream(core, plan, n_exec)
             _PROFILER.observe(
                 "profile.vector_commit_seconds",
                 _perf_counter() - started,
             )
         else:
-            committed = self._commit_stream(core, plan, n_exec)
-        if committed and self._debug_invariants:
+            self._commit_stream(core, plan, n_exec)
+        if self._debug_invariants:
             self.check_owner_invariants()
-        return committed
+        return True
 
     def _commit_stream(self, core: int, plan: StreamPlan,
-                       n_exec: int) -> bool:
+                       n_exec: int) -> None:
         # The fill loop is access_many's miss path without the probes:
         # every executed collapsed access misses all three levels.
-        m = int(np.searchsorted(plan.keep_raw, n_exec))
+        m = self.batch_misses = int(plan.keep_raw.searchsorted(n_exec))
         l1 = self.l1[core]
         l2 = self.l2[core]
         l3 = self.l3
@@ -820,7 +829,6 @@ class CacheHierarchy:
                 l2._max_tag = mx
             if mx > l3._max_tag:
                 l3._max_tag = mx
-        return True
 
     # -- inspection ----------------------------------------------------
 

@@ -790,10 +790,7 @@ def _run_quarantine(args: argparse.Namespace, campaign: Campaign) -> int:
         records = [
             {
                 "digest": digest,
-                "label": (
-                    f"({record.get('bench', '?')}, "
-                    f"{record.get('config', '?')})"
-                ),
+                "label": CampaignJournal.label_of(record),
                 "attempts": record.get("attempts", 0),
                 "error": record.get("error", "unknown failure"),
             }

@@ -262,10 +262,7 @@ class Campaign:
                 for digest, record in self.journal.quarantined.items():
                     self.quarantined[digest] = QuarantineRecord(
                         digest=digest,
-                        label=(
-                            f"({record.get('bench', '?')}, "
-                            f"{record.get('config', '?')})"
-                        ),
+                        label=CampaignJournal.label_of(record),
                         attempts=int(record.get("attempts", 0)),
                         error=str(record.get("error", "unknown failure")),
                     )
@@ -463,6 +460,7 @@ class Campaign:
                 self.journal.record_quarantined(
                     digest, *self._names(distinct[digest]),
                     attempts=record.attempts, error=record.error,
+                    label=distinct[digest].describe(),
                 )
         self._emit_beacon("done", runs_total, completed)
         return len(outcomes)

@@ -310,17 +310,33 @@ class CampaignJournal:
 
     def record_quarantined(
         self, digest: str, bench: str, config: str,
-        attempts: int, error: str,
+        attempts: int, error: str, label: str | None = None,
     ) -> None:
-        """Mark one spec as given up on (until cleared)."""
+        """Mark one spec as given up on (until cleared).
+
+        ``label`` is the run's full identity (``RunSpec.describe()``,
+        fault plan included); :meth:`label_of` reads it back.
+        """
         record = {
             "status": "quarantined", "digest": digest,
             "bench": bench, "config": config,
             "attempts": attempts, "error": error,
         }
+        if label is not None:
+            record["label"] = label
         self._append(record)
         self.quarantined[digest] = record
         self.completed.pop(digest, None)
+
+    @staticmethod
+    def label_of(record: dict) -> str:
+        """A quarantine record's run label: the one it was recorded
+        with, else ``(bench, config)`` (records written before labels
+        were)."""
+        label = record.get("label")
+        if label:
+            return str(label)
+        return f"({record.get('bench', '?')}, {record.get('config', '?')})"
 
     def record_cleared(self, digest: str) -> None:
         """Lift a quarantine, making the spec runnable again."""

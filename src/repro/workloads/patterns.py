@@ -2,9 +2,11 @@
 
 Each pattern is a (spec, runtime) pair: the frozen ``*Spec`` dataclass
 validates parameters and states the footprint; ``instantiate`` builds a
-stateful generator whose :meth:`next_address` is the simulator's hottest
-call.  Random patterns therefore pre-draw numpy batches and serve them
-from a plain Python list.
+stateful generator the simulator's core draws address batches from.
+Random patterns pre-draw int64 batches: array requests get views of
+them, list requests slices of a list form built once per batch.  A
+mixture serves the same way from blocks it builds, each running from
+its current choice up to the next RNG call.
 
 The patterns cover the behaviours the SPEC models need:
 
@@ -29,6 +31,7 @@ from ..errors import WorkloadError
 from .base import AccessPattern, PatternSpec
 
 _BATCH = 4096
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -46,30 +49,41 @@ class _DrawFree(AccessPattern):
 
 
 class _BufferedPattern(AccessPattern):
-    """Base for patterns that serve addresses from pre-drawn batches."""
+    """Base for patterns that serve addresses from pre-built batches.
+
+    :meth:`_refill` returns the next batch as an int64 array, and is
+    called only when an address past the current batch is taken, so
+    every RNG call it makes lands where a one-address-at-a-time walk
+    makes it.  Array requests are served as views (a refill builds a
+    new array, so a view stays valid); list requests from the batch's
+    list form, built on first use.
+    """
 
     def __init__(self) -> None:
-        self._buffer: list[int] = []
+        self._batch = _EMPTY
+        self._list: list[int] | None = []
         self._index = 0
 
-    def _refill(self) -> list[int]:
+    def _refill(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _load(self) -> np.ndarray:
+        batch = self._batch = self._refill()
+        self._list = None
+        self._index = 0
+        return batch
+
     def addresses_before_draw(self) -> int | None:
-        return len(self._buffer) - self._index
+        return self._batch.shape[0] - self._index
 
     def next_address(self) -> int:
-        i = self._index
-        buf = self._buffer
-        if i >= len(buf):
-            buf = self._buffer = self._refill()
-            i = 0
-        self._index = i + 1
-        return buf[i]
+        return self.next_addresses(1)[0]
 
     def next_addresses(self, n: int) -> list[int]:
         i = self._index
-        buf = self._buffer
+        buf = self._list
+        if buf is None:
+            buf = self._list = self._batch.tolist()
         avail = len(buf) - i
         if avail >= n:
             self._index = i + n
@@ -77,14 +91,31 @@ class _BufferedPattern(AccessPattern):
         out = buf[i:]
         n -= avail
         while True:
-            buf = self._refill()
+            buf = self._list = self._load().tolist()
             if len(buf) >= n:
-                self._buffer = buf
                 self._index = n
-                out.extend(buf[:n])
+                out += buf[:n]
                 return out
-            out.extend(buf)
+            out += buf
             n -= len(buf)
+
+    def next_addresses_array(self, n: int) -> np.ndarray:
+        i = self._index
+        batch = self._batch
+        avail = batch.shape[0] - i
+        if avail >= n:
+            self._index = i + n
+            return batch[i:i + n]
+        pieces = [batch[i:]]
+        n -= avail
+        while True:
+            batch = self._load()
+            if batch.shape[0] >= n:
+                self._index = n
+                pieces.append(batch[:n])
+                return np.concatenate(pieces)
+            pieces.append(batch)
+            n -= batch.shape[0]
 
 
 # -- sequential streaming ----------------------------------------------
@@ -136,31 +167,24 @@ class _SequentialStream(_DrawFree):
         return addr
 
     def next_addresses(self, n: int) -> list[int]:
-        # The stream is periodic with period lines*repeats; index the
-        # next n ticks of that cycle in one vectorised step.  The
-        # single ``tolist`` conversion is the only materialisation —
-        # the batch is handed to the bulk kernel wholesale, so no
-        # intermediate Python list is ever built.
-        repeats = self._repeats
-        period = self._lines * repeats
-        start = self._line * repeats + self._count
-        ticks = (start + np.arange(n, dtype=np.int64)) % period
-        end = (start + n) % period
-        self._line = end // repeats
-        self._count = end % repeats
-        return (ticks // repeats + self._base).tolist()
+        return self.next_addresses_array(n).tolist()
 
     def next_addresses_array(self, n: int) -> np.ndarray:
-        # Same periodic indexing as next_addresses, minus the tolist:
-        # the ndarray goes straight into the vector kernel.
+        # The stream is periodic with period lines*repeats; index the
+        # next n ticks of that cycle in one vectorised step.
         repeats = self._repeats
         period = self._lines * repeats
         start = self._line * repeats + self._count
-        ticks = (start + np.arange(n, dtype=np.int64)) % period
-        end = (start + n) % period
+        end = start + n
+        ticks = np.arange(start, end, dtype=np.int64)
+        if end >= period:
+            ticks %= period
+            end %= period
         self._line = end // repeats
         self._count = end % repeats
-        return ticks // repeats + self._base
+        ticks //= repeats
+        ticks += self._base
+        return ticks
 
     def footprint_lines(self) -> int:
         return self._lines
@@ -199,13 +223,14 @@ class _UniformRandom(_BufferedPattern):
         self._repeats = repeats
         self._base = base
 
-    def _refill(self) -> list[int]:
+    def _refill(self) -> np.ndarray:
         draws = self._rng.integers(
             0, self._lines, size=_BATCH, dtype=np.int64
         )
         if self._repeats > 1:
             draws = np.repeat(draws, self._repeats)
-        return (draws + self._base).tolist()
+        draws += self._base
+        return draws
 
     def footprint_lines(self) -> int:
         return self._lines
@@ -286,8 +311,8 @@ class _PointerChase(_DrawFree):
         end = pos + n
         if end < ln:
             self._pos = end
-            # Copy: callers may hold the batch across later draws.
-            return arr[pos:end].copy()
+            # A view: the cycle is never written after it is built.
+            return arr[pos:end]
         out = np.empty(n, dtype=np.int64)
         k = ln - pos
         out[:k] = arr[pos:]
@@ -344,10 +369,11 @@ class _Zipf(_BufferedPattern):
         self._cdf /= self._cdf[-1]
         self._placement = rng.permutation(lines)
 
-    def _refill(self) -> list[int]:
-        u = self._rng.random(_BATCH)
-        ranks = np.searchsorted(self._cdf, u)
-        return (self._placement[ranks] + self._base).tolist()
+    def _refill(self) -> np.ndarray:
+        ranks = self._cdf.searchsorted(self._rng.random(_BATCH))
+        draws = self._placement[ranks]
+        draws += self._base
+        return draws
 
     def footprint_lines(self) -> int:
         return self._lines
@@ -400,7 +426,7 @@ class _HotCold(_BufferedPattern):
         self._fraction = hot_fraction
         self._base = base
 
-    def _refill(self) -> list[int]:
+    def _refill(self) -> np.ndarray:
         rng = self._rng
         is_hot = rng.random(_BATCH) < self._fraction
         hot_draws = rng.integers(0, self._hot, size=_BATCH, dtype=np.int64)
@@ -408,7 +434,8 @@ class _HotCold(_BufferedPattern):
             0, self._cold, size=_BATCH, dtype=np.int64
         )
         draws = np.where(is_hot, hot_draws, cold_draws)
-        return (draws + self._base).tolist()
+        draws += self._base
+        return draws
 
     def footprint_lines(self) -> int:
         return self._hot + self._cold
@@ -465,31 +492,27 @@ class _StridedScan(_DrawFree):
         return addr
 
     def next_addresses(self, n: int) -> list[int]:
+        return self.next_addresses_array(n).tolist()
+
+    def next_addresses_array(self, n: int) -> np.ndarray:
         # Positions cycle through ceil(lines/stride) stride multiples;
         # index the next n ticks of that cycle vectorised, as in
         # _SequentialStream.
         repeats = self._repeats
         stride = self._stride
-        npos = (self._lines + stride - 1) // stride
-        period = npos * repeats
+        period = (self._lines + stride - 1) // stride * repeats
         start = (self._pos // stride) * repeats + self._count
-        ticks = (start + np.arange(n, dtype=np.int64)) % period
-        end = (start + n) % period
+        end = start + n
+        ticks = np.arange(start, end, dtype=np.int64)
+        if end >= period:
+            ticks %= period
+            end %= period
         self._pos = (end // repeats) * stride
         self._count = end % repeats
-        return ((ticks // repeats) * stride + self._base).tolist()
-
-    def next_addresses_array(self, n: int) -> np.ndarray:
-        repeats = self._repeats
-        stride = self._stride
-        npos = (self._lines + stride - 1) // stride
-        period = npos * repeats
-        start = (self._pos // stride) * repeats + self._count
-        ticks = (start + np.arange(n, dtype=np.int64)) % period
-        end = (start + n) % period
-        self._pos = (end // repeats) * stride
-        self._count = end % repeats
-        return (ticks // repeats) * stride + self._base
+        ticks //= repeats
+        ticks *= stride
+        ticks += self._base
+        return ticks
 
     def footprint_lines(self) -> int:
         return (self._lines + self._stride - 1) // self._stride
@@ -537,9 +560,19 @@ class MixtureSpec(PatternSpec):
         return _Mixture(rng, parts, weights)
 
 
-class _Mixture(AccessPattern):
-    __slots__ = ("_rng", "_parts", "_probs", "_choices", "_choices_arr",
-                 "_index")
+class _Mixture(_BufferedPattern):
+    """A blend served in blocks, each one RNG-call free.
+
+    A block runs from the current choice up to the next RNG call: a
+    choice refill, or the address that empties a part's buffer.  Within
+    it every part serves its addresses without drawing, so the block is
+    built with one batched request per part, scattered by the choice
+    vector, and the draw it stops at is made only when the stream
+    reaches that address.  The parts share this mixture's Generator,
+    and other patterns may share it too (a workload's phases do), so
+    every RNG call must land where a one-address-at-a-time walk makes
+    it.
+    """
 
     def __init__(
         self,
@@ -547,75 +580,44 @@ class _Mixture(AccessPattern):
         parts: list[AccessPattern],
         weights: list[float],
     ):
+        super().__init__()
         self._rng = rng
         self._parts = parts
         total = sum(weights)
         self._probs = [w / total for w in weights]
-        # The drawn component choices, as an array for batched draws
-        # and as a list for the per-address walk.
-        self._choices_arr = np.empty(0, dtype=np.int64)
-        self._choices: list[int] = []
-        self._index = 0
+        self._choices = _EMPTY
+        self._next_choice = 0
 
-    def _refill_choices(self) -> None:
-        arr = self._rng.choice(len(self._parts), size=_BATCH, p=self._probs)
-        self._choices_arr = arr
-        self._choices = arr.tolist()
-        self._index = 0
-
-    def next_address(self) -> int:
-        i = self._index
-        choices = self._choices
-        if i >= len(choices):
-            self._refill_choices()
-            choices = self._choices
+    def _refill(self) -> np.ndarray:
+        i = self._next_choice
+        if i >= self._choices.shape[0]:
+            self._choices = self._rng.choice(
+                len(self._parts), size=_BATCH, p=self._probs
+            )
             i = 0
-        self._index = i + 1
-        return self._parts[choices[i]].next_address()
-
-    def next_addresses(self, n: int) -> list[int]:
-        return self.next_addresses_array(n).tolist()
-
-    def next_addresses_array(self, n: int) -> np.ndarray:
-        # Draw per part and scatter by the choice vector.  The parts
-        # share this mixture's Generator, so every RNG call — a choice
-        # refill or a part's buffer refill — must land at the stream
-        # position the per-address walk reaches it at: the batch is
-        # served in segments cut at each such position, and the
-        # address that triggers a part refill is served on its own.
-        out = np.empty(n, dtype=np.int64)
+        seg = self._choices[i:]
         parts = self._parts
-        filled = 0
-        while filled < n:
-            i = self._index
-            if i >= len(self._choices):
-                self._refill_choices()
-                i = 0
-            seg = self._choices_arr[i:i + n - filled]
-            m = seg.shape[0]
-            cut = m
-            positions = []
-            for p, part in enumerate(parts):
-                pos = np.flatnonzero(seg == p)
-                free = part.addresses_before_draw()
-                if free is not None and pos.shape[0] > free \
-                        and pos[free] < cut:
-                    cut = int(pos[free])
-                positions.append(pos)
-            if cut == 0:
-                out[filled] = parts[seg[0]].next_address()
-                self._index = i + 1
-                filled += 1
-                continue
-            view = out[filled:filled + cut]
-            for p, pos in enumerate(positions):
-                if cut < m:
-                    pos = pos[:np.searchsorted(pos, cut)]
-                if pos.shape[0]:
-                    view[pos] = parts[p].next_addresses_array(pos.shape[0])
-            self._index = i + cut
-            filled += cut
-        return out
+        cut = seg.shape[0]
+        positions = []
+        for p, part in enumerate(parts):
+            pos = (seg == p).nonzero()[0]
+            free = part.addresses_before_draw()
+            if free is not None and pos.shape[0] > free \
+                    and pos[free] < cut:
+                cut = int(pos[free])
+            positions.append(pos)
+        if cut == 0:
+            # The first address draws: it is a block of its own.
+            self._next_choice = i + 1
+            return parts[seg[0]].next_addresses_array(1)
+        block = np.empty(cut, dtype=np.int64)
+        for p, pos in enumerate(positions):
+            if pos.shape[0] and pos[-1] >= cut:
+                pos = pos[:pos.searchsorted(cut)]
+            if pos.shape[0]:
+                block[pos] = parts[p].next_addresses_array(pos.shape[0])
+        self._next_choice = i + cut
+        return block
 
     def footprint_lines(self) -> int:
         return sum(p.footprint_lines() for p in self._parts)

@@ -18,7 +18,9 @@ from repro.experiments.resilience import (
     RetryPolicy,
     run_specs_resilient,
 )
+from repro.experiments.faults import fault_sweep
 from repro.faults.chaos import CHAOS_ENV, ChaosSpec, maybe_inject
+from repro.faults.plan import FaultPlan
 from repro.obs import MetricsRegistry
 
 FAST = CampaignSettings(length=0.02, backend="statistical")
@@ -192,6 +194,22 @@ class TestCampaignJournal:
         assert again.completed["d1"]["attempts"] == 2
         assert again.quarantined["d2"]["error"] == "boom"
 
+    def test_label_reads_back(self, tmp_path):
+        journal = CampaignJournal(tmp_path / "journal.jsonl")
+        journal.record_quarantined(
+            "d1", "429.mcf", "rule", 3, "boom",
+            label="(429.mcf, rule+faults(drop=0.15,seed=0))",
+        )
+        journal.record_quarantined("d2", "444.namd", "solo", 3, "boom")
+        again = CampaignJournal(tmp_path / "journal.jsonl")
+        assert CampaignJournal.label_of(again.quarantined["d1"]) == (
+            "(429.mcf, rule+faults(drop=0.15,seed=0))"
+        )
+        # A record written without a label reads as (bench, config).
+        assert CampaignJournal.label_of(again.quarantined["d2"]) == (
+            "(444.namd, solo)"
+        )
+
     def test_later_records_win(self, tmp_path):
         journal = CampaignJournal(tmp_path / "journal.jsonl")
         journal.record_quarantined("d1", "444.namd", "solo", 3, "boom")
@@ -246,6 +264,34 @@ class TestCampaignResilience:
         retrying = Campaign(FAST, cache_dir=tmp_path, retry=EAGER)
         assert retrying.quarantine_report() == []
         assert retrying.prefetch(["444.namd"], ["solo"], jobs=1) == 1
+
+    def test_fresh_report_names_each_fault_intensity(
+        self, tmp_path, monkeypatch
+    ):
+        # Faulted runs share their (bench, config) tags, so the journal
+        # keeps each run's full label, fault plan included.
+        settings = CampaignSettings(length=0.05, backend="statistical")
+        Campaign(settings, cache_dir=tmp_path).solo("429.mcf")
+        monkeypatch.setenv(CHAOS_ENV, "crash:99:429.mcf")
+        campaign = Campaign(settings, cache_dir=tmp_path, retry=EAGER)
+        intensities = (0.1, 0.3)
+        with pytest.raises(ExperimentError, match="quarantined"):
+            fault_sweep(
+                campaign, victim="429.mcf", intensities=intensities,
+                configs=("shutter",),
+            )
+        expected = sorted(
+            settings.run_spec("429.mcf", "shutter").with_faults(
+                FaultPlan.scaled(intensity, seed=0)
+            ).describe()
+            for intensity in intensities
+        )
+        assert len(set(expected)) == len(intensities)
+        report = [r.label for r in campaign.quarantine_report()]
+        assert report == expected
+        monkeypatch.delenv(CHAOS_ENV)
+        fresh = Campaign(settings, cache_dir=tmp_path, retry=EAGER)
+        assert [r.label for r in fresh.quarantine_report()] == expected
 
     def test_solo_miss_is_retried_then_quarantined(
         self, tmp_path, monkeypatch

@@ -365,6 +365,27 @@ class TestBatchGeneration:
                 got.extend(mixed.next_addresses_array(n).tolist())
         assert got[:total] == expected
 
+    @pytest.mark.parametrize(
+        "spec, period",
+        [
+            (SequentialStreamSpec(lines=7, line_repeats=3), 21),
+            (StridedScanSpec(lines=20, stride=3, line_repeats=2), 14),
+        ],
+        ids=["stream", "strided"],
+    )
+    def test_batches_ending_on_the_period_wrap(self, spec, period):
+        # A batch that ends exactly at the end of the cycle leaves the
+        # cursor at its start, where the next scalar draw reads it.
+        scalar = spec.instantiate(np.random.default_rng(0), 5)
+        batched = spec.instantiate(np.random.default_rng(0), 5)
+        got: list[int] = []
+        for n in (period, period - 1, 2 * period, 3, period - 3):
+            got.extend(batched.next_addresses(n))
+            got.append(batched.next_address())
+            got.extend(batched.next_addresses_array(n).tolist())
+            got.append(batched.next_address())
+        assert got == [scalar.next_address() for _ in range(len(got))]
+
     @given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)
     def test_arbitrary_batch_sizes(self, sizes):
@@ -376,3 +397,84 @@ class TestBatchGeneration:
         for n in sizes:
             got.extend(batched.next_addresses(n))
         assert got == expected
+
+
+class _CountingGenerator:
+    """A ``Generator`` stand-in that counts the draws made through it."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+        return counted
+
+
+#: Patterns that draw after instantiation, mixtures included.
+DRAWING_SPECS = [
+    UniformRandomSpec(lines=90, line_repeats=2),
+    ZipfSpec(lines=70, alpha=1.1),
+    HotColdSpec(hot_lines=6, cold_lines=80),
+    MixtureSpec(
+        components=(
+            (0.35, UniformRandomSpec(lines=90, line_repeats=2)),
+            (0.25, ZipfSpec(lines=70, alpha=1.1)),
+            (0.25, HotColdSpec(hot_lines=6, cold_lines=80)),
+            (0.15, PointerChaseSpec(lines=50)),
+        )
+    ),
+    MixtureSpec(
+        components=(
+            (0.6, SequentialStreamSpec(lines=16, line_repeats=2)),
+            (0.4, ZipfSpec(lines=30, alpha=1.0)),
+        )
+    ),
+]
+
+
+class TestDrawPoints:
+    """Every RNG call waits for the address that needs it.
+
+    A workload's phases share one ``Generator``, so a pattern that
+    drew ahead — say, building its next batch as soon as a request
+    drained the current one — would shift every other phase's stream.
+    ``addresses_before_draw()`` addresses must come without a draw,
+    however they are requested.
+    """
+
+    @pytest.mark.parametrize(
+        "spec", DRAWING_SPECS, ids=lambda s: type(s).__name__
+    )
+    def test_draws_only_when_an_address_needs_one(self, spec):
+        rng = _CountingGenerator(4)
+        pattern = spec.instantiate(rng, 0)
+        sizes = np.random.default_rng(8)
+        drained = 0
+        for step in range(400):
+            free = pattern.addresses_before_draw()
+            assert free is not None
+            calls = rng.calls
+            if free:
+                # Drain to the draw point, in one of the three forms,
+                # or stop anywhere short of it.
+                n = free if step % 2 else int(sizes.integers(1, free + 1))
+                way = step % 3
+                if way == 0:
+                    pattern.next_addresses(n)
+                elif way == 1:
+                    pattern.next_addresses_array(n)
+                else:
+                    for _ in range(n):
+                        pattern.next_address()
+                assert rng.calls == calls
+                drained += 1
+            else:
+                pattern.next_addresses_array(1)
+        # A pattern that always answered 0 would pass the loop above
+        # vacuously: most steps must have had addresses to drain.
+        assert drained > 100
