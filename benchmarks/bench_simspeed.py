@@ -57,6 +57,7 @@ except ImportError:  # running as a script without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import MachineConfig
+from repro.sim.process import line_base
 from repro.workloads import synthetic
 
 #: Kernel gate, applied to the streaming benchmark (``stream-llc``).
@@ -73,6 +74,10 @@ EXPORT_OVERHEAD_TARGET = 0.02
 
 #: Cycle budget of one ``core.run`` call.
 DEFAULT_BUDGET = 40_000.0
+
+#: Every workload runs on core 0, at the line addresses the simulator
+#: gives a process there.
+CORE0_BASE = line_base(0)
 
 #: (warm-up calls, timed calls, best-of reps) of one throughput
 #: measurement, per mode.
@@ -156,18 +161,18 @@ def _measure_once(tier: str, factory, warm: int, timed: int) -> float:
 
         chip = MulticoreChip(MachineConfig.scaled_nehalem(), seed=7)
         spec = factory()
-        workload = spec.instantiate(seed=3, base=1 << 34)
+        workload = spec.instantiate(seed=3, base=CORE0_BASE)
         core = chip.core(0)
         for _ in range(warm):
             core.run(workload, DEFAULT_BUDGET)
             if workload.finished:
-                workload = spec.instantiate(seed=3, base=1 << 34)
+                workload = spec.instantiate(seed=3, base=CORE0_BASE)
         start = time.perf_counter()
         accesses_before = core.accesses_issued
         for _ in range(timed):
             core.run(workload, DEFAULT_BUDGET)
             if workload.finished:
-                workload = spec.instantiate(seed=3, base=1 << 34)
+                workload = spec.instantiate(seed=3, base=CORE0_BASE)
         elapsed = time.perf_counter() - start
         return (core.accesses_issued - accesses_before) / elapsed
     finally:
@@ -181,7 +186,7 @@ def budget_batch(factory) -> int:
         from repro.arch.chip import MulticoreChip
 
         chip = MulticoreChip(MachineConfig.scaled_nehalem(), seed=7)
-        workload = factory().instantiate(seed=3, base=1 << 34)
+        workload = factory().instantiate(seed=3, base=CORE0_BASE)
         core = chip.core(0)
         for _ in range(3):
             before = core.accesses_issued
@@ -207,7 +212,7 @@ def _serve_once(path: str, factory, warm: int, timed: int,
         hierarchy = MulticoreChip(
             MachineConfig.scaled_nehalem(), seed=7
         ).hierarchy
-        phase = factory().instantiate(seed=3, base=1 << 34).current_phase()
+        phase = factory().instantiate(seed=3, base=CORE0_BASE).current_phase()
 
         def serve() -> None:
             if path == "vector":
@@ -451,7 +456,7 @@ def _stream_unit(registry=None) -> float:
 
     chip = MulticoreChip(MachineConfig.scaled_nehalem(), seed=7)
     spec = WORKLOADS["stream-llc"][0]()
-    workload = spec.instantiate(seed=3, base=1 << 34)
+    workload = spec.instantiate(seed=3, base=CORE0_BASE)
     core = chip.core(0)
 
     def calls(count: int) -> None:
@@ -459,7 +464,7 @@ def _stream_unit(registry=None) -> float:
         for _ in range(count):
             core.run(workload, DEFAULT_BUDGET)
             if workload.finished:
-                workload = spec.instantiate(seed=3, base=1 << 34)
+                workload = spec.instantiate(seed=3, base=CORE0_BASE)
 
     calls(3)
     scope = (

@@ -77,3 +77,15 @@ class ChaosError(ReproError):
     Raised only when chaos mode is armed; seeing one outside a test run
     means the environment variable leaked.
     """
+
+
+def is_deterministic(error: BaseException | None) -> bool:
+    """Whether a failed run would fail the same way if retried.
+
+    Configuration and validation errors (:class:`ConfigError` and
+    :class:`WorkloadError`, with their subclasses) follow from the run's
+    spec alone.  Everything else keeps the retry ladder: crashes,
+    timeouts and dead workers (which carry no error), and
+    :class:`ChaosError`.
+    """
+    return isinstance(error, (ConfigError, WorkloadError))

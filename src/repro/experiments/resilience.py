@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from ..errors import ConfigError
+from ..errors import ConfigError, is_deterministic
 from ..faults.chaos import maybe_inject
 from ..obs import MetricsRegistry
 from ..runspec import RunOutcome, RunSpec
@@ -132,11 +132,15 @@ def run_specs_resilient(
     (duplicate digests in ``specs`` are executed once).  A spec that
     fails an attempt is retried on the next round after the policy's
     backoff; one that exhausts every attempt lands in ``quarantined``
-    with its last error.  ``on_complete(spec, outcome, attempt)`` fires
-    in the calling process the moment each spec finishes — the caller's
-    checkpoint seam, so an interruption loses at most the in-flight
-    work.  A per-run ``policy.timeout`` fails stragglers (parallel
-    path only; the pool kills the wedged worker and respawns it).
+    with its last error.  A deterministic failure
+    (:func:`~repro.errors.is_deterministic`: a configuration or
+    workload error) is quarantined after its first attempt, since a
+    retry would raise it again.  ``on_complete(spec, outcome,
+    attempt)`` fires in the calling process the moment each spec
+    finishes — the caller's checkpoint seam, so an interruption loses
+    at most the in-flight work.  A per-run ``policy.timeout`` fails
+    stragglers (parallel path only; the pool kills the wedged worker
+    and respawns it).
     :exc:`KeyboardInterrupt` shuts the pool down, so no unstarted work
     runs, and propagates — everything already checkpointed stays
     checkpointed.
@@ -148,14 +152,17 @@ def run_specs_resilient(
     policy = policy if policy is not None else RetryPolicy.from_env()
     describe = describe or RunSpec.describe
     jobs = resolve_jobs(jobs)
-    pending: list[RunSpec] = []
+    distinct: list[RunSpec] = []
     seen: set[str] = set()
     for spec in specs:
         if spec.digest not in seen:
             seen.add(spec.digest)
-            pending.append(spec)
+            distinct.append(spec)
+    pending = distinct
     outcomes: dict[str, RunOutcome] = {}
     errors: dict[str, str] = {}
+    #: digest -> attempts made, for every spec given up on
+    given_up: dict[str, int] = {}
     for attempt in range(1, policy.max_attempts + 1):
         if not pending:
             break
@@ -166,17 +173,23 @@ def run_specs_resilient(
             pending, attempt, jobs, policy, outcomes, errors,
             on_complete, metrics,
         )
-        if failed and attempt < policy.max_attempts and metrics is not None:
-            metrics.counter("executor.retries").inc(len(failed))
-        pending = failed
+        pending = []
+        for spec, retryable in failed:
+            if retryable and attempt < policy.max_attempts:
+                pending.append(spec)
+            else:
+                given_up[spec.digest] = attempt
+        if pending and metrics is not None:
+            metrics.counter("executor.retries").inc(len(pending))
     quarantined = {
         spec.digest: QuarantineRecord(
             digest=spec.digest,
             label=describe(spec),
-            attempts=policy.max_attempts,
+            attempts=given_up[spec.digest],
             error=errors.get(spec.digest, "unknown failure"),
         )
-        for spec in pending
+        for spec in distinct
+        if spec.digest in given_up
     }
     if quarantined and metrics is not None:
         metrics.counter("executor.quarantined").inc(len(quarantined))
@@ -192,7 +205,7 @@ def _round(
     errors: dict[str, str],
     on_complete: Callable[[RunSpec, RunOutcome, int], None] | None,
     metrics: MetricsRegistry | None,
-) -> list[RunSpec]:
+) -> list[tuple[RunSpec, bool]]:
     """One retry round: in this process when ``jobs`` is 1 or a single
     spec is left, otherwise on the persistent pool.
 
@@ -201,7 +214,8 @@ def _round(
     and the pool kills and respawns exactly the wedged worker; a worker
     that dies mid-run (chaos ``die``) fails only its own spec.
     ``on_complete`` fires the moment each spec settles, preserving the
-    checkpoint seam.
+    checkpoint seam.  Returns each failed spec with whether a retry
+    could clear its failure.
     """
     if metrics is not None:
         metrics.counter("executor.attempts").inc(len(pending))
@@ -225,7 +239,7 @@ def _round(
         results = get_pool(jobs).map_specs(
             tasks, timeout=policy.timeout, on_result=on_result
         )
-    failed: list[RunSpec] = []
+    failed: list[tuple[RunSpec, bool]] = []
     for spec in pending:
         value = results[spec.digest]
         if isinstance(value, WorkerFailure):
@@ -235,7 +249,7 @@ def _round(
                 )
             else:
                 errors[spec.digest] = value.describe()
-            failed.append(spec)
+            failed.append((spec, not is_deterministic(value.error)))
     return failed
 
 

@@ -13,8 +13,23 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ..errors import SchedulingError
+from ..errors import SchedulingError, WorkloadError
 from ..workloads.base import RuntimePhase, WorkloadInstance, WorkloadSpec
+
+#: Lines in each process's slice of the line-address space: 2^26
+#: 64-byte lines (4 GiB), over 1,600 times the widest SPEC model's
+#: span.  Core c's slice starts at ``(c + 1) * LINE_WINDOW``, a
+#: multiple of every cache's set count, so a process's set indices do
+#: not depend on its core.  For cores 0-14 every line address stays
+#: below 2^30, the one-digit ints CPython's fast paths (``==``, ``&``,
+#: hashing, dict-key compares) serve; cores from 15 up still run
+#: correctly, on two-digit addresses.
+LINE_WINDOW = 1 << 26
+
+
+def line_base(core_id: int) -> int:
+    """The first line address of the process on core ``core_id``."""
+    return (core_id + 1) * LINE_WINDOW
 
 
 class AppClass(str, Enum):
@@ -61,8 +76,15 @@ class SimProcess:
         self.relaunch = relaunch
         # Give each process a disjoint slice of the line-address space so
         # co-located processes never share data (the paper's workloads
-        # do not share; contention is purely capacity/bandwidth).
-        self._base = (core_id + 1) << 34
+        # do not share; contention is purely capacity/bandwidth).  A
+        # workload wider than its slice would alias its neighbour's.
+        span = spec.span_lines()
+        if span > LINE_WINDOW:
+            raise WorkloadError(
+                f"workload {spec.name!r} spans {span} lines, more than "
+                f"a process's {LINE_WINDOW}-line address window"
+            )
+        self._base = line_base(core_id)
         self.workload = spec.instantiate(seed=seed, base=self._base)
         self.state = ProcessState.WAITING
         #: execution-speed multiplier in (0, 1]: the DVFS-style throttle

@@ -88,6 +88,15 @@ class PatternSpec(ABC):
     def footprint_lines(self) -> int:
         """Distinct lines the instantiated pattern will touch."""
 
+    def span_lines(self) -> int:
+        """Width of the line range the pattern addresses from its base.
+
+        Every address lies in ``[base, base + span_lines())``.  For
+        most patterns that is the footprint; a pattern that skips
+        lines (a strided scan) spans more than it touches.
+        """
+        return self.footprint_lines()
+
 
 @dataclass(frozen=True)
 class PhaseSpec:
@@ -292,6 +301,10 @@ class WorkloadSpec:
     def footprint_lines(self) -> int:
         """Peak distinct-line footprint across phases."""
         return max(p.pattern.footprint_lines() for p in self.phases)
+
+    def span_lines(self) -> int:
+        """Widest line range any phase addresses (they share a base)."""
+        return max(p.pattern.span_lines() for p in self.phases)
 
     def instantiate(
         self, seed: int = 0, base: int = 0

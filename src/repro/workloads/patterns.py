@@ -356,6 +356,11 @@ class ZipfSpec(PatternSpec):
         return _Zipf(rng, self.lines, self.alpha, base)
 
 
+#: Buckets of a Zipf pattern's inverse-CDF table.  A power of two, so
+#: ``u * _ZIPF_BUCKETS`` and ``k / _ZIPF_BUCKETS`` are exact.
+_ZIPF_BUCKETS = 1 << 13
+
+
 class _Zipf(_BufferedPattern):
     def __init__(
         self, rng: np.random.Generator, lines: int, alpha: float, base: int
@@ -368,9 +373,25 @@ class _Zipf(_BufferedPattern):
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
         self._placement = rng.permutation(lines)
+        self._bucket_rank: np.ndarray | None = None
+        self._bucket_split = _EMPTY
 
     def _refill(self) -> np.ndarray:
-        ranks = self._cdf.searchsorted(self._rng.random(_BATCH))
+        # rank(u) = cdf.searchsorted(u) is monotone in u, so every u in
+        # bucket [k/K, (k+1)/K) ranks between the bucket edges' ranks;
+        # where those agree the table answers, and only draws in a
+        # bucket holding a CDF step are searched.
+        cdf = self._cdf
+        u = self._rng.random(_BATCH)
+        rank = self._bucket_rank
+        if rank is None:
+            edges = np.arange(_ZIPF_BUCKETS + 1) / _ZIPF_BUCKETS
+            rank = self._bucket_rank = cdf.searchsorted(edges)
+            self._bucket_split = rank[1:] != rank[:-1]
+        bucket = (u * _ZIPF_BUCKETS).astype(np.intp)
+        ranks = rank[bucket]
+        split = self._bucket_split[bucket].nonzero()[0]
+        ranks[split] = cdf.searchsorted(u[split])
         draws = self._placement[ranks]
         draws += self._base
         return draws
@@ -464,6 +485,9 @@ class StridedScanSpec(PatternSpec):
     def footprint_lines(self) -> int:
         return (self.lines + self.stride - 1) // self.stride
 
+    def span_lines(self) -> int:
+        return self.lines
+
     def instantiate(
         self, rng: np.random.Generator, base: int
     ) -> AccessPattern:
@@ -527,7 +551,8 @@ class MixtureSpec(PatternSpec):
 
     ``components`` is a tuple of ``(weight, spec)`` pairs; each access is
     drawn from one component with probability proportional to its
-    weight.  Components receive disjoint address sub-ranges.
+    weight.  Components receive disjoint address sub-ranges, each
+    starting where the previous component's span ends.
     """
 
     components: tuple[tuple[float, PatternSpec], ...]
@@ -547,6 +572,9 @@ class MixtureSpec(PatternSpec):
     def footprint_lines(self) -> int:
         return sum(spec.footprint_lines() for _w, spec in self.components)
 
+    def span_lines(self) -> int:
+        return sum(spec.span_lines() for _w, spec in self.components)
+
     def instantiate(
         self, rng: np.random.Generator, base: int
     ) -> AccessPattern:
@@ -555,7 +583,7 @@ class MixtureSpec(PatternSpec):
         weights = []
         for weight, spec in self.components:
             parts.append(spec.instantiate(rng, offset))
-            offset += spec.footprint_lines()
+            offset += spec.span_lines()
             weights.append(weight)
         return _Mixture(rng, parts, weights)
 

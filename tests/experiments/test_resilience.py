@@ -7,7 +7,16 @@ import time
 
 import pytest
 
-from repro.errors import ChaosError, ConfigError, ExperimentError
+from repro.errors import (
+    ChaosError,
+    ConfigError,
+    ExperimentError,
+    FaultPlanError,
+    SimulationError,
+    UnknownBenchmarkError,
+    WorkloadError,
+    is_deterministic,
+)
 from repro.experiments.campaign import (
     Campaign,
     CampaignSettings,
@@ -22,6 +31,7 @@ from repro.experiments.faults import fault_sweep
 from repro.faults.chaos import CHAOS_ENV, ChaosSpec, maybe_inject
 from repro.faults.plan import FaultPlan
 from repro.obs import MetricsRegistry
+from repro.sim import process
 
 FAST = CampaignSettings(length=0.02, backend="statistical")
 
@@ -71,6 +81,23 @@ class TestRetryPolicy:
         assert policy.delay_before(2) == 0.1
         assert policy.delay_before(3) == 0.4
         assert policy.delay_before(9) == 0.4
+
+
+@pytest.mark.parametrize(
+    "error, deterministic",
+    [
+        (ConfigError("bad machine"), True),
+        (FaultPlanError("bad plan"), True),
+        (WorkloadError("bad phase"), True),
+        (UnknownBenchmarkError("nonesuch"), True),
+        (ChaosError("injected"), False),
+        (SimulationError("inconsistent"), False),
+        (RuntimeError("crash"), False),
+        (None, False),  # a timeout or a dead worker
+    ],
+)
+def test_is_deterministic(error, deterministic):
+    assert is_deterministic(error) is deterministic
 
 
 class TestChaosSpec:
@@ -313,6 +340,42 @@ class TestCampaignResilience:
         with pytest.raises(ExperimentError, match=message):
             fresh.solo("444.namd")
         assert _count(fresh, "executor.attempts") == 0.0
+
+    def test_unknown_bench_is_quarantined_after_one_attempt(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        campaign = Campaign(FAST, cache_dir=tmp_path)
+        with pytest.raises(
+            ExperimentError,
+            match=r"\(nonesuch, solo\) is quarantined after 1 failed",
+        ):
+            campaign.solo("nonesuch")
+        assert _count(campaign, "executor.attempts") == 1.0
+        assert _count(campaign, "executor.retries") == 0.0
+
+    def test_window_overflow_is_quarantined_after_one_attempt(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        monkeypatch.setattr(process, "LINE_WINDOW", 1024)
+        campaign = Campaign(FAST, cache_dir=tmp_path)
+        with pytest.raises(
+            ExperimentError, match="1 failed attempts: .*address window"
+        ):
+            campaign.solo("429.mcf")
+        assert _count(campaign, "executor.attempts") == 1.0
+
+    def test_chaos_crash_keeps_the_retry_ladder(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        monkeypatch.setenv(CHAOS_ENV, "crash:99:444.namd")
+        campaign = Campaign(FAST, cache_dir=tmp_path)
+        with pytest.raises(ExperimentError, match="3 failed attempts"):
+            campaign.solo("444.namd")
+        assert _count(campaign, "executor.attempts") == 3.0
+        assert _count(campaign, "executor.retries") == 2.0
 
     def test_colocated_miss_retries_to_success_and_is_journalled(
         self, tmp_path, monkeypatch

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.patterns import (
+    _BATCH,
+    _ZIPF_BUCKETS,
     HotColdSpec,
     MixtureSpec,
     PointerChaseSpec,
@@ -23,6 +25,17 @@ from repro.workloads.patterns import (
 def sample(spec, n=2000, base=0, seed=0):
     pattern = spec.instantiate(np.random.default_rng(seed), base)
     return [pattern.next_address() for _ in range(n)]
+
+
+class _FixedDraws:
+    """A stand-in Generator whose one ``random`` call returns ``keys``."""
+
+    def __init__(self, keys: np.ndarray):
+        self._keys = keys
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == self._keys.shape[0]
+        return self._keys
 
 
 class TestSequentialStream:
@@ -121,6 +134,32 @@ class TestZipf:
         # With random placement the hottest line is almost surely not 0.
         assert counts[hottest] > counts[0] or hottest != 0
 
+    @pytest.mark.parametrize(
+        "lines, alpha",
+        [(1, 1.0), (163, 1.3), (819, 1.0), (2293, 1.1), (20_000, 0.5)],
+    )
+    def test_bucket_table_ranks_like_searchsorted(self, lines, alpha):
+        """Every key ranks as ``cdf.searchsorted`` ranks it: the bucket
+        edges, the CDF values, and the doubles either side of each."""
+        pattern = ZipfSpec(lines=lines, alpha=alpha).instantiate(
+            np.random.default_rng(0), 64
+        )
+        cdf = pattern._cdf
+        edges = np.arange(_ZIPF_BUCKETS + 1) / _ZIPF_BUCKETS
+        marks = np.concatenate((edges, cdf))
+        keys = np.concatenate((
+            marks,
+            np.nextafter(marks, 0.0),
+            np.nextafter(marks, 1.0),
+            np.random.default_rng(1).random(_BATCH),
+        ))
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        keys = np.resize(keys, -(-keys.shape[0] // _BATCH) * _BATCH)
+        for chunk in keys.reshape(-1, _BATCH):
+            pattern._rng = _FixedDraws(chunk)
+            want = pattern._placement[cdf.searchsorted(chunk)] + 64
+            assert np.array_equal(pattern._refill(), want)
+
 
 class TestHotCold:
     def test_hot_region_dominates(self):
@@ -149,6 +188,9 @@ class TestStridedScan:
 
     def test_footprint_counts_touched_lines(self):
         assert StridedScanSpec(lines=10, stride=3).footprint_lines() == 4
+
+    def test_span_counts_skipped_lines(self):
+        assert StridedScanSpec(lines=10, stride=3).span_lines() == 10
 
 
 class TestMixture:
@@ -189,6 +231,20 @@ class TestMixture:
         )
         assert spec.footprint_lines() == 12
 
+    def test_strided_part_shares_no_line_with_the_next(self):
+        """A strided scan touches 128 of the 1024 lines it spans, so
+        the part after it starts past its span, not its footprint."""
+        spec = MixtureSpec(
+            components=(
+                (1.0, StridedScanSpec(lines=1024, stride=8)),
+                (1.0, UniformRandomSpec(lines=128)),
+            )
+        )
+        assert spec.span_lines() == 1024 + 128
+        addrs = sample(spec, 20_000)
+        assert len(set(addrs)) == 128 + 128
+        assert max(addrs) < spec.span_lines()
+
 
 @st.composite
 def any_pattern_spec(draw):
@@ -211,6 +267,25 @@ def any_pattern_spec(draw):
     )
 
 
+@st.composite
+def spanned_pattern_spec(draw):
+    """Any pattern, a strided scan, or a mixture of two of them."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(any_pattern_spec())
+    if kind == 1:
+        return StridedScanSpec(
+            lines=draw(st.integers(1, 200)),
+            stride=draw(st.integers(1, 9)),
+        )
+    return MixtureSpec(
+        components=(
+            (1.0, draw(spanned_pattern_spec())),
+            (2.0, draw(spanned_pattern_spec())),
+        )
+    )
+
+
 class TestPatternProperties:
     @given(any_pattern_spec(), st.integers(0, 2**20))
     @settings(max_examples=50, deadline=None)
@@ -220,6 +295,14 @@ class TestPatternProperties:
         for _ in range(200):
             addr = pattern.next_address()
             assert base <= addr < base + max(footprint, spec.footprint_lines())
+
+    @given(spanned_pattern_spec(), st.integers(0, 2**20))
+    @settings(max_examples=50, deadline=None)
+    def test_addresses_within_declared_span(self, spec, base):
+        pattern = spec.instantiate(np.random.default_rng(0), base)
+        addrs = pattern.next_addresses(400)
+        assert base <= min(addrs)
+        assert max(addrs) < base + spec.span_lines()
 
     @given(any_pattern_spec())
     @settings(max_examples=30, deadline=None)
