@@ -25,11 +25,11 @@ from .replacement import ReplacementPolicy
 def fast_lane_enabled() -> bool:
     """Whether the hot-path specializations are on (default yes).
 
-    ``REPRO_FAST_LANE=0`` keeps every cache on the generic list sets,
-    so the hierarchy serves every batch with its per-access walk — the
-    reference the fast path is benchmarked and property-tested
-    against.  Read at object construction, not import, so tests can
-    toggle it per instance.
+    ``REPRO_FAST_LANE=0`` keeps every cache on list sets driven by the
+    generic policy dispatch, so the hierarchy serves every batch with
+    its per-access walk — the reference the fast path is benchmarked
+    and property-tested against.  Read at object construction, not
+    import, so tests can toggle it per instance.
     """
     return os.environ.get("REPRO_FAST_LANE", "1") != "0"
 
@@ -89,23 +89,32 @@ class CacheStats:
 class SetAssociativeCache:
     """One level of cache: ``num_sets`` sets of ``associativity`` ways.
 
-    ``_sets[i]`` holds set ``i``'s resident lines in policy order.
-    When the replacement policy is plain LRU (the default everywhere)
-    each set is an insertion-ordered dict (:class:`OrderedDict`) from
-    line address to a per-line value, LRU first: a hit is
-    ``move_to_end``, an eviction ``popitem(last=False)``, and the miss
-    verdict one hash probe.  Construction then switches the instance to
-    a subclass whose ``probe``/``fill``/``invalidate`` operate directly
-    on the dicts, with no virtual dispatch through
-    :class:`ReplacementPolicy`.
-    The values are free for the owner of the cache to use: the
-    hierarchy keeps each shared-L3 line's owner bitmask there, and the
-    private levels store ``None``.  The same dicts are what
+    ``_sets[i]`` holds set ``i``'s resident lines in policy order, as a
+    plain list.  When the replacement policy is plain LRU (the default
+    everywhere) the list is LRU first and MRU last, the order
+    :class:`~repro.arch.replacement.LRUPolicy` keeps, and construction
+    switches the instance to a subclass whose ``probe``/``fill``/
+    ``invalidate`` operate on the lists directly, with no virtual
+    dispatch through :class:`ReplacementPolicy`: a hit moves the line
+    to the end, an eviction is ``del s[0]``, a fill ``append``.  A
+    private set holds at most a handful of lines, so a list scan is
+    cheap, and a list refill is far cheaper than an ordered dict's.
+
+    ``line_values=True`` asks for sets that carry a value per resident
+    line instead: on the LRU fast lane each set is then an
+    insertion-ordered dict (:class:`OrderedDict`, LRU first; a hit is
+    ``move_to_end``, an eviction ``popitem(False)``).  Only the
+    hierarchy asks for it, for the shared L3, whose values are the
+    owner bitmasks.  The hierarchy fills that L3 itself, so the dict
+    sets get specialized ``probe`` and ``invalidate`` verbs only (the
+    generic ``fill`` does not apply to them).  The same lists and
+    dicts are what
     :meth:`repro.arch.hierarchy.CacheHierarchy.access_many` inlines.
 
     FIFO/Random/PLRU keep per-set lists driven by the policy object.
     Pass ``specialize=False`` (or set ``REPRO_FAST_LANE=0``) to force
-    the generic list path for benchmarking and equivalence tests.
+    that generic path for every policy, for benchmarking and
+    equivalence tests.
     """
 
     def __init__(
@@ -114,6 +123,7 @@ class SetAssociativeCache:
         geometry: CacheGeometry,
         policy: ReplacementPolicy,
         specialize: bool | None = None,
+        line_values: bool = False,
     ):
         self.name = name
         self.geometry = geometry
@@ -126,14 +136,16 @@ class SetAssociativeCache:
         #: lowered by evictions).  The stream path proves a batch
         #: absent with one comparison when an ascending stream has moved
         #: past this bound; conservatively high values only cost that
-        #: shortcut, never correctness.  Maintained by the dict fill
-        #: verb, by ``access_many`` and by the stream commit.
+        #: shortcut, never correctness.  Maintained by the LRU list
+        #: fill verb, by the hierarchy's L3 fill, by ``access_many``
+        #: and by the stream commit.
         self._max_tag = -1
         if specialize is None:
             specialize = fast_lane_enabled()
-        #: whether the sets are ordered dicts (the storage the bulk
-        #: kernel and the stream path require)
-        self._dict_lru = specialize and policy.lru_specializable
+        lru = specialize and policy.lru_specializable
+        #: whether the sets are ordered dicts with a value per line
+        #: (the storage the hierarchy keeps its L3 owner masks in)
+        self._dict_lru = lru and line_values
         self._sets: list
         # The specialized verbs live on subclasses rather than being
         # bound onto each instance: a bound method stored on its own
@@ -145,6 +157,8 @@ class SetAssociativeCache:
             self.__class__ = _DictLRUCache
         else:
             self._sets = [[] for _ in range(geometry.num_sets)]
+            if lru:
+                self.__class__ = _ListLRUCache
 
     # -- hot path ------------------------------------------------------
 
@@ -198,45 +212,6 @@ class SetAssociativeCache:
         self.stats.invalidations += 1
         return True
 
-    def _probe_lru(self, addr: int) -> bool:
-        """LRU :meth:`probe` on the set's ordered dict."""
-        entries = self._sets[addr & self._set_mask]
-        if addr in entries:
-            entries.move_to_end(addr)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
-
-    def _fill_lru(self, addr: int) -> int | None:
-        """LRU :meth:`fill` on the set's ordered dict.
-
-        The new line's value is ``None``; the hierarchy fills the shared
-        L3 itself, so that it can store owner masks.
-        """
-        entries = self._sets[addr & self._set_mask]
-        if addr in entries:
-            entries.move_to_end(addr)
-            return None
-        victim: int | None = None
-        if len(entries) >= self._assoc:
-            victim = entries.popitem(False)[0]
-            self.stats.evictions += 1
-        entries[addr] = None
-        if addr > self._max_tag:
-            self._max_tag = addr
-        self.stats.fills += 1
-        return victim
-
-    def _invalidate_lru(self, addr: int) -> bool:
-        """LRU :meth:`invalidate` on the set's ordered dict."""
-        entries = self._sets[addr & self._set_mask]
-        if addr in entries:
-            del entries[addr]
-            self.stats.invalidations += 1
-            return True
-        return False
-
     # -- inspection ----------------------------------------------------
 
     def contains(self, addr: int) -> bool:
@@ -273,9 +248,72 @@ class SetAssociativeCache:
         )
 
 
-class _DictLRUCache(SetAssociativeCache):
-    """LRU sets as ordered dicts (see :class:`SetAssociativeCache`)."""
+class _ListLRUCache(SetAssociativeCache):
+    """LRU sets as plain lists, MRU last (see :class:`SetAssociativeCache`).
 
-    probe = SetAssociativeCache._probe_lru
-    fill = SetAssociativeCache._fill_lru
-    invalidate = SetAssociativeCache._invalidate_lru
+    The verbs match :class:`SetAssociativeCache`'s generic ones over
+    :class:`~repro.arch.replacement.LRUPolicy` exactly; they test
+    membership with ``in`` rather than catch ``index``'s miss.
+    """
+
+    def probe(self, addr: int) -> bool:
+        contents = self._sets[addr & self._set_mask]
+        if addr in contents:
+            if contents[-1] != addr:
+                contents.remove(addr)
+                contents.append(addr)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
+
+    def fill(self, addr: int) -> int | None:
+        contents = self._sets[addr & self._set_mask]
+        if addr in contents:
+            if contents[-1] != addr:
+                contents.remove(addr)
+                contents.append(addr)
+            return None
+        victim: int | None = None
+        if len(contents) >= self._assoc:
+            victim = contents[0]
+            del contents[0]
+            self.stats.evictions += 1
+        contents.append(addr)
+        if addr > self._max_tag:
+            self._max_tag = addr
+        self.stats.fills += 1
+        return victim
+
+    def invalidate(self, addr: int) -> bool:
+        contents = self._sets[addr & self._set_mask]
+        if addr in contents:
+            contents.remove(addr)
+            self.stats.invalidations += 1
+            return True
+        return False
+
+
+class _DictLRUCache(SetAssociativeCache):
+    """LRU sets as ordered dicts of per-line values, LRU first.
+
+    The hierarchy's L3 (see :class:`SetAssociativeCache`): the
+    hierarchy fills it, storing each line's owner mask.
+    """
+
+    def probe(self, addr: int) -> bool:
+        entries = self._sets[addr & self._set_mask]
+        if addr in entries:
+            entries.move_to_end(addr)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
+
+    def invalidate(self, addr: int) -> bool:
+        entries = self._sets[addr & self._set_mask]
+        if addr in entries:
+            del entries[addr]
+            self.stats.invalidations += 1
+            return True
+        return False

@@ -23,6 +23,7 @@ behind :meth:`CacheHierarchy.vector_classify` /
 
 from __future__ import annotations
 
+from operator import contains as _contains
 from time import perf_counter as _perf_counter
 from typing import Sequence
 
@@ -43,7 +44,6 @@ _NO_COSTS = (0.0, 0.0, 0.0, 0.0, 0.0)
 _INF = float("inf")
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
-_contains = dict.__contains__
 
 
 def _owners_of(mask: int) -> set[int]:
@@ -130,11 +130,12 @@ class CacheHierarchy:
 
     Ownership — which cores pulled each resident L3 line in — drives
     back-invalidation targeting, stolen-line counts and per-core
-    occupancy.  When the L3 stores its sets as ordered dicts (plain LRU
-    with the fast lane on), each line's value there is its owner
-    bitmask (bit ``c`` set = core ``c`` owns it).  List-backed sets
-    (other policies, or ``REPRO_FAST_LANE=0``) keep the reference
-    ``_l3_owners`` dict of sets instead.
+    occupancy.  With plain LRU and the fast lane on, the L3 stores its
+    sets as ordered dicts and each line's value there is its owner
+    bitmask (bit ``c`` set = core ``c`` owns it); the private L1/L2
+    keep plain LRU lists.  List-backed L3 sets (other policies, or
+    ``REPRO_FAST_LANE=0``) keep the reference ``_l3_owners`` dict of
+    sets instead.
     """
 
     def __init__(self, machine: MachineConfig, seed: int = 0):
@@ -162,6 +163,7 @@ class CacheHierarchy:
             "L3.shared",
             machine.l3,
             make_policy(machine.replacement, machine.l3.associativity, seed),
+            line_values=True,
         )
         self.counters = [HierarchyCounters() for _ in range(n)]
         self._inclusive = machine.l3_inclusive
@@ -182,10 +184,11 @@ class CacheHierarchy:
         self._masks = self.l3._dict_lru
         self._l3_owners: dict[int, set[int]] = {}
         self._occupancy = [0] * n
-        # Whether the batched paths may run at all: every level on
-        # ordered dicts (all levels share one policy, so the L3 speaks
-        # for them), and none of the per-access side channels the
-        # batched paths do not model (see bulk_kernel_ok).
+        # Whether the batched paths may run at all: the LRU fast lane
+        # (all levels share one policy and one tier, so the L3's owner
+        # masks speak for the private levels' LRU lists too), and none
+        # of the per-access side channels the batched paths do not
+        # model (see bulk_kernel_ok).
         self._batched = (
             self._masks
             and not self._writebacks_enabled
@@ -283,8 +286,9 @@ class CacheHierarchy:
         when :meth:`bulk_kernel_ok` denies the kernel (non-LRU
         policies, writebacks, prefetch, or ``REPRO_FAST_LANE=0``).  The
         kernel path is one loop: all hot state is hoisted into locals,
-        the L1/L2/L3 probes and fills are inlined over the sets' ordered
-        dicts, and per-access counter increments become batch-local
+        the L1/L2/L3 probes and fills are inlined over the private
+        levels' LRU lists and the L3's ordered dicts, and per-access
+        counter increments become batch-local
         integer deltas flushed into :class:`HierarchyCounters` (and the
         per-cache stats) once at the end.  A repeat of the access just
         before it in the batch is priced inline as an L1 hit that
@@ -340,11 +344,14 @@ class CacheHierarchy:
         # occupancy (so ``occupancy[core] + occ`` is its current
         # value).  The rest follow from them (every miss fills its
         # level; an L1 hit is whatever executed without missing).
-        # Evictions call ``popitem(False)``: the keyword spelling costs
-        # ~60 ns more per call.  ``levels.append`` is spelled out, not
-        # bound to a local: CPython 3.11 specialises the method call
-        # into an inline list append.  The L3 probe is ``in`` plus a
-        # subscript on a hit, cheaper than ``get`` on the miss path.
+        # A private hit moves the line to the list's end unless it is
+        # there already; a private refill is ``del s[0]`` plus
+        # ``append``.  L3 evictions call ``popitem(False)``: the keyword
+        # spelling costs ~60 ns more per call.  List ``append`` calls
+        # are spelled out, not bound to locals: CPython 3.11
+        # specialises the method call into an inline list append.  The
+        # L3 probe is ``in`` plus a subscript on a hit, cheaper than
+        # ``get`` on the miss path.
         nh2 = nh3 = nm3 = ev1 = ev2 = ev3 = occ = 0
         prev = None
         for addr in addrs:
@@ -352,27 +359,31 @@ class CacheHierarchy:
                 break
             if addr == prev:
                 # The access just before left this line MRU in our L1:
-                # an L1 hit whose move_to_end would be a no-op.
+                # an L1 hit whose reorder would be a no-op.
                 levels.append(1)
                 used += c1
                 continue
             prev = addr
             set1 = l1_sets[addr & l1_mask]
             if addr in set1:
-                set1.move_to_end(addr)
+                if set1[-1] != addr:
+                    set1.remove(addr)
+                    set1.append(addr)
                 levels.append(1)
                 used += c1
                 continue
             set2 = l2_sets[addr & l2_mask]
             if addr in set2:
-                set2.move_to_end(addr)
+                if set2[-1] != addr:
+                    set2.remove(addr)
+                    set2.append(addr)
                 nh2 += 1
                 # Fill L1: the probe above just missed, so the line is
                 # absent -- insert directly.
                 if len(set1) >= l1_assoc:
-                    set1.popitem(False)
+                    del set1[0]
                     ev1 += 1
-                set1[addr] = None
+                set1.append(addr)
                 levels.append(2)
                 used += c2
                 continue
@@ -418,13 +429,13 @@ class CacheHierarchy:
             # Set sizes are read here, after the L3-miss path: a
             # back-invalidation above may have removed our own lines.
             if len(set2) >= l2_assoc:
-                set2.popitem(False)
+                del set2[0]
                 ev2 += 1
-            set2[addr] = None
+            set2.append(addr)
             if len(set1) >= l1_assoc:
-                set1.popitem(False)
+                del set1[0]
                 ev1 += 1
-            set1[addr] = None
+            set1.append(addr)
         i = len(levels)
         if i:
             # One conservative raise of the monotone fill bounds covers
@@ -628,7 +639,8 @@ class CacheHierarchy:
 
         The single predicate centralising every fallback condition for
         :meth:`access_many`'s kernel and the stream path alike: both
-        inline ordered-dict LRU walks only, so every level must use
+        inline LRU walks only, over the private levels' lists and the
+        L3's ordered dicts of owner masks, so every level must use
         that storage (plain LRU with specialization on), and the
         per-access side channels they do not model — the store
         accumulator (writebacks) and the next-line prefetcher — must
@@ -748,8 +760,12 @@ class CacheHierarchy:
         l1_sets = l1._sets
         l1_mask = l1._set_mask
         l1_assoc = l1._assoc
-        if plan.lead is not None and n_exec:
-            l1_sets[plan.lead & l1_mask].move_to_end(plan.lead)
+        lead = plan.lead
+        if lead is not None and n_exec:
+            entries = l1_sets[lead & l1_mask]
+            if entries[-1] != lead:
+                entries.remove(lead)
+                entries.append(lead)
         l2_sets = l2._sets
         l2_mask = l2._set_mask
         l2_assoc = l2._assoc
@@ -794,14 +810,14 @@ class CacheHierarchy:
             occ += 1
             entries = l2_sets[addr & l2_mask]
             if len(entries) >= l2_assoc:
-                entries.popitem(False)
+                del entries[0]
                 ev2 += 1
-            entries[addr] = None
+            entries.append(addr)
             entries = l1_sets[addr & l1_mask]
             if len(entries) >= l1_assoc:
-                entries.popitem(False)
+                del entries[0]
                 ev1 += 1
-            entries[addr] = None
+            entries.append(addr)
         nh1 = n_exec - m
         occupancy[core] += occ
         counters.l1_hits += nh1

@@ -28,12 +28,13 @@ class ReplacementPolicy(ABC):
     beyond the contents list itself is keyed by ``set_index``.
     """
 
-    #: Whether a cache may replace this policy's bookkeeping with the
-    #: specialized LRU storage (ordered-dict sets, and the bulk
-    #: kernel's inlined walks over them).  Only exact tail-MRU/
-    #: head-victim LRU semantics qualify: the specializations hard-code
-    #: move-to-end on hit, append on fill, and eviction from the front.
-    #: A subclass that changes any of those must leave this ``False``.
+    #: Whether a cache may replace this policy's dispatch with the
+    #: specialized LRU verbs (over the private levels' lists and the
+    #: L3's ordered dicts of owner masks, and the bulk kernel's inlined
+    #: walks over both).  Only exact tail-MRU/head-victim LRU semantics
+    #: qualify: the specializations hard-code move-to-end on hit,
+    #: append on fill, and eviction from the front.  A subclass that
+    #: changes any of those must leave this ``False``.
     lru_specializable = False
 
     @abstractmethod

@@ -81,13 +81,20 @@ __all__ = [
 #: statistical-backend telemetry became CAER-aware.  8: spec version 3
 #: — the CAER plugin-parameter mappings joined the digest.  9: entries
 #: hold the whole ``RunOutcome``, digest and backend included.  10:
-#: entries carry the per-period CAER ``verdicts``.)
-CACHE_EPOCH = 10
+#: entries carry the per-period CAER ``verdicts``.  11: a trace
+#: workload's footprint counts its distinct lines, which moves its
+#: statistical runs.)
+CACHE_EPOCH = 11
 
 #: When set (to anything truthy), a campaign ignores quarantine records
 #: inherited from its journal and gives previously failing specs a
 #: fresh chance; the journal itself is left intact until they complete.
 RETRY_QUARANTINED_ENV = "REPRO_RETRY_QUARANTINED"
+
+
+def _failed_attempts(n: int) -> str:
+    """``"1 failed attempt"``, ``"3 failed attempts"``."""
+    return f"{n} failed attempt{'' if n == 1 else 's'}"
 
 
 def _env_float(name: str, default: float) -> float:
@@ -402,7 +409,7 @@ class Campaign:
         if failed:
             runs = "; ".join(
                 f"run {self._label(spec)} is quarantined after "
-                f"{self.quarantined[digest].attempts} failed attempts: "
+                f"{_failed_attempts(self.quarantined[digest].attempts)}: "
                 f"{self.quarantined[digest].error}"
                 for digest, spec in failed.items()
             )

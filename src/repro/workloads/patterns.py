@@ -676,6 +676,9 @@ class TraceSpec(PatternSpec):
             raise WorkloadError("trace addresses must be non-negative")
 
     def footprint_lines(self) -> int:
+        return len(set(self.trace))
+
+    def span_lines(self) -> int:
         return max(self.trace) + 1
 
     def instantiate(
@@ -691,7 +694,7 @@ class _TraceReplay(_DrawFree):
         # Rebase once so replay serves precomputed absolute addresses.
         self._addrs = [base + a for a in trace]
         self._index = 0
-        self._footprint = max(trace) + 1
+        self._footprint = len(set(trace))
 
     def next_address(self) -> int:
         addr = self._addrs[self._index]

@@ -1,7 +1,7 @@
 """Bulk kernel and stream path vs. the generic reference, differentially.
 
-The bulk kernel (`CacheHierarchy.access_many` over ordered-dict LRU
-sets) and the stream path (`vector_classify`/`vector_commit`) are pure
+The bulk kernel (`CacheHierarchy.access_many` over the private levels'
+LRU lists and the L3's ordered dicts) and the stream path (`vector_classify`/`vector_commit`) are pure
 optimisations: for any address stream, any core interleaving, and any
 configuration they must produce exactly the generic walk's observables
 — serving levels, per-core counters, cache stats, final cache contents,
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
@@ -805,8 +806,10 @@ class TestFallbackPredicate:
     def test_vector_allowed_on_plain_lru(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAST_LANE", "1")
         h = CacheHierarchy(tiny_machine(), seed=1)
-        # Every level stores ordered dicts, owner masks in the L3's.
-        assert all(c._dict_lru for c in h.l1 + h.l2 + [h.l3])
+        # The private levels keep LRU lists; only the L3 keeps ordered
+        # dicts, whose values are the owner masks.
+        assert all(type(s) is list for c in h.l1 + h.l2 for s in c._sets)
+        assert all(type(s) is OrderedDict for s in h.l3._sets)
         assert h._masks
         assert h.vector_classify(
             0, np.arange(64, dtype=np.int64)
@@ -1021,63 +1024,101 @@ class TestQuotaOnBatchedPaths:
         assert stream["path.vector"]
 
 
+def list_sets():
+    """A private level on its own, in the tiny L3's geometry: LRU
+    lists, driven by their own verbs.  Returns ``(cache, fill)``."""
+    geometry = tiny_machine().l3
+    with tier_env():
+        cache = SetAssociativeCache(
+            "lists", geometry, make_policy("lru", geometry.associativity),
+        )
+    assert all(type(s) is list for s in cache._sets)
+    return cache, cache.fill
+
+
+def dict_sets():
+    """A hierarchy's L3: ordered dicts of owner masks, which only the
+    hierarchy fills (on behalf of core ``addr & 1`` here).  A fill of
+    a resident line refreshes it, as the list verb does.  Returns
+    ``(cache, fill)``."""
+    with tier_env():
+        h = CacheHierarchy(tiny_machine(), seed=1)
+    l3 = h.l3
+    assert all(type(s) is OrderedDict for s in l3._sets)
+
+    def fill(addr):
+        if l3.contains(addr):
+            l3.probe(addr)
+        else:
+            h._fill_l3(addr & 1, addr)
+
+    return l3, fill
+
+
 class TestFlatStorageInvariants:
-    """The ordered-dict set storage must stay self-consistent."""
+    """Both kinds of LRU set storage must stay self-consistent.
 
-    GEOMETRY = CacheGeometry(num_sets=4, associativity=4)
-
-    def make_cache(self) -> SetAssociativeCache:
-        with tier_env():
-            cache = SetAssociativeCache(
-                "dicts", self.GEOMETRY, make_policy("lru", 4),
-                specialize=True,
-            )
-        assert cache._dict_lru
-        return cache
+    Each test drives a private level's lists and a hierarchy's L3
+    dicts, in one geometry, through the same ops: both must keep their
+    invariants and hold the same lines in the same order.
+    """
 
     def check_invariants(self, cache: SetAssociativeCache) -> None:
-        for si in range(self.GEOMETRY.num_sets):
+        for si in range(cache._num_sets):
             contents = cache.set_contents(si)
-            assert len(contents) <= self.GEOMETRY.associativity
+            assert len(contents) <= cache._assoc
+            assert len(set(contents)) == len(contents)
             assert all(addr & cache._set_mask == si for addr in contents)
             assert all(addr <= cache._max_tag for addr in contents)
         assert cache.occupancy == len(cache.resident_lines())
 
+    def check_both(self, kinds) -> None:
+        (lists, _), (dicts, _) = kinds
+        self.check_invariants(lists)
+        self.check_invariants(dicts)
+        assert [lists.set_contents(si) for si in range(lists._num_sets)] \
+            == [dicts.set_contents(si) for si in range(dicts._num_sets)]
+
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 31)),
+        st.tuples(st.integers(0, 2), st.integers(0, 255)),
         min_size=1, max_size=200,
     ))
     def test_random_ops_preserve_invariants(self, ops):
-        cache = self.make_cache()
+        kinds = [list_sets(), dict_sets()]
         for op, addr in ops:
-            if op == 0:
-                cache.probe(addr)
-            elif op == 1:
-                cache.fill(addr)
-            else:
-                cache.invalidate(addr)
-        self.check_invariants(cache)
+            for cache, fill in kinds:
+                if op == 0:
+                    cache.probe(addr)
+                elif op == 1:
+                    fill(addr)
+                else:
+                    cache.invalidate(addr)
+        self.check_both(kinds)
 
     def test_flush_resets_flat_state(self):
-        cache = self.make_cache()
-        for addr in range(64):
-            cache.fill(addr)
-        cache.flush()
-        self.check_invariants(cache)
-        assert not cache.resident_lines()
-        assert cache.occupancy == 0
+        kinds = [list_sets(), dict_sets()]
+        for cache, fill in kinds:
+            for addr in range(2 * cache.capacity_lines):
+                fill(addr)
+            cache.flush()
+            assert not cache.resident_lines()
+            assert cache.occupancy == 0
+        self.check_both(kinds)
 
     def test_set_contents_roundtrip_when_rotated(self):
-        cache = self.make_cache()
-        # Fill past capacity so the set evicts in LRU order.
-        lines = list(range(0, 6 * 4, 4))
-        evicted = [cache.fill(addr) for addr in lines]
-        assert evicted == [None] * 4 + lines[:2]
-        assert cache.set_contents(0) == tuple(lines[2:])
-        assert cache.probe(lines[2])
-        assert cache.set_contents(0) == tuple(lines[3:] + lines[2:3])
-        self.check_invariants(cache)
+        for cache, fill in (list_sets(), dict_sets()):
+            # Fill set 0 two lines past capacity: it evicts in LRU
+            # order.
+            sets = cache._num_sets
+            lines = list(range(0, (cache._assoc + 2) * sets, sets))
+            for addr in lines:
+                fill(addr)
+            assert cache.stats.evictions == 2
+            assert cache.set_contents(0) == tuple(lines[2:])
+            assert cache.probe(lines[2])
+            assert cache.set_contents(0) == tuple(lines[3:] + lines[2:3])
+            self.check_invariants(cache)
 
 
 class TestFlushStoreAccumulator:

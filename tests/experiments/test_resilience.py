@@ -361,7 +361,7 @@ class TestCampaignResilience:
         monkeypatch.setattr(process, "LINE_WINDOW", 1024)
         campaign = Campaign(FAST, cache_dir=tmp_path)
         with pytest.raises(
-            ExperimentError, match="1 failed attempts: .*address window"
+            ExperimentError, match="1 failed attempt: .*address window"
         ):
             campaign.solo("429.mcf")
         assert _count(campaign, "executor.attempts") == 1.0

@@ -265,6 +265,26 @@ class TestProfileCache:
         )
         assert listed.latency_sensitive().completion_periods > 0
 
+    def test_trace_footprint_counts_distinct_lines(self):
+        # Both traces touch two lines with the same reuse; one spans
+        # 1,001 lines.  The engine charges the footprint as compulsory
+        # misses and caps the victim's occupancy at it, so next to lbm
+        # the span must not change the run.
+        def run(trace):
+            phase = PhaseSpec(
+                pattern=TraceSpec(trace=trace),
+                duration_instructions=400_000.0,
+            )
+            victim = WorkloadSpec(
+                name="replay", phases=(phase,), total_instructions=400_000.0
+            )
+            return run_colocated(
+                victim, benchmark("470.lbm", L3, length=0.05), MACHINE,
+                backend="statistical",
+            )
+
+        assert run((0, 1000)) == run((0, 1))
+
 
 def _pattern_classes(root: type) -> list[type]:
     """Every subclass of ``root`` that defines its own ``instantiate``."""

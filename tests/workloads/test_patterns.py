@@ -328,7 +328,12 @@ class TestTraceReplay:
     def test_footprint(self):
         from repro.workloads.patterns import TraceSpec
 
-        assert TraceSpec(trace=(0, 7, 3)).footprint_lines() == 8
+        # Distinct lines touched; the span is the range they lie in.
+        spec = TraceSpec(trace=(0, 7, 3))
+        assert spec.footprint_lines() == 3
+        assert spec.span_lines() == 8
+        replay = spec.instantiate(np.random.default_rng(0), 0)
+        assert replay.footprint_lines() == 3
 
     def test_empty_trace_rejected(self):
         from repro.workloads.patterns import TraceSpec
