@@ -7,10 +7,11 @@ hierarchy under each execution tier:
 * **generic** (``REPRO_FAST_LANE=0``) — the reference path: list sets,
   virtual policy dispatch and exception-based probing, one
   ``CacheHierarchy.access`` call per access;
-* **kernel** (``REPRO_FAST_LANE=1``, the default) — every LRU set an
-  ordered dict (owner masks as the L3's values), whole batches served
-  by the bulk kernel (``access_many``) or, for cold ascending streams,
-  by the stream path (``vector_classify`` / ``vector_commit``).
+* **kernel** (``REPRO_FAST_LANE=1``, the default) — the private
+  levels' LRU sets plain lists and the L3's ordered dicts (owner masks
+  as their values), whole batches served by the bulk kernel
+  (``access_many``) or, for cold ascending streams, by the stream path
+  (``vector_classify`` / ``vector_commit``).
 
 Both tiers produce bit-identical results (the differential suites in
 ``tests/arch/test_bulk_kernel.py`` and ``tests/arch/test_owner_store.py``
@@ -22,7 +23,7 @@ each other on ``stream-llc`` (the 4-repeat stream shape of ``lbm``):
 fresh chips serve the same address batches through the stream path
 and through ``access_many``, at the batch size one default budget buys
 on that workload.  It is an ordering check — the stream path must beat
-the dict kernel it bypasses — in smoke and full runs alike.
+the bulk kernel it bypasses — in smoke and full runs alike.
 
 The two **overhead gates** time an "off" and an "on" unit of work in
 interleaved pairs and judge the median of the pair ratios by its
@@ -110,7 +111,7 @@ TIERS = {"generic": "0", "kernel": "1"}
 #: for the kernel gate: the walk is a handful of C-level operations
 #: either way, so the batched win is structurally smaller there).
 #: ``pointer-chase`` is informational: its batches are never
-#: ascending, so the dict kernel serves them all.
+#: ascending, so the bulk kernel serves them all.
 WORKLOADS = {
     "stream-llc": (
         lambda: synthetic.streamer(lines=70_000, instructions=1e9),
@@ -237,7 +238,7 @@ def _serve_once(path: str, factory, warm: int, timed: int,
 
 
 def measure_vector_gate(factory, warm: int, timed: int, reps: int) -> dict:
-    """The stream path against the dict kernel on the same batches.
+    """The stream path against the bulk kernel on the same batches.
 
     Reps alternate between the two paths, so scheduler drift hits both
     sides of the ratio alike; each side keeps its best rep.
@@ -296,7 +297,7 @@ def render(rows: list[dict]) -> str:
         if gate is not None:
             lines.append(
                 f"{'':<14} vector gate @ {gate['batch']}-access "
-                f"batches: dict kernel {gate['kernel']:.0f}/s, stream "
+                f"batches: bulk kernel {gate['kernel']:.0f}/s, stream "
                 f"path {gate['vector']:.0f}/s "
                 f"({gate['vector_over_kernel']:.2f}x)"
             )
@@ -586,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.smoke
         else (
             f"OK: kernel >= {KERNEL_OVER_GENERIC_TARGET}x generic, "
-            f"stream path ahead of the dict kernel"
+            f"stream path ahead of the bulk kernel"
         )
     )
     return 0

@@ -31,7 +31,7 @@ BOUND = 0.02
 def fake_rows(kg: float = 4.0, gate_vk: float = 1.6):
     """Synthetic suite rows with the given ratios on every workload.
 
-    ``gate_vk`` is the stream path's ratio over the dict kernel on the
+    ``gate_vk`` is the stream path's ratio over the bulk kernel on the
     workloads that carry the vector gate.
     """
     rows = []
@@ -95,7 +95,7 @@ class TestGateLogic:
         assert all("over-generic" in f for f in failures)
 
     def test_vector_below_gate_target_fails_each_gated_workload(self):
-        # The gate's target is the dict kernel itself: parity fails in
+        # The gate's target is the bulk kernel itself: parity fails in
         # full runs as in smoke runs.
         assert vector_gated() == ["stream-llc"]
         for smoke in (False, True):
